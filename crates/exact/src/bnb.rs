@@ -12,7 +12,8 @@
 
 use crate::{Certificate, ExactConfig, ExactError};
 use asched_graph::{
-    makespan_lower_bound, DepGraph, FuClass, MachineModel, NodeId, NodeSet, SchedCtx, SchedOpts,
+    earliest_starts, makespan_lower_bound, DepGraph, FuClass, MachineModel, NodeId, NodeSet,
+    SchedCtx, SchedOpts,
 };
 use std::collections::HashMap;
 
@@ -99,20 +100,11 @@ pub(crate) fn solve(
             h_by_id[id.index()] = g.exec_time(id) as u64 + tail;
         }
         let height: Vec<u64> = nodes.iter().map(|&id| h_by_id[id.index()]).collect();
-        // ASAP: forward pass in topological order (preds are already
-        // position-indexed), floored at the static release times.
-        let mut asap: Vec<u64> = nodes
-            .iter()
-            .map(|&id| opts.release.map(|r| r[id.index()]).unwrap_or(0))
-            .collect();
-        for &id in analysis.order.iter() {
-            let i = pos[id.index()];
-            let mut start = asap[i];
-            for &(p, lat) in &preds[i] {
-                start = start.max(asap[p] + exec[p] + lat as u64);
-            }
-            asap[i] = start;
-        }
+        // ASAP: the shared forward sweep, floored at the static release
+        // times, re-indexed by position.
+        let mut est = Vec::new();
+        earliest_starts(analysis, g, opts.release, &mut est);
+        let asap: Vec<u64> = nodes.iter().map(|&id| est[id.index()]).collect();
         (height, asap)
     };
 

@@ -19,8 +19,15 @@
 //! branch-and-bound scheduler (`asched-exact`) use them for pruning and
 //! lets the merge/chop layers skip recomputation that provably cannot
 //! help.
+//!
+//! [`earliest_starts`] is the forward counterpart of the critical path:
+//! the ASAP start of every node under release times and dependence
+//! chains alone. No legal schedule — in particular no greedy list
+//! schedule — starts a node earlier, so `earliest start + exec` bounds
+//! every deadline the node can meet. `asched-rank` uses it to refute
+//! idle-slot moves without rerunning the Rank Algorithm.
 
-use crate::ctx::SchedCtx;
+use crate::ctx::{Analysis, SchedCtx};
 use crate::graph::DepGraph;
 use crate::machine::{FuClass, MachineModel};
 use crate::set::NodeSet;
@@ -50,6 +57,39 @@ pub fn critical_path_bound(
         best = best.max(height);
     }
     Ok(best)
+}
+
+/// Earliest start of every node of an analysed mask: its release time
+/// (0 without `release`), raised past `start + exec + latency` of every
+/// in-mask loop-independent predecessor — one forward sweep over the
+/// analysis's topological order and successor lists.
+///
+/// Writes into `est` (a reusable buffer, resized to `g.len()` and
+/// indexed by `NodeId::index()`; 0 outside the mask), so a warm caller
+/// runs it without allocating. `release`, when given, is indexed by
+/// `NodeId::index()` like the scheduler's release times.
+pub fn earliest_starts(
+    analysis: &Analysis,
+    g: &DepGraph,
+    release: Option<&[u64]>,
+    est: &mut Vec<u64>,
+) {
+    est.clear();
+    est.resize(g.len(), 0);
+    if let Some(rel) = release {
+        for &id in &analysis.order {
+            est[id.index()] = rel[id.index()];
+        }
+    }
+    for &id in &analysis.order {
+        let done = est[id.index()] + g.exec_time(id) as u64;
+        for &(s, lat) in &analysis.succs[id.index()] {
+            let ready = done + lat as u64;
+            if ready > est[s.index()] {
+                est[s.index()] = ready;
+            }
+        }
+    }
 }
 
 /// Resource lower bound: every unit class must absorb its own work.
@@ -171,6 +211,28 @@ mod tests {
         g.add_simple("b", BlockId(0));
         let m = MachineModel::uniform(4, 1);
         assert_eq!(capacity_bound(&g, &g.all_nodes(), &m), 5);
+    }
+
+    #[test]
+    fn earliest_starts_follow_chains_and_releases() {
+        // a -(2)-> b -(1)-> c with exec(b) = 3; x0..x3 independent.
+        let mut g = chain_and_fanout();
+        g.node_mut(crate::node::NodeId(1)).exec_time = 3;
+        let mask = g.all_nodes();
+        let mut ctx = SchedCtx::new();
+        let mut est = Vec::new();
+        let analysis = ctx.cache.analysis(&g, &mask).unwrap();
+        earliest_starts(analysis, &g, None, &mut est);
+        assert_eq!(&est[..3], &[0, 3, 7]);
+        assert!(est[3..].iter().all(|&t| t == 0));
+        // A late release on `a` pushes its whole chain; a release on
+        // `c` below its chain bound changes nothing.
+        let mut rel = vec![0u64; g.len()];
+        rel[0] = 5;
+        rel[2] = 4;
+        rel[3] = 2;
+        earliest_starts(analysis, &g, Some(&rel), &mut est);
+        assert_eq!(&est[..4], &[5, 8, 12, 2]);
     }
 
     #[test]

@@ -40,7 +40,7 @@ mod set;
 mod topo;
 pub mod validate;
 
-pub use bound::{capacity_bound, critical_path_bound, makespan_lower_bound};
+pub use bound::{capacity_bound, critical_path_bound, earliest_starts, makespan_lower_bound};
 pub use critical::{critical_path_length, height_priority, heights};
 pub use ctx::{
     Analysis, AnalysisCache, BackwardMode, ListScratch, SchedCtx, SchedOpts, Scratch, SimScratch,

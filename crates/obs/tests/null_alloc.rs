@@ -5,15 +5,25 @@
 
 use asched_obs::{record, timed, Event, MergeRung, Pass, Recorder, Severity, StallKind, NULL};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+// Per-thread counter: the test harness runs the tests below on
+// concurrent threads, and one test's allocations (or the harness's own)
+// must not land in another test's measurement.
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    // `try_with` so allocations during TLS teardown stay harmless.
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        bump();
         System.alloc(layout)
     }
 
@@ -22,7 +32,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        bump();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -31,9 +41,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOC: CountingAlloc = CountingAlloc;
 
 fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = ALLOCATIONS.with(|c| c.get());
     let r = f();
-    (ALLOCATIONS.load(Ordering::SeqCst) - before, r)
+    (ALLOCATIONS.with(|c| c.get()) - before, r)
 }
 
 #[test]

@@ -105,13 +105,13 @@ pub fn optimal_makespan(
 
     // A quick feasible schedule (greedy by height) upper-bounds the search.
     let prio = asched_graph::height_priority(g, mask).map_err(BruteError::Cyclic)?;
-    let greedy = crate::list::list_schedule_into(
-        &mut asched_graph::ListScratch::default(),
+    let greedy = crate::list::list_schedule(
+        &mut asched_graph::SchedCtx::new(),
         g,
         mask,
         machine,
         &prio,
-        None,
+        &asched_graph::SchedOpts::default(),
     );
 
     let mut ctx = Ctx {

@@ -13,11 +13,31 @@
 //! Figure 6: it processes the idle slots from earliest to latest, moving
 //! each one as far as it will go.
 //!
-//! These are the hottest loops in the workspace — every attempt re-runs
+//! These are the hottest loops in the workspace — the attempts re-run
 //! the Rank Algorithm on the *same* `(graph, mask)` — which is exactly
 //! what the [`SchedCtx`] analysis cache and scratch buffers exist for:
 //! after the first rank run, every retry reuses the cached topological
 //! order and descendant sets and runs allocation-free.
+//!
+//! Most attempts cannot succeed, and they are decided without a rerun:
+//!
+//! * **From the idle-slot list.** The tail node is the node ending at
+//!   `t_i` on the slot's unit, so it exists iff cycle `t_i − 1` is busy —
+//!   iff `t_i − 1` is not the previous idle slot. A slot at `t_i = 0` or
+//!   right after another idle cycle is stuck before any deadline
+//!   snapshot, schedule copy or clamp. [`delay_idle_slots`] builds each
+//!   unit's list once per schedule.
+//! * **From the critical path.** No greedy schedule starts a node before
+//!   its earliest start (release time plus exec and latency chains,
+//!   [`asched_graph::earliest_starts`], computed once per call). When
+//!   that bound plus the tail node's execution time exceeds the deadline
+//!   `t_i − 1` the edit would impose, both greedy passes of the rerun
+//!   would miss it, so the attempt is stuck with its deadlines restored —
+//!   what the failed rerun returns, minus its `rank_run` event.
+//!
+//! Every other rerun happens as in Figure 4, with the Rank Algorithm's
+//! greedy passes stopping at their first missed deadline. Schedules,
+//! final deadlines and `idle_move` events are those of the plain loop.
 //!
 //! On the restricted machine (0/1 latencies, unit execution times, single
 //! functional unit) repeated application provably yields a
@@ -27,8 +47,10 @@
 //! attack; we process units in order of decreasing demand).
 
 use crate::deadline::Deadlines;
-use crate::ranks::{rank_schedule, RankOutput};
-use asched_graph::{DepGraph, MachineModel, NodeSet, SchedCtx, SchedOpts, Schedule};
+use crate::ranks::rank_schedule;
+use asched_graph::{
+    earliest_starts, DepGraph, MachineModel, NodeId, NodeSet, SchedCtx, SchedOpts, Schedule,
+};
 use asched_obs::{record, Event, Pass};
 
 /// Result of one [`move_idle_slot`] attempt.
@@ -72,49 +94,111 @@ pub fn move_idle_slot(
     slot_index: usize,
     opts: &SchedOpts,
 ) -> MoveOutcome {
-    let slot_start = sched
-        .idle_slots_unit(machine, unit)
-        .get(slot_index)
-        .copied();
-    let outcome = move_idle_slot_inner(ctx, g, mask, machine, sched, d, unit, slot_index, opts);
-    if let Some(slot) = slot_start {
-        record!(
-            opts.rec,
-            Event::IdleMove {
-                unit: unit as u32,
-                slot,
-                new_start: match &outcome {
-                    MoveOutcome::Moved { new_start, .. } => *new_start,
-                    MoveOutcome::Stuck => Some(slot),
-                },
-                moved: matches!(outcome, MoveOutcome::Moved { .. }),
-            }
-        );
-    }
-    outcome
+    let asap = mask_earliest_starts(ctx, g, mask, opts);
+    let idles = sched.idle_slots_unit(machine, unit);
+    attempt(
+        ctx, g, mask, machine, sched, &idles, &asap, d, unit, slot_index, opts,
+    )
 }
 
+/// The earliest start of every mask node, indexed by `NodeId::index()`.
+/// A cyclic mask refutes nothing here (all zeros); its rank run reports
+/// the cycle.
+fn mask_earliest_starts(
+    ctx: &mut SchedCtx,
+    g: &DepGraph,
+    mask: &NodeSet,
+    opts: &SchedOpts,
+) -> Vec<u64> {
+    let mut asap = Vec::new();
+    match ctx.cache.analysis(g, mask) {
+        Ok(analysis) => earliest_starts(analysis, g, opts.release, &mut asap),
+        Err(_) => asap.resize(g.len(), 0),
+    }
+    asap
+}
+
+/// One `Move_Idle_Slot` attempt on the slot `idles[slot_index]`, where
+/// `idles` are the idle cycles of `unit` in `sched` and `asap` holds the
+/// mask's earliest starts. Emits the attempt's `idle_move` event.
 #[allow(clippy::too_many_arguments)]
-fn move_idle_slot_inner(
+fn attempt(
     ctx: &mut SchedCtx,
     g: &DepGraph,
     mask: &NodeSet,
     machine: &MachineModel,
     sched: &Schedule,
+    idles: &[u64],
+    asap: &[u64],
     d: &mut Deadlines,
     unit: usize,
     slot_index: usize,
     opts: &SchedOpts,
 ) -> MoveOutcome {
-    let idles = sched.idle_slots_unit(machine, unit);
-    let Some(&t_i) = idles.get(slot_index) else {
+    let Some(&slot) = idles.get(slot_index) else {
         return MoveOutcome::Stuck;
     };
-    if t_i == 0 {
-        // Nothing precedes the slot; it cannot be created later by
-        // starting an ancestor earlier.
-        return MoveOutcome::Stuck;
+    let outcome = move_slot(
+        ctx, g, mask, machine, sched, idles, asap, d, unit, slot_index, opts,
+    );
+    record!(
+        opts.rec,
+        Event::IdleMove {
+            unit: unit as u32,
+            slot,
+            new_start: match &outcome {
+                MoveOutcome::Moved { new_start, .. } => *new_start,
+                MoveOutcome::Stuck => Some(slot),
+            },
+            moved: matches!(outcome, MoveOutcome::Moved { .. }),
+        }
+    );
+    outcome
+}
+
+/// The tail node of the idle slot `idles[slot_index]` on `unit` (the
+/// node completing exactly at the slot), unless the deadline
+/// `t_i − 1` it would get is refuted by its earliest completion. `None`
+/// means the attempt is stuck without a rerun.
+fn live_tail(
+    asap: &[u64],
+    g: &DepGraph,
+    sched: &Schedule,
+    idles: &[u64],
+    unit: usize,
+    slot_index: usize,
+) -> Option<NodeId> {
+    let t_i = idles[slot_index];
+    // No node completes at t = 0, nor right before a slot that follows
+    // another idle cycle: such a slot has no tail node to force earlier.
+    if t_i == 0 || (slot_index > 0 && idles[slot_index - 1] == t_i - 1) {
+        return None;
     }
+    let a_i = sched.tail_node(unit, t_i)?;
+    // d(a_i) = t_i - 1 is unmeetable when a_i cannot even complete by
+    // then from its earliest start (this covers exec(a_i) > t_i - 1).
+    let earliest_completion = asap[a_i.index()] + g.exec_time(a_i) as u64;
+    (earliest_completion < t_i).then_some(a_i)
+}
+
+#[allow(clippy::too_many_arguments)]
+fn move_slot(
+    ctx: &mut SchedCtx,
+    g: &DepGraph,
+    mask: &NodeSet,
+    machine: &MachineModel,
+    sched: &Schedule,
+    idles: &[u64],
+    asap: &[u64],
+    d: &mut Deadlines,
+    unit: usize,
+    slot_index: usize,
+    opts: &SchedOpts,
+) -> MoveOutcome {
+    let t_i = idles[slot_index];
+    let Some(mut a_i) = live_tail(asap, g, sched, idles, unit, slot_index) else {
+        return MoveOutcome::Stuck;
+    };
     // Snapshot the deadlines into the context's save buffer instead of
     // cloning: the loop below only set/tighten-edits values (the horizon
     // is untouched), so restoring the vector restores the whole state.
@@ -131,30 +215,15 @@ fn move_idle_slot_inner(
         }
     }
 
-    let mut cur: Schedule = sched.clone();
     // Each iteration strictly tightens some node's deadline, so the loop
     // terminates; the cap is belt and braces.
     let max_iters = (mask.len() as u64 + 2) * (sched.makespan() + 2);
     for _ in 0..max_iters {
-        // The tail node: completes exactly at t_i on this unit.
-        let Some(a_i) = cur.tail_node(unit, t_i) else {
-            // Preceded by another idle slot (or start of time): stuck.
-            d.restore_from(&ctx.scratch.deadline_save);
-            return MoveOutcome::Stuck;
-        };
         // d(a_i) = rank(a_i) = t_i - 1: force the tail node earlier.
-        let new_dl = t_i as i64 - 1;
-        if new_dl < g.exec_time(a_i) as i64 {
-            d.restore_from(&ctx.scratch.deadline_save);
-            return MoveOutcome::Stuck;
-        }
-        d.set(a_i, new_dl);
-
-        let attempt: Result<RankOutput, _> = rank_schedule(ctx, g, mask, machine, d, opts);
-        let Ok(out) = attempt else {
+        d.set(a_i, t_i as i64 - 1);
+        let Ok(out) = rank_schedule(ctx, g, mask, machine, d, opts) else {
             // rank_alg cannot meet the tightened deadlines: undo.
-            d.restore_from(&ctx.scratch.deadline_save);
-            return MoveOutcome::Stuck;
+            break;
         };
         let new_idles = out.schedule.idle_slots_unit(machine, unit);
         match new_idles.get(slot_index) {
@@ -173,15 +242,17 @@ fn move_idle_slot_inner(
                 };
             }
             Some(&t_new) if t_new == t_i => {
-                // Same position: iterate with the (possibly different)
-                // new tail node.
-                cur = out.schedule;
+                // Same position: iterate with the new tail node, unless
+                // the new schedule refutes it as well.
+                match live_tail(asap, g, &out.schedule, &new_idles, unit, slot_index) {
+                    Some(next) => a_i = next,
+                    None => break,
+                }
             }
             Some(_) => {
                 // Moved *earlier*: the clamp should prevent this; treat
                 // as failure and restore.
-                d.restore_from(&ctx.scratch.deadline_save);
-                return MoveOutcome::Stuck;
+                break;
             }
         }
     }
@@ -262,17 +333,17 @@ fn delay_idle_slots_inner(
         units.sort_by_key(|&u| std::cmp::Reverse(demand(u)));
     }
 
+    let asap = mask_earliest_starts(ctx, g, mask, opts);
     let mut cur = sched;
     for unit in units {
+        // The slot list changes only when a move succeeds.
+        let mut idles = cur.idle_slots_unit(machine, unit);
         let mut i = 0;
-        loop {
-            let idles = cur.idle_slots_unit(machine, unit);
-            if i >= idles.len() {
-                break;
-            }
-            match move_idle_slot(ctx, g, mask, machine, &cur, d, unit, i, opts) {
+        while i < idles.len() {
+            match attempt(ctx, g, mask, machine, &cur, &idles, &asap, d, unit, i, opts) {
                 MoveOutcome::Moved { schedule, .. } => {
                     cur = schedule;
+                    idles = cur.idle_slots_unit(machine, unit);
                     // Retry the same index: the slot may move further, or
                     // (if eliminated) the index now denotes the next slot.
                 }
@@ -378,6 +449,34 @@ mod tests {
         }
         // Deadlines restored on failure.
         assert_eq!(d, saved);
+    }
+
+    #[test]
+    fn doomed_attempts_run_no_rank() {
+        // p -(0)-> q -(2)-> r: schedule p q _ _ r. The slot at 2 would
+        // need d(q) = 1, but q cannot complete before 2 (it waits for p);
+        // the slot at 3 follows another idle cycle, so it has no tail
+        // node. Both attempts are stuck without a single Rank rerun.
+        let mut g = DepGraph::new();
+        let p = g.add_simple("p", BlockId(0));
+        let q = g.add_simple("q", BlockId(0));
+        let r = g.add_simple("r", BlockId(0));
+        g.add_dep(p, q, 0);
+        g.add_dep(q, r, 2);
+        let mask = g.all_nodes();
+        let mut ctx = SchedCtx::new();
+        let s0 = rank_schedule_default(&mut ctx, &g, &mask, &m1()).unwrap();
+        assert_eq!(s0.idle_slots(&m1()), vec![2, 3]);
+        let mut d = Deadlines::uniform(&g, &mask, s0.makespan() as i64);
+        let saved = d.clone();
+        let rec = asched_obs::ProfileRecorder::new();
+        let opts = SchedOpts::default().with_recorder(&rec);
+        let s1 = delay_idle_slots(&mut ctx, &g, &mask, &m1(), s0.clone(), &mut d, &opts);
+        assert_eq!(s1, s0);
+        assert_eq!(d, saved);
+        let profile = rec.into_profile();
+        assert_eq!(profile.counter("idle_moves_attempted"), 2);
+        assert_eq!(profile.counter("rank_runs"), 0);
     }
 
     #[test]

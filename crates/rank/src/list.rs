@@ -6,7 +6,17 @@
 //! unit. The scheduler never leaves a unit idle when some ready
 //! instruction could use it — the *greedy* property the paper's Ordering
 //! Constraint (Definition 2.3) refers to.
+//!
+//! Inside the Rank Algorithm the pass also receives the deadlines and
+//! stops at the first assignment that completes after its node's
+//! deadline. Assignments are final, so that schedule can no longer meet
+//! every deadline and the rest of the pass would be wasted: the
+//! infeasible probes of `merge` and `Delay_Idle_Slots` — most Rank runs
+//! in the multi-unit regime — pay only for the prefix up to the miss. A
+//! pass that finishes has met every deadline. The check is one
+//! comparison per assignment; nothing is scanned per cycle.
 
+use crate::deadline::Deadlines;
 use asched_graph::{
     DepGraph, ListScratch, MachineModel, NodeId, NodeSet, SchedCtx, SchedOpts, Schedule,
 };
@@ -32,18 +42,26 @@ pub fn list_schedule(
     priority: &[NodeId],
     opts: &SchedOpts,
 ) -> Schedule {
-    list_schedule_into(
+    match list_schedule_into(
         &mut ctx.scratch.list,
         g,
         mask,
         machine,
         priority,
         opts.release,
-    )
+        None,
+    ) {
+        Ok(sched) => sched,
+        Err(_) => unreachable!("a pass without deadlines cannot miss one"),
+    }
 }
 
 /// The greedy scheduler proper, working out of a [`ListScratch`] so
 /// rank-internal callers can hold other scratch fields across the call.
+///
+/// With `deadlines`, the pass returns `Err(node)` as soon as it assigns
+/// a node that completes after its deadline; `Ok` then means every
+/// deadline was met. Without, it always returns `Ok`.
 pub(crate) fn list_schedule_into(
     ls: &mut ListScratch,
     g: &DepGraph,
@@ -51,7 +69,8 @@ pub(crate) fn list_schedule_into(
     machine: &MachineModel,
     priority: &[NodeId],
     release: Option<&[u64]>,
-) -> Schedule {
+    deadlines: Option<&Deadlines>,
+) -> Result<Schedule, NodeId> {
     let ListScratch {
         order: prio,
         unit_free,
@@ -98,12 +117,15 @@ pub(crate) fn list_schedule_into(
             let unit = machine.units_for(class).find(|&u| unit_free[u] <= t);
             let Some(u) = unit else { continue };
             let exec = g.exec_time(x);
+            let completion = t + exec as u64;
+            if deadlines.is_some_and(|d| completion as i64 > d.get(x)) {
+                return Err(x);
+            }
             sched.assign(x, t, u, exec);
-            unit_free[u] = t + exec as u64;
+            unit_free[u] = completion;
             done[x.index()] = true;
             remaining -= 1;
             issued = true;
-            let completion = t + exec as u64;
             for e in g.out_edges_li(x) {
                 if mask.contains(e.dst) && !done[e.dst.index()] {
                     preds_left[e.dst.index()] -= 1;
@@ -153,7 +175,7 @@ pub(crate) fn list_schedule_into(
         debug_assert!(next > t, "time must advance");
         t = next;
     }
-    sched
+    Ok(sched)
 }
 
 #[cfg(test)]

@@ -39,12 +39,10 @@ use std::fmt;
 pub enum RankError {
     /// The loop-independent subgraph is cyclic.
     Cyclic(CycleError),
-    /// The deadlines cannot all be met: some node's rank dropped below its
-    /// execution time (it would have to complete before it could even
-    /// finish running from time 0), or the greedy schedule misses a
-    /// deadline (possible in the heuristic, non-restricted cases).
+    /// The deadlines cannot all be met: both greedy passes (the rank
+    /// list and the earliest-deadline-first retry) miss a deadline.
     Infeasible {
-        /// A node whose deadline cannot be met.
+        /// The node whose deadline the retry missed first.
         node: NodeId,
     },
 }
@@ -92,8 +90,8 @@ pub struct RankOutput {
 /// Ranks may drop below a node's execution time (or below zero) when the
 /// deadlines are unachievable — or merely when the backward schedule's
 /// tie-breaking was pessimistic. They are *priorities*: feasibility is
-/// decided by [`rank_schedule`]'s final deadline check on the greedy
-/// schedule, never by the rank values alone.
+/// decided by [`rank_schedule`]'s deadline-checked greedy passes, never
+/// by the rank values alone.
 ///
 /// `opts.backward` selects the [`BackwardMode`] for non-unit execution
 /// times on multi-unit machines (paper Section 4.2); the other options
@@ -275,18 +273,21 @@ pub(crate) fn rank_priority_into(
     });
 }
 
-/// The full Rank Algorithm: ranks, nondecreasing-rank list, greedy
-/// schedule, and a final deadline check.
+/// The full Rank Algorithm: ranks, nondecreasing-rank list, and a greedy
+/// schedule checked against the deadlines as it is built.
 ///
 /// In the restricted case (0/1 latencies, unit execution times, single
 /// functional unit) the result is a minimum-makespan schedule and the
 /// deadline check never fires when the deadlines are achievable
 /// (Palem–Simons). In the general case this is the Section 4.2 heuristic
 /// and the check guards callers such as `merge` that probe feasibility.
+/// A pass stops at its first missed deadline, so an infeasible probe
+/// costs only the schedule prefix up to the miss (twice: once for the
+/// rank list, once for the earliest-deadline-first retry).
 ///
 /// All variants are expressed through `opts`: per-node release times
 /// (which only delay the greedy scheduler; ranks remain valid upper
-/// bounds and the final deadline check still guards feasibility), the
+/// bounds and the deadline check still guards feasibility), the
 /// [`BackwardMode`], and the recorder — an enabled recorder sees one
 /// timed `rank` pass plus a `rank_run` event carrying the node count,
 /// the resulting makespan (0 on infeasibility) and the feasibility
@@ -338,12 +339,9 @@ fn rank_schedule_inner(
         ..
     } = &mut ctx.scratch;
     rank_priority_into(prio, g, mask, ranks);
-    let schedule = list_schedule_into(list, g, mask, machine, prio, opts.release);
-    let misses = |s: &Schedule| {
-        mask.iter()
-            .find(|&id| s.completion(id).expect("list_schedule covers mask") as i64 > d.get(id))
-    };
-    if misses(&schedule).is_none() {
+    // Both greedy passes get the deadlines and stop at the first miss,
+    // so an infeasible run pays only for the prefix up to it.
+    if let Ok(schedule) = list_schedule_into(list, g, mask, machine, prio, opts.release, Some(d)) {
         return Ok(RankOutput {
             schedule,
             ranks: ranks.clone(),
@@ -362,14 +360,13 @@ fn rank_schedule_inner(
             .then_with(|| ranks[a.index()].cmp(&ranks[b.index()]))
             .then_with(|| g.stable_key(a).cmp(&g.stable_key(b)))
     });
-    let schedule2 = list_schedule_into(list, g, mask, machine, &edf, opts.release);
-    match misses(&schedule2) {
-        None => Ok(RankOutput {
-            schedule: schedule2,
+    match list_schedule_into(list, g, mask, machine, &edf, opts.release, Some(d)) {
+        Ok(schedule) => Ok(RankOutput {
+            schedule,
             ranks: ranks.clone(),
             priority: edf,
         }),
-        Some(node) => Err(RankError::Infeasible { node }),
+        Err(node) => Err(RankError::Infeasible { node }),
     }
 }
 

@@ -1,11 +1,27 @@
 //! Property tests for the Rank Algorithm.
 
-use asched_graph::{BlockId, DepGraph, MachineModel, NodeId, SchedCtx, SchedOpts};
+use asched_graph::{
+    earliest_starts, BlockId, DepGraph, FuClass, MachineModel, NodeId, NodeSet, SchedCtx,
+    SchedOpts, Schedule,
+};
+use asched_obs::{Event, Recorder};
 use asched_rank::{
-    brute, compute_ranks, list_schedule, max_tardiness, min_max_tardiness, rank_schedule,
-    rank_schedule_default, Deadlines,
+    brute, compute_ranks, delay_idle_slots, list_schedule, max_tardiness, min_max_tardiness,
+    rank_priority, rank_schedule, rank_schedule_default, Deadlines, RankError,
 };
 use proptest::prelude::*;
+use std::cell::RefCell;
+
+/// A deterministic xorshift stream for the generators.
+fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+    let mut state = seed | 1;
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    }
+}
 
 /// Random restricted-case DAG (0/1 latencies, unit exec times).
 fn arb_dag01(max_n: usize) -> impl Strategy<Value = DepGraph> {
@@ -14,13 +30,7 @@ fn arb_dag01(max_n: usize) -> impl Strategy<Value = DepGraph> {
         for i in 0..n {
             g.add_simple(format!("n{i}"), BlockId(0));
         }
-        let mut state = seed | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
+        let mut next = xorshift(seed);
         for i in 0..n {
             for j in (i + 1)..n {
                 if (next() % 1000) as f64 / 1000.0 < density {
@@ -30,6 +40,316 @@ fn arb_dag01(max_n: usize) -> impl Strategy<Value = DepGraph> {
         }
         g
     })
+}
+
+/// Random Section 4.2 instance: a DAG with latencies 0-3 and execution
+/// times 1-2, about 70% of its nodes bound to a concrete unit class, on
+/// `rs6000_like(2)` or `uniform(2, 2)`, with per-node release times
+/// (0-3 on about a third of the nodes).
+fn arb_multi_unit(max_n: usize) -> impl Strategy<Value = (DepGraph, MachineModel, Vec<u64>)> {
+    (2usize..max_n, any::<u64>(), 0.1f64..0.5, any::<bool>()).prop_map(
+        |(n, seed, density, rs6000)| {
+            let mut next = xorshift(seed);
+            let mut g = DepGraph::new();
+            for i in 0..n {
+                let id = g.add_simple(format!("n{i}"), BlockId((i / 8) as u32));
+                g.node_mut(id).exec_time = 1 + (next() % 2) as u32;
+                if next() % 10 < 7 {
+                    g.node_mut(id).class = FuClass::CONCRETE[(next() % 4) as usize];
+                }
+            }
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    if (next() % 1000) as f64 / 1000.0 < density {
+                        g.add_dep(NodeId(i as u32), NodeId(j as u32), (next() % 4) as u32);
+                    }
+                }
+            }
+            let release = (0..n)
+                .map(|_| {
+                    if next().is_multiple_of(3) {
+                        next() % 4
+                    } else {
+                        0
+                    }
+                })
+                .collect();
+            let machine = if rs6000 {
+                MachineModel::rs6000_like(2)
+            } else {
+                MachineModel::uniform(2, 2)
+            };
+            (g, machine, release)
+        },
+    )
+}
+
+/// Deadlines that constrain nothing even under release times: the
+/// unbounded horizon shifted by the largest release, as `merge` does.
+fn free_deadlines(g: &DepGraph, mask: &NodeSet, release: &[u64]) -> Deadlines {
+    let mut d = Deadlines::unbounded(g, mask);
+    d.shift_all(mask, release.iter().copied().max().unwrap_or(0) as i64);
+    d
+}
+
+/// The Rank Algorithm from public parts, with full greedy passes:
+/// ranks, the rank-ordered list, a miss check over the whole schedule,
+/// then the earliest-deadline-first retry. `None` = infeasible.
+fn reference_rank_schedule(
+    g: &DepGraph,
+    mask: &NodeSet,
+    machine: &MachineModel,
+    d: &Deadlines,
+    opts: &SchedOpts,
+) -> Option<(Schedule, Vec<i64>, Vec<NodeId>)> {
+    let mut ctx = SchedCtx::new();
+    let ranks = compute_ranks(&mut ctx, g, mask, machine, d, opts)
+        .unwrap()
+        .to_vec();
+    let meets = |s: &Schedule| {
+        mask.iter()
+            .all(|id| s.completion(id).unwrap() as i64 <= d.get(id))
+    };
+    let prio = rank_priority(g, mask, &ranks);
+    let s = list_schedule(&mut ctx, g, mask, machine, &prio, opts);
+    if meets(&s) {
+        return Some((s, ranks, prio));
+    }
+    let mut edf: Vec<NodeId> = mask.iter().collect();
+    edf.sort_by(|&a, &b| {
+        d.get(a)
+            .cmp(&d.get(b))
+            .then_with(|| ranks[a.index()].cmp(&ranks[b.index()]))
+            .then_with(|| g.stable_key(a).cmp(&g.stable_key(b)))
+    });
+    let s = list_schedule(&mut ctx, g, mask, machine, &edf, opts);
+    meets(&s).then_some((s, ranks, edf))
+}
+
+/// An `idle_move` event's fields: unit, slot, new start, moved.
+type IdleMove = (u32, u64, Option<u64>, bool);
+
+/// Captures `idle_move` events; every other event is dropped (the
+/// `rank_run` events of refuted reruns are the one permitted difference
+/// between the two idle-slot loops).
+#[derive(Default)]
+struct IdleMoves(RefCell<Vec<IdleMove>>);
+
+impl Recorder for IdleMoves {
+    fn enabled(&self) -> bool {
+        true
+    }
+
+    fn record(&self, event: &Event<'_>) {
+        if let Event::IdleMove {
+            unit,
+            slot,
+            new_start,
+            moved,
+        } = *event
+        {
+            self.0.borrow_mut().push((unit, slot, new_start, moved));
+        }
+    }
+}
+
+/// Figure 4 without shortcuts: clamp, then repeatedly find the tail
+/// node, set `d(a_i) = t_i - 1` and rerun Rank until the slot moves or a
+/// rerun fails. Records the attempt's `idle_move` event and asserts
+/// that every tail deadline the earliest-completion bound (`est` =
+/// earliest starts) refutes is rejected by the rerun. Returns the moved
+/// schedule, or `None` with `d` restored.
+#[allow(clippy::too_many_arguments)]
+fn naive_move_idle_slot(
+    g: &DepGraph,
+    mask: &NodeSet,
+    machine: &MachineModel,
+    sched: &Schedule,
+    d: &mut Deadlines,
+    unit: usize,
+    slot_index: usize,
+    opts: &SchedOpts,
+    est: &[u64],
+    events: &IdleMoves,
+) -> Option<Schedule> {
+    let t_i = sched.idle_slots_unit(machine, unit)[slot_index];
+    let saved = d.clone();
+    for id in mask.iter() {
+        if sched.completion(id).is_some_and(|c| c <= t_i) {
+            d.tighten(id, t_i as i64);
+        }
+    }
+    let mut cur = sched.clone();
+    let mut ctx = SchedCtx::new();
+    let moved = loop {
+        let Some(a_i) = cur.tail_node(unit, t_i) else {
+            break None;
+        };
+        d.set(a_i, t_i as i64 - 1);
+        let rerun = rank_schedule(&mut ctx, g, mask, machine, d, opts);
+        if est[a_i.index()] + g.exec_time(a_i) as u64 > t_i - 1 {
+            assert!(
+                matches!(rerun, Err(RankError::Infeasible { .. })),
+                "refuted tail deadline d({a_i}) = {} was met",
+                t_i - 1
+            );
+        }
+        let Ok(out) = rerun else {
+            break None;
+        };
+        match out.schedule.idle_slots_unit(machine, unit).get(slot_index) {
+            None => break Some((out.schedule, None)),
+            Some(&t) if t > t_i => break Some((out.schedule, Some(t))),
+            Some(&t) if t == t_i => cur = out.schedule,
+            Some(_) => break None,
+        }
+    };
+    events.0.borrow_mut().push((
+        unit as u32,
+        t_i,
+        moved.as_ref().map_or(Some(t_i), |(_, to)| *to),
+        moved.is_some(),
+    ));
+    if moved.is_none() {
+        *d = saved;
+    }
+    moved.map(|(s, _)| s)
+}
+
+/// Figure 6 without shortcuts: units by decreasing demand, slots from
+/// earliest to latest, each retried until it sticks.
+fn naive_delay_idle_slots(
+    g: &DepGraph,
+    mask: &NodeSet,
+    machine: &MachineModel,
+    sched: Schedule,
+    d: &mut Deadlines,
+    opts: &SchedOpts,
+    events: &IdleMoves,
+) -> Schedule {
+    let mut ctx = SchedCtx::new();
+    let mut est = Vec::new();
+    earliest_starts(
+        ctx.cache.analysis(g, mask).unwrap(),
+        g,
+        opts.release,
+        &mut est,
+    );
+    let demand = |u: usize| -> u64 {
+        mask.iter()
+            .filter(|&id| machine.unit_accepts(u, g.node(id).class))
+            .map(|id| 1000 * g.exec_time(id) as u64 / machine.capacity_for(g.node(id).class) as u64)
+            .sum()
+    };
+    let mut units: Vec<usize> = (0..machine.num_units()).collect();
+    units.sort_by_key(|&u| std::cmp::Reverse(demand(u)));
+    let mut cur = sched;
+    for unit in units {
+        let mut i = 0;
+        while i < cur.idle_slots_unit(machine, unit).len() {
+            match naive_move_idle_slot(g, mask, machine, &cur, d, unit, i, opts, &est, events) {
+                Some(s) => cur = s,
+                None => i += 1,
+            }
+        }
+    }
+    cur
+}
+
+/// `delay_idle_slots` from the rank schedule under free deadlines, with
+/// every deadline set to its makespan plus `slack`, against
+/// [`naive_delay_idle_slots`] from the same start: the same schedule,
+/// the same final deadlines and the same `idle_move` event sequence.
+fn assert_delay_matches_naive(g: &DepGraph, machine: &MachineModel, release: &[u64], slack: i64) {
+    let mask = g.all_nodes();
+    let quiet = SchedOpts::default().with_release(release);
+    let mut ctx = SchedCtx::new();
+    let free = free_deadlines(g, &mask, release);
+    let s0 = rank_schedule(&mut ctx, g, &mask, machine, &free, &quiet)
+        .unwrap()
+        .schedule;
+    let t = s0.makespan() as i64 + slack;
+
+    let fast_events = IdleMoves::default();
+    let mut fast_d = Deadlines::uniform(g, &mask, t);
+    let fast = delay_idle_slots(
+        &mut ctx,
+        g,
+        &mask,
+        machine,
+        s0.clone(),
+        &mut fast_d,
+        &quiet.with_recorder(&fast_events),
+    );
+
+    let naive_events = IdleMoves::default();
+    let mut naive_d = Deadlines::uniform(g, &mask, t);
+    let naive = naive_delay_idle_slots(g, &mask, machine, s0, &mut naive_d, &quiet, &naive_events);
+
+    assert_eq!(fast, naive);
+    assert_eq!(fast_d, naive_d);
+    assert_eq!(fast_events.0.into_inner(), naive_events.0.into_inner());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The greedy passes that stop at their first missed deadline are
+    /// exact: `rank_schedule` agrees with full passes plus a miss check
+    /// on feasibility, and on feasible deadlines returns the same
+    /// schedule, ranks and priority list. Each instance is probed with
+    /// uniform deadlines around its unconstrained makespan `T`, some
+    /// with a few nodes pinned tighter.
+    #[test]
+    fn early_exit_rank_matches_full_passes(
+        (g, m, release) in arb_multi_unit(24),
+        seed in any::<u64>(),
+    ) {
+        let mask = g.all_nodes();
+        let opts = SchedOpts::default().with_release(&release);
+        let mut ctx = SchedCtx::new();
+        let free = free_deadlines(&g, &mask, &release);
+        let t = rank_schedule(&mut ctx, &g, &mask, &m, &free, &opts)
+            .unwrap()
+            .schedule
+            .makespan() as i64;
+        let mut next = xorshift(seed);
+        for variant in 0..8 {
+            let mut d = Deadlines::uniform(&g, &mask, t + variant % 3 - 1);
+            for _ in 0..variant / 2 {
+                let victim = NodeId((next() % g.len() as u64) as u32);
+                d.set(victim, 1 + (next() % t as u64) as i64);
+            }
+            let got = rank_schedule(&mut ctx, &g, &mask, &m, &d, &opts);
+            match (got, reference_rank_schedule(&g, &mask, &m, &d, &opts)) {
+                (Ok(out), Some((schedule, ranks, priority))) => {
+                    prop_assert_eq!(out.schedule, schedule);
+                    prop_assert_eq!(out.ranks, ranks);
+                    prop_assert_eq!(out.priority, priority);
+                }
+                (Err(RankError::Infeasible { .. }), None) => {}
+                (got, want) => prop_assert!(
+                    false,
+                    "variant {}: rank_schedule {:?} vs reference feasible {}",
+                    variant,
+                    got.map(|o| o.schedule.makespan()),
+                    want.is_some()
+                ),
+            }
+        }
+    }
+
+    /// `delay_idle_slots` with its cheap refutations reproduces the
+    /// plain Figure 4/6 loop exactly (see [`assert_delay_matches_naive`]).
+    /// Each graph also runs on one unit.
+    #[test]
+    fn delay_idle_slots_matches_naive_loop(
+        (g, m, release) in arb_multi_unit(24),
+        slack in 0i64..3,
+    ) {
+        assert_delay_matches_naive(&g, &m, &release, slack);
+        assert_delay_matches_naive(&g, &MachineModel::single_unit(2), &release, slack);
+    }
 }
 
 proptest! {
