@@ -125,17 +125,22 @@ fn engine_config(o: &Options, jobs: usize) -> EngineConfig {
 }
 
 /// Build an engine for the run, warm-starting a shared cache from
-/// `--cache-file` when given.
-fn build_engine(o: &Options, jobs: usize, cache_file: Option<&str>) -> io::Result<(Engine, u64)> {
+/// `--cache-file` when given (and returning that cache for its stats).
+fn build_engine(
+    o: &Options,
+    jobs: usize,
+    cache_file: Option<&str>,
+) -> io::Result<(Engine, Option<Arc<SharedScheduleCache>>)> {
     let cfg = engine_config(o, jobs);
-    match cache_file {
-        None => Ok((Engine::new(cfg), 0)),
-        Some(path) => {
-            let cache = Arc::new(SharedScheduleCache::new(cfg.cache_capacity, CACHE_SHARDS));
-            let warm = cache.warm_start(path.as_ref())?;
-            Ok((Engine::with_shared_cache(cfg, cache), warm.loaded))
-        }
-    }
+    let Some(path) = cache_file else {
+        return Ok((Engine::new(cfg), None));
+    };
+    let cache = Arc::new(SharedScheduleCache::new(cfg.cache_capacity, CACHE_SHARDS));
+    cache.warm_start(path.as_ref())?;
+    Ok((
+        Engine::with_shared_cache(cfg, Arc::clone(&cache)),
+        Some(cache),
+    ))
 }
 
 fn results_jsonl(report: &BatchReport) -> String {
@@ -228,7 +233,7 @@ fn main() -> ExitCode {
         (Some(path), Some(_)) => Some(std::fs::read(path).unwrap_or_default()),
         _ => None,
     };
-    let (engine, warm_loaded) = match build_engine(&o, o.jobs, o.cache_file.as_deref()) {
+    let (engine, file_cache) = match build_engine(&o, o.jobs, o.cache_file.as_deref()) {
         Ok(e) => e,
         Err(e) => {
             let path = o.cache_file.as_deref().unwrap_or_default();
@@ -263,12 +268,12 @@ fn main() -> ExitCode {
             report.hit_rate() * 100.0
         );
     }
-    if let Some(path) = &o.cache_file {
-        let stats = engine.shared_cache().map(|c| c.stats()).unwrap_or_default();
+    if let (Some(path), Some(cache)) = (&o.cache_file, &file_cache) {
+        let stats = cache.stats();
         let _ = writeln!(
             out,
-            "  warm     : loaded {warm_loaded} from {path}, {} warm hits, {} appended",
-            stats.warm_hits, stats.persisted
+            "  warm     : loaded {} from {path}, {} warm hits, {} appended",
+            stats.loaded, stats.warm_hits, stats.persisted
         );
     }
     let elapsed_ms = report.elapsed_nanos as f64 / 1e6;

@@ -39,7 +39,6 @@ use asched_obs::{
 };
 use asched_sim::{schedule_of, simulate, InstStream, IssuePolicy};
 
-use crate::cache::{PlanKind, ScheduleCache, TaskPlan};
 use crate::fingerprint::{fingerprint_task, Fingerprint};
 use crate::shared_cache::{SharedProbe, SharedScheduleCache};
 
@@ -149,17 +148,19 @@ pub struct BatchReport {
     pub cache_evictions: u64,
     /// Tasks scheduled by Algorithm `Lookahead`.
     pub scheduled: u64,
-    /// Tasks served from the cache.
+    /// Tasks served from the cache. A within-batch duplicate of a
+    /// degraded task counts under [`Self::degraded`] instead: it carries
+    /// the same fallback schedule (it still counts as a cache hit).
     pub cached: u64,
     /// Tasks degraded to the per-block Rank fallback.
     pub degraded: u64,
     /// Tasks with no schedule at all.
     pub failed: u64,
     /// Entries resident in the cache after this batch published (the
-    /// whole shared cache when one is attached). 0 with caching off.
+    /// whole cache, whichever engines share it). 0 with caching off.
     pub cache_resident: u64,
-    /// Cache capacity in entries (total across shards for a shared
-    /// cache). 0 with caching off.
+    /// Cache capacity in entries (total across shards). 0 with caching
+    /// off.
     pub cache_capacity: u64,
     /// Wall-clock nanoseconds for the whole batch (plan + compute +
     /// emit). Nondeterministic by nature; excluded from [`Self::metrics`].
@@ -245,21 +246,38 @@ impl BatchReport {
 pub type Solver = dyn Fn(&mut SchedCtx, &TraceTask, &LookaheadConfig, &dyn Recorder) -> Result<TraceResult, CoreError>
     + Sync;
 
-/// Where an engine's cache decisions go: nowhere, a private per-engine
-/// FIFO cache, or a process-wide [`SharedScheduleCache`] attached to
-/// any number of engines. Either way, the cache is only touched from
-/// the sequential plan/publish phases — never from worker threads.
-enum CacheHandle {
-    Off,
-    Private(Mutex<ScheduleCache>),
-    Shared(Arc<SharedScheduleCache>),
+/// How the plan phase resolved one task of a batch.
+enum PlanKind {
+    /// Run the scheduler; the payload is this task's compute-slot index.
+    Compute(usize),
+    /// Reuse a value cached by a previous batch.
+    Ready(Arc<TaskValue>),
+    /// Reuse compute slot `i` of this batch (an earlier duplicate).
+    Alias(usize),
+}
+
+/// Per-task plan entry, including what the emit phase must report.
+struct TaskPlan {
+    kind: PlanKind,
+    /// Outcome of the cache query (`None` = cache disabled, no query).
+    hit: Option<bool>,
+    /// Eviction triggered by this task's insert: `(key, resident_after)`.
+    evicted: Option<(u128, u64)>,
+    /// Shard the fingerprint maps to. Attributes both the query and any
+    /// eviction — an insert only ever evicts within its own shard.
+    shard: Option<u32>,
+    /// Whether a hit was served by an entry loaded from a cache file
+    /// (warm-start) rather than computed by this process.
+    warm: bool,
 }
 
 /// The batch scheduling engine. Holds (or shares) the schedule cache,
-/// which persists across [`Engine::run_batch`] calls.
+/// which persists across [`Engine::run_batch`] calls. The cache is only
+/// touched from the sequential plan/publish phases — never from worker
+/// threads.
 pub struct Engine {
     cfg: EngineConfig,
-    cache: CacheHandle,
+    cache: Option<Arc<SharedScheduleCache>>,
 }
 
 impl Default for Engine {
@@ -269,13 +287,13 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// Build an engine with a private cache (when `cfg.cache` is set).
+    /// Build an engine that owns its cache when `cfg.cache` is set: a
+    /// one-shard [`SharedScheduleCache`] of `cfg.cache_capacity`
+    /// entries.
     pub fn new(cfg: EngineConfig) -> Self {
-        let cache = if cfg.cache {
-            CacheHandle::Private(Mutex::new(ScheduleCache::new(cfg.cache_capacity)))
-        } else {
-            CacheHandle::Off
-        };
+        let cache = cfg
+            .cache
+            .then(|| Arc::new(SharedScheduleCache::new(cfg.cache_capacity, 1)));
         Engine { cfg, cache }
     }
 
@@ -285,15 +303,7 @@ impl Engine {
     pub fn with_shared_cache(cfg: EngineConfig, cache: Arc<SharedScheduleCache>) -> Self {
         Engine {
             cfg,
-            cache: CacheHandle::Shared(cache),
-        }
-    }
-
-    /// The shared cache this engine is attached to, if any.
-    pub fn shared_cache(&self) -> Option<&Arc<SharedScheduleCache>> {
-        match &self.cache {
-            CacheHandle::Shared(c) => Some(c),
-            _ => None,
+            cache: Some(cache),
         }
     }
 
@@ -412,27 +422,14 @@ impl Engine {
         let mut fps: Vec<Option<Fingerprint>> = Vec::with_capacity(tasks.len());
         let mut compute: Vec<usize> = Vec::new(); // compute slot -> task index
         match &self.cache {
-            CacheHandle::Private(cache) => {
-                let mut cache = cache.lock().unwrap_or_else(|e| e.into_inner());
-                for (i, task) in tasks.iter().enumerate() {
-                    let fp = fingerprint_task(&task.graph, &task.machine, &task.config);
-                    let plan = cache.plan(fp, compute.len());
-                    if matches!(plan.kind, PlanKind::Compute(_)) {
-                        compute.push(i);
-                    }
-                    report.tally(&plan);
-                    fps.push(Some(fp));
-                    plans.push(plan);
-                }
-            }
-            CacheHandle::Shared(shared) => {
+            Some(cache) => {
                 // Within-batch duplicates alias *locally* (this map),
                 // so slot indices always refer to this batch and no
                 // batch ever waits on another's in-flight compute.
                 let mut pending: HashMap<u128, usize> = HashMap::new();
                 for (i, task) in tasks.iter().enumerate() {
                     let fp = fingerprint_task(&task.graph, &task.machine, &task.config);
-                    let shard = Some(shared.shard_of(fp));
+                    let shard = Some(cache.shard_of(fp));
                     let plan = if let Some(&slot) = pending.get(&fp.0) {
                         TaskPlan {
                             kind: PlanKind::Alias(slot),
@@ -442,7 +439,7 @@ impl Engine {
                             warm: false,
                         }
                     } else {
-                        match shared.plan(fp) {
+                        match cache.plan(fp) {
                             SharedProbe::Hit { value, warm } => TaskPlan {
                                 kind: PlanKind::Ready(value),
                                 hit: Some(true),
@@ -451,6 +448,11 @@ impl Engine {
                                 warm,
                             },
                             SharedProbe::Miss { evicted } => {
+                                // An evicted placeholder no longer
+                                // aliases: a later duplicate recomputes.
+                                if let Some((key, _)) = evicted {
+                                    pending.remove(&key);
+                                }
                                 pending.insert(fp.0, compute.len());
                                 TaskPlan {
                                     kind: PlanKind::Compute(compute.len()),
@@ -470,7 +472,7 @@ impl Engine {
                     plans.push(plan);
                 }
             }
-            CacheHandle::Off => {
+            None => {
                 for i in 0..tasks.len() {
                     plans.push(TaskPlan {
                         kind: PlanKind::Compute(compute.len()),
@@ -491,27 +493,14 @@ impl Engine {
 
         // Publish finished values so later batches can hit on them,
         // then snapshot residency for the report.
-        match &self.cache {
-            CacheHandle::Private(cache) => {
-                let mut cache = cache.lock().unwrap_or_else(|e| e.into_inner());
-                for (slot, &task_idx) in compute.iter().enumerate() {
-                    if let Some(fp) = fps[task_idx] {
-                        cache.publish(fp, slot, &values[slot].0);
-                    }
+        if let Some(cache) = &self.cache {
+            for (slot, &task_idx) in compute.iter().enumerate() {
+                if let Some(fp) = fps[task_idx] {
+                    cache.publish(fp, &values[slot].0);
                 }
-                report.cache_resident = cache.len() as u64;
-                report.cache_capacity = cache.capacity() as u64;
             }
-            CacheHandle::Shared(shared) => {
-                for (slot, &task_idx) in compute.iter().enumerate() {
-                    if let Some(fp) = fps[task_idx] {
-                        shared.publish(fp, &values[slot].0);
-                    }
-                }
-                report.cache_resident = shared.resident();
-                report.cache_capacity = shared.capacity();
-            }
-            CacheHandle::Off => {}
+            report.cache_resident = cache.resident();
+            report.cache_capacity = cache.capacity();
         }
 
         // Phase 3: sequential emit in input order. Task span ids are
@@ -564,10 +553,13 @@ impl Engine {
                 PlanKind::Alias(slot) => (&values[*slot].0, true),
                 PlanKind::Ready(v) => (v, true),
             };
-            let outcome = match (&value.result, from_cache, value.degraded) {
+            // `degraded` wins over `from_cache`: the cache never stores
+            // a degraded value, so only a within-batch alias carries one,
+            // and it is the same fallback schedule as its original.
+            let outcome = match (&value.result, value.degraded, from_cache) {
                 (None, _, _) => TaskOutcome::Failed,
-                (Some(_), true, _) => TaskOutcome::Cached,
-                (Some(_), false, true) => TaskOutcome::Degraded,
+                (Some(_), true, _) => TaskOutcome::Degraded,
+                (Some(_), false, true) => TaskOutcome::Cached,
                 (Some(_), false, false) => TaskOutcome::Scheduled,
             };
             match outcome {

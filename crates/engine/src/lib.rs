@@ -30,7 +30,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cache;
 pub mod corpus;
 mod engine;
 mod fingerprint;

@@ -1,6 +1,7 @@
-//! The process-wide, content-addressed, sharded schedule cache.
+//! The engine's content-addressed, sharded schedule cache.
 //!
-//! One [`SharedScheduleCache`] can back any number of [`Engine`]s —
+//! It is the only schedule cache. [`Engine::new`] owns a one-shard
+//! instance; one instance can also back any number of [`Engine`]s —
 //! every serve worker, say — so N workers stop paying N cold misses
 //! for the same hot fingerprint. The key design points:
 //!
@@ -26,12 +27,11 @@
 //!   merely wasted, never wrong, and nobody waits on a foreign batch.
 //!   Whoever publishes first upgrades the placeholder; later publishes
 //!   of the same fingerprint are no-ops.
-//! - **Only completed values are shared.** `publish` refuses degraded
+//! - **Only completed values are stored.** `publish` refuses degraded
 //!   or failed values (the placeholder is dropped instead). The
 //!   fingerprint deliberately ignores step budgets, so a
 //!   budget-truncated fallback must never satisfy a later, more
-//!   generous request. Private per-engine caches still memoize
-//!   degraded values — a retry there reuses the same budget.
+//!   generous request.
 //! - **Warm-startable.** [`SharedScheduleCache::warm_start`] replays a
 //!   [`persist`](crate::persist) cache file into the shards (marking
 //!   entries *warm*, which cache events report) and attaches an
@@ -39,6 +39,7 @@
 //!   appended to the file, so the next process restart starts hot.
 //!
 //! [`Engine`]: crate::Engine
+//! [`Engine::new`]: crate::Engine::new
 
 use std::collections::{HashMap, VecDeque};
 use std::fs::OpenOptions;
@@ -60,22 +61,17 @@ enum Slot {
 
 struct Shard {
     map: HashMap<u128, Slot>,
+    /// Exactly the map's keys, oldest first.
     fifo: VecDeque<u128>,
     capacity: usize,
 }
 
 impl Shard {
-    /// Evict the oldest entry still resident. The FIFO is cleaned
-    /// lazily (dropped placeholders leave their key behind), so pop
-    /// until a key that is actually mapped. Returns
-    /// `(evicted_key, resident_after)`.
+    /// Evict the oldest entry. Returns `(evicted_key, resident_after)`.
     fn evict_one(&mut self) -> Option<(u128, u64)> {
-        while let Some(old) = self.fifo.pop_front() {
-            if self.map.remove(&old).is_some() {
-                return Some((old, self.map.len() as u64));
-            }
-        }
-        None
+        let old = self.fifo.pop_front()?;
+        self.map.remove(&old);
+        Some((old, self.map.len() as u64))
     }
 }
 
@@ -136,7 +132,8 @@ pub struct WarmStart {
     pub truncated: u64,
 }
 
-/// A process-wide sharded schedule cache. See the module docs.
+/// A sharded schedule cache, owned by one engine or shared by many.
+/// See the module docs.
 pub struct SharedScheduleCache {
     shards: Vec<Mutex<Shard>>,
     /// `128 - log2(shards.len())`: shift that maps a fingerprint's
@@ -259,6 +256,8 @@ impl SharedScheduleCache {
                 true
             } else {
                 shard.map.remove(&fp.0);
+                // Rare path, so a linear scan keeps the FIFO exact.
+                shard.fifo.retain(|&key| key != fp.0);
                 false
             }
         };
@@ -481,7 +480,7 @@ mod tests {
         let c = SharedScheduleCache::new(2, 1);
         let (a, b, d) = (Fingerprint(1), Fingerprint(2), Fingerprint(3));
         c.plan(a);
-        c.publish(a, &degraded()); // placeholder dropped, fifo keeps key a
+        c.publish(a, &degraded()); // placeholder dropped
         c.plan(b);
         c.publish(b, &value());
         // Shard is at len 1 < capacity 2: no eviction for d.
@@ -490,6 +489,24 @@ mod tests {
             SharedProbe::Hit { .. } => panic!("d was never inserted"),
         }
         assert_eq!(c.resident(), 2);
+    }
+
+    #[test]
+    fn a_replanned_dropped_key_is_evicted_in_fifo_order() {
+        let c = SharedScheduleCache::new(2, 1);
+        let (a, b, d) = (Fingerprint(1), Fingerprint(2), Fingerprint(3));
+        c.plan(a);
+        c.publish(a, &degraded()); // placeholder dropped
+        for fp in [b, a] {
+            c.plan(fp);
+            c.publish(fp, &value());
+        }
+        // b is now the oldest entry; the re-inserted a is the newest.
+        match c.plan(d) {
+            SharedProbe::Miss { evicted } => assert_eq!(evicted, Some((2, 1))),
+            SharedProbe::Hit { .. } => panic!("d was never inserted"),
+        }
+        assert!(matches!(c.plan(a), SharedProbe::Hit { .. }));
     }
 
     #[test]

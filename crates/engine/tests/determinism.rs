@@ -1,9 +1,11 @@
 //! Satellite: engine output is byte-identical for `jobs = 1` vs
 //! `jobs = 8` over a seeded `random_prog` corpus — results, JSONL
 //! events (modulo `pass_end` timestamps) and deterministic BENCH
-//! metrics. The same contract holds when the engine is backed by a
-//! process-wide [`SharedScheduleCache`], and results (though not
-//! hit/miss labels) are identical whichever cache backs the engine.
+//! metrics — both with room for every fingerprint and with a cache so
+//! small that planning evicts. The same contract holds when the engine
+//! is attached to a many-shard [`SharedScheduleCache`], and results
+//! (though not hit/miss labels) are identical whichever cache backs
+//! the engine.
 
 use std::sync::Arc;
 
@@ -14,7 +16,8 @@ use asched_obs::{JsonlRecorder, SpanAlloc, SpanScope};
 use asched_workloads::{random_program, ProgParams};
 
 /// A seeded random_prog corpus with deliberate duplicates (seeds wrap
-/// modulo 7) so the cache path is exercised too.
+/// modulo 7, windows modulo 3: 21 distinct fingerprints, each repeat 21
+/// tasks after its first) so the cache path is exercised too.
 fn prog_corpus() -> Vec<TraceTask> {
     let mut tasks = Vec::new();
     for i in 0..40u64 {
@@ -53,11 +56,18 @@ fn normalize_nanos(log: &str) -> String {
     out
 }
 
-fn run(jobs: usize, tasks: &[TraceTask]) -> (BatchReport, String) {
+/// Room for all 21 distinct fingerprints: repeats hit.
+const ROOMY: usize = 256;
+/// Far fewer entries than fingerprints: every entry is evicted before
+/// its repeat arrives, so the plan phase evicts and must drop evicted
+/// placeholders from its batch-local alias map.
+const TIGHT: usize = 4;
+
+fn run(jobs: usize, capacity: usize, tasks: &[TraceTask]) -> (BatchReport, String) {
     let engine = Engine::new(EngineConfig {
         jobs,
         cache: true,
-        cache_capacity: 256,
+        cache_capacity: capacity,
         ..EngineConfig::default()
     });
     let rec = JsonlRecorder::new(Vec::new());
@@ -66,51 +76,63 @@ fn run(jobs: usize, tasks: &[TraceTask]) -> (BatchReport, String) {
     (report, log)
 }
 
+/// The cache must actually fire for a run to mean anything: repeats
+/// hit in the roomy cache, and the tight one evicts.
+fn assert_cache_exercised(report: &BatchReport, capacity: usize) {
+    if capacity == TIGHT {
+        assert!(report.cache_evictions > 0, "tight cache must evict");
+    } else {
+        assert!(report.cache_hits > 0, "corpus must exercise the cache");
+    }
+}
+
 #[test]
 fn jobs_1_and_jobs_8_are_byte_identical() {
     let tasks = prog_corpus();
-    let (seq, seq_log) = run(1, &tasks);
-    let (par, par_log) = run(8, &tasks);
+    for capacity in [ROOMY, TIGHT] {
+        let (seq, seq_log) = run(1, capacity, &tasks);
+        let (par, par_log) = run(8, capacity, &tasks);
 
-    // Results: outcome, makespan, fingerprint and emitted code agree
-    // task by task, in input order.
-    assert_eq!(seq.tasks.len(), par.tasks.len());
-    for (a, b) in seq.tasks.iter().zip(&par.tasks) {
-        assert_eq!(a.index, b.index);
-        assert_eq!(a.label, b.label);
-        assert_eq!(a.outcome, b.outcome);
-        assert_eq!(a.makespan, b.makespan);
-        assert_eq!(a.fingerprint, b.fingerprint);
-        let (ra, rb) = (a.result.as_ref().unwrap(), b.result.as_ref().unwrap());
-        assert_eq!(ra.block_orders, rb.block_orders);
-        assert_eq!(ra.permutation, rb.permutation);
+        // Results: outcome, makespan, fingerprint and emitted code
+        // agree task by task, in input order.
+        assert_eq!(seq.tasks.len(), par.tasks.len());
+        for (a, b) in seq.tasks.iter().zip(&par.tasks) {
+            assert_eq!(a.index, b.index);
+            assert_eq!(a.label, b.label);
+            assert_eq!(a.outcome, b.outcome);
+            assert_eq!(a.makespan, b.makespan);
+            assert_eq!(a.fingerprint, b.fingerprint);
+            let (ra, rb) = (a.result.as_ref().unwrap(), b.result.as_ref().unwrap());
+            assert_eq!(ra.block_orders, rb.block_orders);
+            assert_eq!(ra.permutation, rb.permutation);
+        }
+        assert_cache_exercised(&seq, capacity);
+        assert!(seq.scheduled > 0);
+
+        // Deterministic BENCH metrics are identical...
+        assert_eq!(seq.metrics(), par.metrics(), "capacity {capacity}");
+        // ...and the full JSONL event stream is byte-identical once the
+        // wall-clock payloads are zeroed.
+        assert_eq!(normalize_nanos(&seq_log), normalize_nanos(&par_log));
+
+        // Both logs validate against the documented schema.
+        asched_obs::schema::validate_document(&seq_log)
+            .unwrap_or_else(|(line, err)| panic!("line {line}: {err}"));
     }
-
-    // The corpus has duplicates, so the cache must actually fire for
-    // this test to mean anything.
-    assert!(seq.cache_hits > 0, "corpus must exercise the cache");
-    assert!(seq.scheduled > 0);
-
-    // Deterministic BENCH metrics are identical...
-    assert_eq!(seq.metrics(), par.metrics());
-    // ...and the full JSONL event stream is byte-identical once the
-    // wall-clock payloads are zeroed.
-    assert_eq!(normalize_nanos(&seq_log), normalize_nanos(&par_log));
-
-    // Both logs validate against the documented schema.
-    asched_obs::schema::validate_document(&seq_log)
-        .unwrap_or_else(|(line, err)| panic!("line {line}: {err}"));
 }
 
-fn run_shared(jobs: usize, shards: usize, tasks: &[TraceTask]) -> (BatchReport, String) {
+fn run_shared(
+    jobs: usize,
+    capacity: usize,
+    shards: usize,
+    tasks: &[TraceTask],
+) -> (BatchReport, String) {
     let engine = Engine::with_shared_cache(
         EngineConfig {
             jobs,
-            cache: true,
-            cache_capacity: 256,
             ..EngineConfig::default()
         },
-        Arc::new(SharedScheduleCache::new(256, shards)),
+        Arc::new(SharedScheduleCache::new(capacity, shards)),
     );
     let rec = JsonlRecorder::new(Vec::new());
     let report = engine.run_batch(tasks, &rec);
@@ -126,35 +148,38 @@ fn run_shared(jobs: usize, shards: usize, tasks: &[TraceTask]) -> (BatchReport, 
 #[test]
 fn shared_cache_is_byte_identical_across_jobs() {
     let tasks = prog_corpus();
-    let (seq, seq_log) = run_shared(1, 8, &tasks);
-    let (par, par_log) = run_shared(8, 8, &tasks);
+    for capacity in [ROOMY, TIGHT] {
+        let (seq, seq_log) = run_shared(1, capacity, 8, &tasks);
+        let (par, par_log) = run_shared(8, capacity, 8, &tasks);
 
-    assert_eq!(seq.tasks.len(), par.tasks.len());
-    for (a, b) in seq.tasks.iter().zip(&par.tasks) {
-        assert_eq!(a.outcome, b.outcome, "{}", a.label);
-        assert_eq!(a.makespan, b.makespan);
-        assert_eq!(a.fingerprint, b.fingerprint);
+        assert_eq!(seq.tasks.len(), par.tasks.len());
+        for (a, b) in seq.tasks.iter().zip(&par.tasks) {
+            assert_eq!(a.outcome, b.outcome, "{}", a.label);
+            assert_eq!(a.makespan, b.makespan);
+            assert_eq!(a.fingerprint, b.fingerprint);
+        }
+        assert_cache_exercised(&seq, capacity);
+        assert_eq!(seq.metrics(), par.metrics(), "capacity {capacity}");
+        assert_eq!(normalize_nanos(&seq_log), normalize_nanos(&par_log));
+
+        // Sharded cache events (with their shard field) still validate.
+        assert!(seq_log.contains("\"shard\":"), "shard attribution missing");
+        asched_obs::schema::validate_document(&seq_log)
+            .unwrap_or_else(|(line, err)| panic!("line {line}: {err}"));
     }
-    assert!(seq.cache_hits > 0, "corpus must exercise the shared cache");
-    assert_eq!(seq.metrics(), par.metrics());
-    assert_eq!(normalize_nanos(&seq_log), normalize_nanos(&par_log));
-
-    // Sharded cache events (with their shard field) still validate.
-    assert!(seq_log.contains("\"shard\":"), "shard attribution missing");
-    asched_obs::schema::validate_document(&seq_log)
-        .unwrap_or_else(|(line, err)| panic!("line {line}: {err}"));
 }
 
 /// Task results are a pure function of the corpus whatever cache backs
-/// the engine — private, shared (any shard count), or none — and a
-/// single-sharded shared cache reproduces the private cache's counters
-/// exactly (same FIFO, same capacity, same plan order).
+/// the engine — its own, an attached one (any shard count), or none —
+/// and the engine's own cache is a one-shard cache of
+/// `cache_capacity` entries, so an attached one like it gives the same
+/// counters.
 #[test]
 fn results_agree_across_cache_backends() {
     let tasks = prog_corpus();
-    let (private, _) = run(1, &tasks);
-    let (shared, _) = run_shared(1, 1, &tasks);
-    let (sharded, _) = run_shared(1, 8, &tasks);
+    let (owned, _) = run(1, ROOMY, &tasks);
+    let (shared, _) = run_shared(1, ROOMY, 1, &tasks);
+    let (sharded, _) = run_shared(1, ROOMY, 8, &tasks);
     let uncached = Engine::new(EngineConfig {
         jobs: 1,
         cache: false,
@@ -162,7 +187,7 @@ fn results_agree_across_cache_backends() {
     })
     .run_batch(&tasks, &asched_obs::NULL);
 
-    for ((a, b), (c, d)) in private
+    for ((a, b), (c, d)) in owned
         .tasks
         .iter()
         .zip(&shared.tasks)
@@ -185,19 +210,15 @@ fn results_agree_across_cache_backends() {
         assert_eq!(ra.block_orders, rd.block_orders);
     }
 
-    // One shard, same capacity → the private cache's exact counters.
-    assert_eq!(private.cache_hits, shared.cache_hits);
-    assert_eq!(private.cache_misses, shared.cache_misses);
-    assert_eq!(private.cache_evictions, shared.cache_evictions);
-    assert_eq!(private.cache_resident, shared.cache_resident);
-    assert_eq!(private.cache_capacity, shared.cache_capacity);
+    // One shard, same capacity → the engine's own cache's counters.
+    assert_eq!(owned.metrics(), shared.metrics());
 }
 
 fn run_traced(jobs: usize, tasks: &[TraceTask]) -> (BatchReport, String) {
     let engine = Engine::new(EngineConfig {
         jobs,
         cache: true,
-        cache_capacity: 256,
+        cache_capacity: ROOMY,
         ..EngineConfig::default()
     });
     let rec = JsonlRecorder::new(Vec::new());

@@ -185,6 +185,45 @@ fn within_batch_duplicates_hit_and_capacity_evicts() {
     );
 }
 
+/// One task whose own step budget is too small for any merge.
+fn starved_task() -> TraceTask {
+    let mut task = small_corpus(1).remove(0);
+    task.config.step_budget = Some(1);
+    task
+}
+
+#[test]
+fn degraded_schedules_never_cross_batches() {
+    let engine = Engine::new(EngineConfig {
+        cache: true,
+        ..EngineConfig::default()
+    });
+    let first = engine.run_batch(&[starved_task()], &NULL);
+    assert_eq!(first.tasks[0].outcome, TaskOutcome::Degraded);
+
+    // Same graph, no budget. The fingerprint ignores step budgets, so
+    // only the cache's refusal to store degraded values keeps the
+    // fallback from being served here.
+    let second = engine.run_batch(&small_corpus(1), &NULL);
+    assert_eq!(second.tasks[0].outcome, TaskOutcome::Scheduled);
+    assert_eq!(second.tasks[0].error, None);
+}
+
+#[test]
+fn within_batch_duplicates_of_a_degraded_task_report_degraded() {
+    let tasks = vec![starved_task(), starved_task()];
+    let engine = Engine::new(EngineConfig {
+        cache: true,
+        ..EngineConfig::default()
+    });
+    let report = engine.run_batch(&tasks, &NULL);
+    let outcomes: Vec<_> = report.tasks.iter().map(|t| t.outcome).collect();
+    assert_eq!(outcomes, [TaskOutcome::Degraded, TaskOutcome::Degraded]);
+    assert_eq!((report.degraded, report.cached), (2, 0));
+    // The duplicate still aliased the first task's computation.
+    assert_eq!(report.cache_hits, 1);
+}
+
 #[test]
 fn parallel_equals_sequential_on_a_synth_corpus() {
     let tasks = synth_corpus(48, 7);

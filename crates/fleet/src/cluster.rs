@@ -13,10 +13,11 @@
 //! - **schedule cache** — a FIFO set of request fingerprints with the
 //!   engine cache's insert-on-miss/evict-oldest behavior; a hit/miss
 //!   decides which calibrated service-time distribution the request
-//!   samples from. `cache_scope=worker` gives each worker a private
-//!   cache of `cache` entries; `cache_scope=replica` pools the same
+//!   samples from. `cache_scope=worker` gives each worker its own
+//!   cache of `cache` entries, a what-if since the server no longer
+//!   offers per-worker caches; `cache_scope=replica` pools the same
 //!   memory into one cache of `cache × workers` entries per replica,
-//!   the simulated counterpart of `asched-serve --cache-mode shared`;
+//!   the simulated counterpart of the server's shared cache;
 //! - **degradation** — at dispatch, the queue-wait-decayed deadline is
 //!   converted to a step budget; a request whose schedule needs more
 //!   steps than the budget degrades to the Rank fallback (cheaper,

@@ -28,7 +28,7 @@
 //! | `deadline_ms` | 2000 | server default deadline |
 //! | `steps_per_ms` | 100 | deadline→step-budget conversion |
 //! | `cache` | 128 | per-worker schedule-cache capacity (0 = off) |
-//! | `cache_scope` | worker | `worker` = private caches; `replica` = one shared cache per replica of capacity `cache × workers` |
+//! | `cache_scope` | worker | `worker` = per-worker caches (a what-if: the server no longer offers them); `replica` = one shared cache per replica of capacity `cache × workers` |
 //! | `distinct` | 256 | distinct request fingerprints in the population |
 //! | `retries` | 3 | client retry budget after a 503 |
 //! | `tail` | 0 | per-doubling probability of a larger request |
@@ -38,15 +38,16 @@
 
 use crate::traffic::Traffic;
 
-/// How a replica's workers share their schedule cache — the simulated
-/// counterpart of `asched-serve --cache-mode`.
+/// How a replica's workers share their schedule cache.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CacheScope {
-    /// Each worker owns a private cache of `cache` entries.
+    /// Each worker owns a cache of `cache` entries. A what-if: the
+    /// server no longer offers per-worker caches.
     #[default]
     Worker,
     /// All workers of a replica share one cache of `cache × workers`
-    /// entries — same aggregate memory, pooled.
+    /// entries — same aggregate memory, pooled. The simulated
+    /// counterpart of the server's one shared cache.
     Replica,
 }
 

@@ -282,7 +282,8 @@ pub enum Event<'a> {
         key: u128,
         /// Whether a cached `TraceResult` was found.
         hit: bool,
-        /// Shard the key maps to (`None` = private, unsharded cache).
+        /// Shard the key maps to. The engine always sets it (`0` for
+        /// an engine's own one-shard cache); `None` omits the field.
         shard: Option<u32>,
         /// Whether the hit was served by an entry loaded from an
         /// on-disk cache file (warm-start) rather than computed by
@@ -295,12 +296,11 @@ pub enum Event<'a> {
     CacheEvict {
         /// Fingerprint of the evicted entry.
         key: u128,
-        /// Entries resident after the eviction — within the evicting
-        /// shard for a sharded cache, cache-wide otherwise.
+        /// Entries resident in the evicting shard after the eviction.
         resident: u64,
-        /// Shard the eviction happened in (`None` = private cache).
-        /// Always the shard of the *inserted* key: an insert only ever
-        /// evicts within its own shard.
+        /// Shard the eviction happened in (the engine always sets it;
+        /// `None` omits the field). Always the shard of the *inserted*
+        /// key: an insert only ever evicts within its own shard.
         shard: Option<u32>,
         /// The task span whose admission caused the eviction.
         span: Option<u64>,

@@ -199,8 +199,8 @@ pub fn event_to_json(event: &Event<'_>) -> String {
             warm,
             span,
         } => {
-            // `shard`/`warm` are omitted unless set, so private-cache
-            // traces are byte-identical to the pre-sharding format.
+            // `shard`/`warm` are omitted unless set; `warm` is set
+            // only on a hit served from a cache file.
             o.str("key", &format!("{key:032x}")).bool("hit", hit);
             if let Some(shard) = shard {
                 o.u64("shard", shard.into());

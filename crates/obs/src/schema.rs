@@ -374,9 +374,10 @@ pub fn validate_line(line: &str) -> Result<BTreeMap<String, Value>, SchemaError>
             });
         }
     }
-    // Shared-cache attribution is optional (private-cache traces omit
-    // it) but typed when present: `"shard"` is a non-negative integer
-    // and `"warm"` a boolean, and both belong to cache events only.
+    // Cache attribution is optional (`"warm"` appears only on warm
+    // hits, `"shard"` only when the emitter sets it) but typed when
+    // present: `"shard"` is a non-negative integer and `"warm"` a
+    // boolean, and both belong to cache events only.
     if let Some(value) = map.get("shard") {
         if !(ev == "cache_query" || ev == "cache_evict")
             || !matches!(value, Value::Num(n) if *n >= 0.0 && n.fract() == 0.0)

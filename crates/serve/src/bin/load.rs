@@ -5,8 +5,7 @@
 //!             [--requests N] [--clients N] [--seed S]
 //!             [--rate RPS --duration SECS] [--arrival uniform|poisson]
 //!             [--queue N] [--deadline-ms MS] [--timeout-ms MS]
-//!             [--cache-mode shared|private] [--cache-file FILE]
-//!             [--cache-compare LABEL]
+//!             [--cache-file FILE] [--cache-compare LABEL]
 //!             [--snapshot LABEL] [--trace FILE]
 //! ```
 //!
@@ -28,13 +27,12 @@
 //! hung, and nothing else may fail. `--snapshot LABEL` writes
 //! `BENCH_<LABEL>.json` with throughput and latency percentiles.
 //!
-//! `--cache-mode`/`--cache-file` configure the spawned server's
-//! schedule cache (spawn mode only). `--cache-compare LABEL` runs the
-//! same closed-loop workload three times against fresh spawned servers
-//! — private per-worker caches, one shared cache, and a shared cache
-//! warm-started from the previous run's cache file — and writes the
-//! hit-rate and latency deltas to `BENCH_<LABEL>.json`; it fails if
-//! the warm run serves no warm hits.
+//! `--cache-file` backs the spawned server's schedule cache with a
+//! warm-start file (spawn mode only). `--cache-compare LABEL` runs the
+//! same closed-loop workload twice against fresh spawned servers — a
+//! cold cache, then a cache warm-started from the first run's cache
+//! file — and writes the hit-rate and latency deltas to
+//! `BENCH_<LABEL>.json`; it fails if the warm run serves no warm hits.
 
 use std::io::{BufWriter, Write};
 use std::net::SocketAddr;
@@ -45,8 +43,7 @@ use std::time::Duration;
 use asched_bench::report::snapshot_json;
 use asched_obs::{JsonlRecorder, NullRecorder, Recorder};
 use asched_serve::{
-    run_closed_loop, run_open_loop, synth_request_bodies, Arrival, CacheMode, LoadReport, Server,
-    ServerConfig,
+    run_closed_loop, run_open_loop, synth_request_bodies, Arrival, LoadReport, Server, ServerConfig,
 };
 
 struct Args {
@@ -61,7 +58,6 @@ struct Args {
     queue: usize,
     deadline_ms: Option<u64>,
     timeout_ms: u64,
-    cache_mode: Option<CacheMode>,
     cache_file: Option<String>,
     cache_compare: Option<String>,
     snapshot: Option<String>,
@@ -81,7 +77,6 @@ fn parse_args() -> Result<Args, String> {
         queue: 64,
         deadline_ms: None,
         timeout_ms: 10_000,
-        cache_mode: None,
         cache_file: None,
         cache_compare: None,
         snapshot: None,
@@ -107,13 +102,6 @@ fn parse_args() -> Result<Args, String> {
             "--queue" => args.queue = num!("--queue"),
             "--deadline-ms" => args.deadline_ms = Some(num!("--deadline-ms")),
             "--timeout-ms" => args.timeout_ms = num!("--timeout-ms"),
-            "--cache-mode" => {
-                args.cache_mode = Some(
-                    val("--cache-mode")?
-                        .parse()
-                        .map_err(|e| format!("--cache-mode: {e}"))?,
-                )
-            }
             "--cache-file" => args.cache_file = Some(val("--cache-file")?),
             "--cache-compare" => args.cache_compare = Some(val("--cache-compare")?),
             "--snapshot" => args.snapshot = Some(val("--snapshot")?),
@@ -125,8 +113,7 @@ fn parse_args() -> Result<Args, String> {
                      \x20                  [--rate RPS --duration SECS]\n\
                      \x20                  [--arrival uniform|poisson]\n\
                      \x20                  [--queue N] [--deadline-ms MS] [--timeout-ms MS]\n\
-                     \x20                  [--cache-mode shared|private] [--cache-file FILE]\n\
-                     \x20                  [--cache-compare LABEL]\n\
+                     \x20                  [--cache-file FILE] [--cache-compare LABEL]\n\
                      \x20                  [--snapshot LABEL] [--trace FILE]"
                 );
                 std::process::exit(0);
@@ -143,20 +130,15 @@ fn parse_args() -> Result<Args, String> {
     if args.trace.is_some() && args.spawn.is_none() {
         return Err("--trace records the spawned server's events; it requires --spawn".into());
     }
-    if (args.cache_mode.is_some() || args.cache_file.is_some()) && args.spawn.is_none() {
-        return Err(
-            "--cache-mode/--cache-file configure the spawned server; they require --spawn".into(),
-        );
+    if args.cache_file.is_some() && args.spawn.is_none() {
+        return Err("--cache-file configures the spawned server; it requires --spawn".into());
     }
     if args.cache_compare.is_some()
-        && (args.spawn.is_none()
-            || args.rate.is_some()
-            || args.cache_mode.is_some()
-            || args.cache_file.is_some())
+        && (args.spawn.is_none() || args.rate.is_some() || args.cache_file.is_some())
     {
         return Err(
             "--cache-compare runs its own closed-loop spawns; it requires --spawn and \
-             excludes --rate/--cache-mode/--cache-file"
+             excludes --rate/--cache-file"
                 .into(),
         );
     }
@@ -186,14 +168,13 @@ fn print_report(r: &LoadReport) {
     }
 }
 
-/// One leg of `--cache-compare`: spawn a fresh server in the given
-/// cache configuration, push the whole closed-loop workload through
-/// it, and report the load report plus the engine-side hit counters.
+/// One leg of `--cache-compare`: spawn a fresh server backed by
+/// `cache_file`, push the whole closed-loop workload through it, and
+/// report the load report plus the engine-side hit counters.
 fn compare_leg(
     args: &Args,
     bodies: &[String],
-    mode: CacheMode,
-    cache_file: Option<&std::path::Path>,
+    cache_file: &std::path::Path,
 ) -> Result<(LoadReport, Vec<(String, f64)>), String> {
     let cfg = ServerConfig {
         workers: args.spawn.unwrap_or(2).max(1),
@@ -201,8 +182,7 @@ fn compare_leg(
         deadline_ms: args
             .deadline_ms
             .unwrap_or(ServerConfig::default().deadline_ms),
-        cache_mode: mode,
-        cache_file: cache_file.map(Into::into),
+        cache_file: Some(cache_file.into()),
         ..ServerConfig::default()
     };
     let handle = Server::start(cfg, Arc::new(NullRecorder)).map_err(|e| format!("spawn: {e}"))?;
@@ -238,23 +218,18 @@ fn compare_leg(
     Ok((report, rows))
 }
 
-/// `--cache-compare LABEL`: measure private vs shared vs warm-started
-/// shared caching on the same workload, write `BENCH_<LABEL>.json`.
+/// `--cache-compare LABEL`: measure a cold vs a warm-started shared
+/// cache on the same workload, write `BENCH_<LABEL>.json`.
 fn cache_compare(args: &Args, label: &str) -> ExitCode {
     let bodies = synth_request_bodies(args.requests, args.seed);
     let cache_path =
         std::env::temp_dir().join(format!("asched-cache-compare-{}.bin", std::process::id()));
     let _ = std::fs::remove_file(&cache_path);
-    let legs = [
-        ("private", CacheMode::Private, None),
-        ("shared", CacheMode::Shared, Some(cache_path.as_path())),
-        ("warm", CacheMode::Shared, Some(cache_path.as_path())),
-    ];
     let mut metrics: Vec<(String, f64)> = Vec::new();
     let mut warm_hits = 0.0;
     let mut failed = false;
-    for (leg, mode, file) in legs {
-        match compare_leg(args, &bodies, mode, file) {
+    for leg in ["shared", "warm"] {
+        match compare_leg(args, &bodies, &cache_path) {
             Ok((report, rows)) => {
                 println!("--- {leg} ---");
                 print_report(&report);
@@ -319,7 +294,6 @@ fn main() -> ExitCode {
                 deadline_ms: args
                     .deadline_ms
                     .unwrap_or(ServerConfig::default().deadline_ms),
-                cache_mode: args.cache_mode.unwrap_or_default(),
                 cache_file: args.cache_file.as_ref().map(Into::into),
                 ..ServerConfig::default()
             };

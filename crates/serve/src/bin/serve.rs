@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! asched-serve [--addr HOST:PORT] [--workers N] [--queue N]
-//!              [--deadline-ms MS] [--cache N]
-//!              [--cache-mode shared|private] [--cache-file FILE]
+//!              [--deadline-ms MS] [--cache N] [--cache-file FILE]
 //!              [--flight N] [--run-for SECS] [--trace FILE]
 //! ```
 //!
@@ -57,11 +56,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--cache: {e}"))?
             }
-            "--cache-mode" => {
-                args.cfg.cache_mode = val("--cache-mode")?
-                    .parse()
-                    .map_err(|e| format!("--cache-mode: {e}"))?
-            }
             "--cache-file" => args.cfg.cache_file = Some(val("--cache-file")?.into()),
             "--flight" => {
                 args.cfg.flight_capacity = val("--flight")?
@@ -78,8 +72,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: asched-serve [--addr HOST:PORT] [--workers N] [--queue N]\n\
-                     \x20                   [--deadline-ms MS] [--cache N]\n\
-                     \x20                   [--cache-mode shared|private] [--cache-file FILE]\n\
+                     \x20                   [--deadline-ms MS] [--cache N] [--cache-file FILE]\n\
                      \x20                   [--flight N] [--run-for SECS] [--trace FILE]"
                 );
                 std::process::exit(0);

@@ -47,5 +47,5 @@ pub use loadgen::{run_closed_loop, run_open_loop, synth_request_bodies, Arrival,
 pub use metrics::{ServeMetrics, WorkerCacheStats};
 pub use policy::{Admission, AdmissionPolicy, DeadlinePolicy};
 pub use prom::validate_exposition;
-pub use server::{CacheMode, Server, ServerConfig, ServerHandle};
+pub use server::{Server, ServerConfig, ServerHandle};
 pub use wire::{task_json, BodyFormat};

@@ -59,9 +59,9 @@ pub struct ServeMetrics {
     latency_us: Mutex<Histogram>,
     profile: Mutex<RunProfile>,
     workers: Mutex<Vec<WorkerCacheStats>>,
-    /// The server's process-wide cache, when it runs in shared mode;
-    /// both renderers snapshot its stats live instead of folding
-    /// per-batch deltas.
+    /// The server's process-wide cache, when caching is on; both
+    /// renderers snapshot its stats live instead of folding per-batch
+    /// deltas.
     shared_cache: OnceLock<Arc<SharedScheduleCache>>,
 }
 
@@ -96,8 +96,8 @@ impl ServeMetrics {
         let _ = self.shared_cache.set(cache);
     }
 
-    /// Snapshot of the shared cache's counters (`None` when the server
-    /// runs private per-worker caches, or caching is off).
+    /// Snapshot of the shared cache's counters (`None` when caching is
+    /// off).
     pub fn shared_cache_stats(&self) -> Option<SharedCacheStats> {
         self.shared_cache.get().map(|c| c.stats())
     }

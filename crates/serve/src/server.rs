@@ -9,9 +9,10 @@
 //!   by refusing work it cannot start in time, never by hanging;
 //! - **worker threads** (each owning one long-lived
 //!   [`SchedCtx`](asched_graph::SchedCtx) and one
-//!   [`Engine`](asched_engine::Engine) with its own schedule cache)
-//!   pop connections, parse the request, and schedule. Handlers run
-//!   under `catch_unwind`, so a panic costs one 500, not a worker;
+//!   [`Engine`](asched_engine::Engine) attached to the server's one
+//!   schedule cache) pop connections, parse the request, and schedule.
+//!   Handlers run under `catch_unwind`, so a panic costs one 500, not
+//!   a worker;
 //! - each request carries a **deadline** measured from the moment it
 //!   was accepted. The remaining budget is converted into a
 //!   [`LookaheadConfig::step_budget`](asched_core::LookaheadConfig),
@@ -49,33 +50,6 @@ use crate::wire;
 /// negligible without another knob to validate.
 const SHARED_CACHE_SHARDS: usize = 16;
 
-/// How the workers' schedule caches relate to each other.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CacheMode {
-    /// One process-wide [`SharedScheduleCache`] across every worker:
-    /// a fingerprint computed by any worker is a hit for all of them,
-    /// and `--cache-file` warm-start/persistence applies. The default.
-    #[default]
-    Shared,
-    /// One private FIFO cache per worker engine (the pre-sharing
-    /// behaviour): N workers pay N cold misses per hot fingerprint.
-    Private,
-}
-
-impl std::str::FromStr for CacheMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "shared" => Ok(CacheMode::Shared),
-            "private" => Ok(CacheMode::Private),
-            other => Err(format!(
-                "cache mode must be shared or private, got {other:?}"
-            )),
-        }
-    }
-}
-
 /// Tuning knobs for one server instance.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
@@ -101,15 +75,13 @@ pub struct ServerConfig {
     pub max_tasks_per_request: usize,
     /// Schedule-cache capacity per worker; 0 disables caching (useful
     /// when outcome labels must not depend on request interleaving).
-    /// In [`CacheMode::Shared`] the workers pool the same memory
-    /// budget: one cache of `cache_capacity × workers` entries.
+    /// The workers pool this budget into one [`SharedScheduleCache`]
+    /// of `cache_capacity × workers` entries: a fingerprint computed by
+    /// any worker is a hit for all of them.
     pub cache_capacity: usize,
-    /// Whether workers share one schedule cache or own private ones.
-    pub cache_mode: CacheMode,
     /// Warm-start/persistence file for the shared cache: loaded (and
     /// tail-repaired) at startup, appended to as new schedules are
-    /// computed. Requires [`CacheMode::Shared`] and a nonzero
-    /// `cache_capacity`; ignored otherwise.
+    /// computed. Ignored when `cache_capacity` is 0.
     pub cache_file: Option<PathBuf>,
     /// Flight-recorder capacity: how many recent request summaries
     /// `GET /admin/flight` (and the automatic panic dump) can replay.
@@ -152,7 +124,6 @@ impl Default for ServerConfig {
             max_body_bytes: 1 << 20,
             max_tasks_per_request: 512,
             cache_capacity: 256,
-            cache_mode: CacheMode::default(),
             cache_file: None,
             flight_capacity: 64,
             debug_delay_ms: 0,
@@ -179,9 +150,8 @@ struct Shared {
     /// byte-determinism promise — ids depend on arrival interleaving).
     spans: SpanAlloc,
     flight: FlightRecorder,
-    /// The process-wide schedule cache, when `cache_mode` is shared
-    /// and caching is enabled. `None` means each worker engine owns a
-    /// private cache (or caching is off entirely).
+    /// The process-wide schedule cache every worker engine shares;
+    /// `None` when caching is off (`cache_capacity` 0).
     cache: Option<Arc<SharedScheduleCache>>,
 }
 
@@ -292,8 +262,8 @@ impl Server {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let flight = FlightRecorder::new(cfg.flight_capacity);
-        let cache = if cfg.cache_mode == CacheMode::Shared && cfg.cache_capacity > 0 {
-            // Same aggregate memory budget as N private caches, pooled.
+        let cache = if cfg.cache_capacity > 0 {
+            // The per-worker budget, pooled into one cache.
             let capacity = cfg.cache_capacity.saturating_mul(cfg.workers.max(1));
             let cache = Arc::new(SharedScheduleCache::new(capacity, SHARED_CACHE_SHARDS));
             if let Some(path) = &cfg.cache_file {
@@ -413,12 +383,13 @@ fn accept_loop(listener: TcpListener, sh: &Shared) {
 
 fn worker_loop(sh: &Shared, worker: usize) {
     let mut ctx = SchedCtx::new();
+    // The server's cache is the only one: an engine without it runs
+    // uncached (the default `cache: false`).
     let ecfg = EngineConfig {
         jobs: 1,
-        cache: sh.cfg.cache_capacity > 0,
-        cache_capacity: sh.cfg.cache_capacity.max(1),
         step_budget: None,
         capture: false,
+        ..EngineConfig::default()
     };
     let engine = match &sh.cache {
         Some(cache) => Engine::with_shared_cache(ecfg, Arc::clone(cache)),

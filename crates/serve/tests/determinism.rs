@@ -18,9 +18,7 @@ use std::time::Duration;
 
 use asched_engine::{parse_manifest, Engine, EngineConfig};
 use asched_obs::{NullRecorder, NULL};
-use asched_serve::{
-    http_request, synth_request_bodies, task_json, CacheMode, Server, ServerConfig,
-};
+use asched_serve::{http_request, synth_request_bodies, task_json, Server, ServerConfig};
 
 const TIMEOUT: Duration = Duration::from_secs(30);
 
@@ -143,10 +141,7 @@ fn blast(addr: std::net::SocketAddr, bodies: &[String]) -> BTreeMap<usize, Strin
 /// no-cache reference exactly — every response `"scheduled"` — and
 /// phase 2 (same corpus again) must match a `"cached"`-label reference,
 /// because by then every fingerprint is resident in the shared cache no
-/// matter which worker computed it. With per-worker private caches
-/// phase 2 would be interleaving-dependent (a worker that never saw a
-/// body in phase 1 would recompute); the shared cache removes exactly
-/// that nondeterminism.
+/// matter which worker computed it.
 #[test]
 fn shared_cache_is_deterministic_across_interleavings() {
     // Duplicate-free corpus, small enough to fit the pooled cache
@@ -162,8 +157,8 @@ fn shared_cache_is_deterministic_across_interleavings() {
         ..EngineConfig::default()
     });
     // Reference B: warm results — run each body twice through a
-    // private-cache engine and keep the second report ("cached" labels,
-    // same makespans and orders).
+    // cached engine and keep the second report ("cached" labels, same
+    // makespans and orders).
     let warm_engine = Engine::new(EngineConfig {
         jobs: 1,
         cache: true,
@@ -186,7 +181,6 @@ fn shared_cache_is_deterministic_across_interleavings() {
     let server = Server::start(
         ServerConfig {
             workers: 2,
-            cache_mode: CacheMode::Shared,
             cache_capacity: 256,
             deadline_ms: 60_000,
             ..ServerConfig::default()
