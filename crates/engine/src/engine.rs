@@ -544,10 +544,7 @@ impl Engine {
             }
             let (value, from_cache) = match &plan.kind {
                 PlanKind::Compute(slot) => {
-                    match task_span {
-                        Some(span) => BufferRecorder::replay_with_span(&values[*slot].1, rec, span),
-                        None => BufferRecorder::replay(&values[*slot].1, rec),
-                    }
+                    BufferRecorder::replay(&values[*slot].1, rec, task_span);
                     (&values[*slot].0, false)
                 }
                 PlanKind::Alias(slot) => (&values[*slot].0, true),

@@ -13,6 +13,7 @@ use asched_engine::{BatchReport, Engine, EngineConfig, SharedScheduleCache, Trac
 use asched_graph::MachineModel;
 use asched_ir::{build_trace_graph, LatencyModel};
 use asched_obs::{JsonlRecorder, SpanAlloc, SpanScope};
+use asched_trace::Trace;
 use asched_workloads::{random_program, ProgParams};
 
 /// A seeded random_prog corpus with deliberate duplicates (seeds wrap
@@ -241,12 +242,12 @@ fn traced_spans_are_byte_identical_across_jobs() {
     assert_eq!(normalize_nanos(&seq_log), normalize_nanos(&par_log));
 
     // One "engine" root with one "task" span per task, all closed, no
-    // orphans — checked by the schema's cross-line span checker.
-    let report = asched_obs::schema::check_spans(&seq_log)
-        .unwrap_or_else(|(line, err)| panic!("line {line}: {err}"));
-    assert_eq!(report.started, 1 + tasks.len());
-    assert_eq!(report.ended, report.started);
-    assert!(report.unclosed.is_empty());
+    // orphans — checked by rebuilding the span forest.
+    let forest = Trace::parse(&seq_log);
+    assert_eq!(forest.spans.len(), 1 + tasks.len());
+    assert_eq!(forest.roots.len(), 1);
+    assert!(forest.orphans.is_empty(), "{:?}", forest.orphans);
+    assert!(forest.unclosed.is_empty(), "{:?}", forest.unclosed);
     asched_obs::schema::validate_document(&seq_log)
         .unwrap_or_else(|(line, err)| panic!("line {line}: {err}"));
 

@@ -5,7 +5,9 @@
 //!
 //! * **Events** ([`event::Event`]): `Copy` descriptions of every
 //!   observable decision — rank runs, idle-slot moves, `merge`
-//!   probes/acceptances, `chop` cuts, window issues and stalls.
+//!   probes/acceptances, `chop` cuts, window issues and stalls. Each is
+//!   declared once, in the event table of [`event`], which also
+//!   generates its JSONL writer and the validator's [`event::SCHEMA`].
 //! * **Recorders** ([`recorder::Recorder`]): sinks. [`NullRecorder`]
 //!   (the default) reports `enabled() == false`, so instrumented code
 //!   never even constructs events; [`JsonlRecorder`] writes the
@@ -28,7 +30,8 @@
 //! ```
 //!
 //! The JSONL wire format is documented in `docs/observability.md` and
-//! machine-checked by [`schema::validate_line`].
+//! machine-checked by [`schema::validate_line`]; [`json`] holds the
+//! workspace's one JSON writer and one JSON reader.
 
 #![warn(missing_docs)]
 

@@ -334,7 +334,7 @@ impl RunProfile {
             Event::WindowOccupancy { occupancy, .. } => {
                 self.observe("window_occupancy", occupancy.into());
             }
-            Event::Counter { name, delta } => self.bump(name, delta),
+            Event::Counter { name, delta, .. } => self.bump(name, delta),
             Event::Diagnostic { .. } => self.bump("diagnostics", 1),
             Event::CacheQuery { hit, .. } => {
                 self.bump("cache_queries", 1);
@@ -354,7 +354,7 @@ impl RunProfile {
                     TaskOutcome::Failed => self.bump("engine_tasks_failed", 1),
                 }
             }
-            Event::ReqAccept { queue_depth } => {
+            Event::ReqAccept { queue_depth, .. } => {
                 self.bump("req_accept", 1);
                 self.observe("req_queue_depth", queue_depth.into());
             }

@@ -12,7 +12,7 @@
 use std::io;
 use std::sync::Mutex;
 
-use crate::event::{Event, OwnedEvent, Severity};
+use crate::event::{Event, OwnedEvent};
 use crate::json::JsonObject;
 
 /// Sink for structured events.
@@ -85,181 +85,14 @@ impl<W: io::Write> JsonlRecorder<W> {
 }
 
 /// Render one event as its wire-format JSON object (without the
-/// trailing newline and without a `seq` field).
-///
-/// Optional `span` attribution is rendered as a trailing `"span":N`
-/// field **only when present**, so untraced runs keep their historical
-/// byte-exact line format.
+/// trailing newline and without a `seq` field): the `"ev"` tag, then
+/// the fields in declaration order. Optional fields (`shard`, `warm`,
+/// span attribution) are written only when set, so untraced runs keep
+/// their historical byte-exact line format.
 pub fn event_to_json(event: &Event<'_>) -> String {
     let mut o = JsonObject::new();
     o.str("ev", event.name());
-    let mut span_field: Option<u64> = None;
-    match *event {
-        Event::PassBegin { pass, span } => {
-            o.str("pass", pass.name());
-            span_field = span;
-        }
-        Event::PassEnd { pass, nanos, span } => {
-            o.str("pass", pass.name()).u64("nanos", nanos);
-            span_field = span;
-        }
-        Event::RankRun {
-            nodes,
-            makespan,
-            feasible,
-        } => {
-            o.u64("nodes", nodes.into())
-                .u64("makespan", makespan)
-                .bool("feasible", feasible);
-        }
-        Event::IdleMove {
-            unit,
-            slot,
-            new_start,
-            moved,
-        } => {
-            o.u64("unit", unit.into())
-                .u64("slot", slot)
-                .opt_u64("new_start", new_start)
-                .bool("moved", moved);
-        }
-        Event::BlockBegin {
-            block,
-            carried,
-            new_nodes,
-        } => {
-            o.u64("block", block.into())
-                .u64("carried", carried.into())
-                .u64("new_nodes", new_nodes.into());
-        }
-        Event::MergeProbe { delta, feasible } => {
-            o.i64("delta", delta).bool("feasible", feasible);
-        }
-        Event::MergeDone {
-            rung,
-            makespan,
-            relaxed,
-        } => {
-            o.str("rung", rung.name())
-                .u64("makespan", makespan)
-                .i64("relaxed", relaxed);
-        }
-        Event::Chop {
-            cut,
-            emitted,
-            carried,
-            offset,
-        } => {
-            o.opt_u64("cut", cut)
-                .u64("emitted", emitted.into())
-                .u64("carried", carried.into())
-                .u64("offset", offset);
-        }
-        Event::Issue {
-            cycle,
-            pos,
-            node,
-            unit,
-        } => {
-            o.u64("cycle", cycle)
-                .u64("pos", pos.into())
-                .u64("node", node.into())
-                .u64("unit", unit.into());
-        }
-        Event::Stall {
-            cycle,
-            head,
-            kind,
-            cycles,
-        } => {
-            o.u64("cycle", cycle)
-                .u64("head", head.into())
-                .str("kind", kind.name())
-                .u64("cycles", cycles);
-        }
-        Event::WindowOccupancy { cycle, occupancy } => {
-            o.u64("cycle", cycle).u64("occupancy", occupancy.into());
-        }
-        Event::Counter { name, delta } => {
-            o.str("name", name).u64("delta", delta);
-        }
-        Event::Diagnostic {
-            severity,
-            code,
-            message,
-        } => {
-            o.str("severity", severity.name())
-                .str("code", code)
-                .str("message", message);
-        }
-        Event::CacheQuery {
-            key,
-            hit,
-            shard,
-            warm,
-            span,
-        } => {
-            // `shard`/`warm` are omitted unless set; `warm` is set
-            // only on a hit served from a cache file.
-            o.str("key", &format!("{key:032x}")).bool("hit", hit);
-            if let Some(shard) = shard {
-                o.u64("shard", shard.into());
-            }
-            if warm {
-                o.bool("warm", true);
-            }
-            span_field = span;
-        }
-        Event::CacheEvict {
-            key,
-            resident,
-            shard,
-            span,
-        } => {
-            o.str("key", &format!("{key:032x}"))
-                .u64("resident", resident);
-            if let Some(shard) = shard {
-                o.u64("shard", shard.into());
-            }
-            span_field = span;
-        }
-        Event::TaskDone {
-            task,
-            outcome,
-            makespan,
-            span,
-        } => {
-            o.u64("task", task.into())
-                .str("outcome", outcome.name())
-                .u64("makespan", makespan);
-            span_field = span;
-        }
-        Event::ReqAccept { queue_depth } => {
-            o.u64("queue_depth", queue_depth.into());
-        }
-        Event::ReqShed { queue_depth } => {
-            o.u64("queue_depth", queue_depth.into());
-        }
-        Event::ReqDone {
-            status,
-            nanos,
-            span,
-        } => {
-            o.u64("status", status.into()).u64("nanos", nanos);
-            span_field = span;
-        }
-        Event::SpanStart { span, parent, name } => {
-            o.u64("span", span)
-                .opt_u64("parent", parent)
-                .str("name", name);
-        }
-        Event::SpanEnd { span, nanos } => {
-            o.u64("span", span).u64("nanos", nanos);
-        }
-    }
-    if let Some(span) = span_field {
-        o.u64("span", span);
-    }
+    event.write_fields(&mut o);
     o.finish()
 }
 
@@ -350,23 +183,14 @@ impl BufferRecorder {
         self.events.into_inner().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Replay a captured event sequence into another recorder.
-    pub fn replay(events: &[OwnedEvent], rec: &dyn Recorder) {
-        if !rec.enabled() {
-            return;
-        }
-        for ev in events {
-            rec.record(&ev.as_event());
-        }
-    }
-
-    /// Replay a captured event sequence, attributing every attributable
-    /// event that does not already carry a span to `span`.
+    /// Replay a captured event sequence into another recorder,
+    /// attributing every attributable event that does not already
+    /// carry a span to `span` (when given).
     ///
     /// This is how the engine stamps worker-buffered pass/cache events
     /// with their task's span id at emit time, without the inner
     /// scheduling passes knowing about spans at all.
-    pub fn replay_with_span(events: &[OwnedEvent], rec: &dyn Recorder, span: u64) {
+    pub fn replay(events: &[OwnedEvent], rec: &dyn Recorder, span: Option<u64>) {
         if !rec.enabled() {
             return;
         }
@@ -405,13 +229,10 @@ impl Recorder for StderrDiagnostics {
             severity,
             code,
             message,
+            ..
         } = *event
         {
-            match severity {
-                Severity::Info => eprintln!("info[{code}]: {message}"),
-                Severity::Warning => eprintln!("warning[{code}]: {message}"),
-                Severity::Error => eprintln!("error[{code}]: {message}"),
-            }
+            eprintln!("{}[{code}]: {message}", severity.name());
         }
     }
 }
@@ -494,7 +315,7 @@ mod tests {
         assert_eq!(events.len(), 3);
 
         let jsonl = JsonlRecorder::new(Vec::new());
-        BufferRecorder::replay(&events, &jsonl);
+        BufferRecorder::replay(&events, &jsonl, None);
         let out = String::from_utf8(jsonl.into_inner()).unwrap();
         let lines: Vec<&str> = out.lines().collect();
         assert!(lines[0].contains(r#""ev":"pass_begin","pass":"engine""#));
@@ -604,7 +425,7 @@ mod tests {
     }
 
     #[test]
-    fn replay_with_span_tags_untagged_events_only() {
+    fn replay_tags_untagged_events_only() {
         let buf = BufferRecorder::new();
         buf.record(&Event::PassBegin {
             pass: Pass::Rank,
@@ -624,7 +445,7 @@ mod tests {
         let events = buf.into_events();
 
         let jsonl = JsonlRecorder::new(Vec::new());
-        BufferRecorder::replay_with_span(&events, &jsonl, 11);
+        BufferRecorder::replay(&events, &jsonl, Some(11));
         let out = String::from_utf8(jsonl.into_inner()).unwrap();
         let lines: Vec<&str> = out.lines().collect();
         assert!(

@@ -1,27 +1,98 @@
 //! Validation of the JSONL trace schema.
 //!
 //! Each trace line is a flat JSON object with a `"seq"` ordinal and an
-//! `"ev"` tag naming one of the [`crate::event::Event`] variants; the
-//! remaining required fields depend on the tag. The validator here
-//! contains a deliberately small flat-object JSON parser (the build
-//! environment has no serde) — enough to check traces in tests and for
-//! downstream tools to trust the documented schema.
+//! `"ev"` tag naming one of the [`crate::event::Event`] variants. The
+//! fields each tag requires, and the [`Kind`] of each, come from
+//! [`SCHEMA`], which the event table in [`crate::event`] generates
+//! alongside the writer — so the validator cannot drift from what the
+//! recorders emit. Lines are read by the workspace's one JSON reader,
+//! [`crate::json::parse`]; span structure across lines is checked by
+//! `asched_trace::Trace`.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// A parsed flat JSON value.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Value {
-    /// JSON null.
-    Null,
-    /// true / false.
-    Bool(bool),
-    /// Any JSON number (kept as f64; trace numbers fit exactly or are
-    /// only range-checked).
-    Num(f64),
-    /// A string.
-    Str(String),
+use crate::event::SCHEMA;
+use crate::json::{self, Json};
+
+/// The wire kind of an event field: how the writer renders it and what
+/// the validator accepts.
+#[derive(Clone, Copy, Debug)]
+pub enum Kind {
+    /// A non-negative integer (`u32`, `u64`).
+    Unsigned,
+    /// An integer (`i64`).
+    Signed,
+    /// A boolean.
+    Bool,
+    /// A string (`&str`).
+    Text,
+    /// A non-negative integer or `null` (`Option<u64>`).
+    Nullable,
+    /// A 128-bit fingerprint (`u128`), written as 32 hex digits; any
+    /// string validates.
+    Key,
+    /// A span id (`u64`): a positive integer, as 0 means "no span".
+    SpanId,
+    /// One of a wire enum's names (`Pass`, `MergeRung`, ...).
+    Choice(&'static [&'static str]),
+    /// A non-negative integer (`Option<u32>`), omitted when `None`.
+    OptUnsigned,
+    /// A boolean (`bool`), written only when `true`.
+    OptTrue,
+    /// Span attribution (`Option<u64>`): a positive integer, omitted
+    /// when `None`.
+    OptSpan,
+}
+
+impl Kind {
+    /// Whether the writer omits the field while it is unset. Such a
+    /// field may only appear on the events that declare it.
+    pub fn optional(self) -> bool {
+        matches!(self, Kind::OptUnsigned | Kind::OptTrue | Kind::OptSpan)
+    }
+
+    fn accepts(self, value: &Json) -> bool {
+        let int_from = |min: f64| matches!(value, Json::Num(n) if *n >= min && n.fract() == 0.0);
+        match self {
+            Kind::Unsigned | Kind::OptUnsigned => int_from(0.0),
+            Kind::Signed => int_from(f64::MIN),
+            Kind::Bool | Kind::OptTrue => matches!(value, Json::Bool(_)),
+            Kind::Text | Kind::Key | Kind::Choice(_) => matches!(value, Json::Str(_)),
+            Kind::Nullable => *value == Json::Null || int_from(0.0),
+            Kind::SpanId | Kind::OptSpan => int_from(1.0),
+        }
+    }
+
+    fn want(self) -> &'static str {
+        match self {
+            Kind::Unsigned | Kind::OptUnsigned => "a non-negative integer",
+            Kind::Signed => "an integer",
+            Kind::Bool | Kind::OptTrue => "a boolean",
+            Kind::Text | Kind::Key | Kind::Choice(_) => "a string",
+            Kind::Nullable => "a non-negative integer or null",
+            Kind::SpanId | Kind::OptSpan => "a positive integer",
+        }
+    }
+}
+
+/// One event's wire form: its `"ev"` tag and its fields, in the order
+/// the writer emits them.
+#[derive(Debug)]
+pub struct EventSpec {
+    /// The `"ev"` tag.
+    pub tag: &'static str,
+    /// The fields after the tag.
+    pub fields: &'static [FieldSpec],
+}
+
+/// One field of an event's wire form.
+#[derive(Debug)]
+pub struct FieldSpec {
+    /// JSON key (also the Rust field name).
+    pub name: &'static str,
+    /// How the value is written and checked.
+    pub kind: Kind,
 }
 
 /// Why a line failed validation.
@@ -69,334 +140,59 @@ impl fmt::Display for SchemaError {
     }
 }
 
-/// Parse one flat JSON object (no nesting, no arrays — the trace schema
-/// is flat by design).
-pub fn parse_flat_object(line: &str) -> Result<BTreeMap<String, Value>, SchemaError> {
-    let mut p = Parser {
-        bytes: line.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    p.expect(b'{')?;
-    let mut map = BTreeMap::new();
-    p.skip_ws();
-    if p.peek() == Some(b'}') {
-        p.pos += 1;
-    } else {
-        loop {
-            p.skip_ws();
-            let key = p.string()?;
-            p.skip_ws();
-            p.expect(b':')?;
-            p.skip_ws();
-            let value = p.value()?;
-            map.insert(key, value);
-            p.skip_ws();
-            match p.next() {
-                Some(b',') => continue,
-                Some(b'}') => break,
-                _ => return Err(SchemaError::Parse("expected ',' or '}'".into())),
-            }
+/// Parse one trace line: a JSON object whose values are all scalars
+/// (the trace schema is flat by design).
+pub fn parse_flat_object(line: &str) -> Result<BTreeMap<String, Json>, SchemaError> {
+    match json::parse(line).map_err(SchemaError::Parse)? {
+        Json::Obj(map)
+            if map
+                .values()
+                .any(|v| matches!(v, Json::Arr(_) | Json::Obj(_))) =>
+        {
+            Err(SchemaError::Parse("nested value".into()))
         }
+        Json::Obj(map) => Ok(map),
+        _ => Err(SchemaError::Parse("not an object".into())),
     }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(SchemaError::Parse("trailing bytes after object".into()));
-    }
-    Ok(map)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-    fn next(&mut self) -> Option<u8> {
-        let b = self.peek();
-        if b.is_some() {
-            self.pos += 1;
-        }
-        b
-    }
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-    fn expect(&mut self, b: u8) -> Result<(), SchemaError> {
-        if self.next() == Some(b) {
-            Ok(())
-        } else {
-            Err(SchemaError::Parse(format!("expected {:?}", b as char)))
-        }
-    }
-    fn string(&mut self) -> Result<String, SchemaError> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            match self.next() {
-                None => return Err(SchemaError::Parse("unterminated string".into())),
-                Some(b'"') => return Ok(s),
-                Some(b'\\') => match self.next() {
-                    Some(b'"') => s.push('"'),
-                    Some(b'\\') => s.push('\\'),
-                    Some(b'/') => s.push('/'),
-                    Some(b'n') => s.push('\n'),
-                    Some(b'r') => s.push('\r'),
-                    Some(b't') => s.push('\t'),
-                    Some(b'u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self
-                                .next()
-                                .ok_or_else(|| SchemaError::Parse("truncated \\u escape".into()))?;
-                            code = code * 16
-                                + (d as char)
-                                    .to_digit(16)
-                                    .ok_or_else(|| SchemaError::Parse("bad \\u escape".into()))?;
-                        }
-                        s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    _ => return Err(SchemaError::Parse("bad escape".into())),
-                },
-                Some(b) if b < 0x20 => {
-                    return Err(SchemaError::Parse("raw control char in string".into()))
-                }
-                Some(b) => {
-                    // Re-assemble UTF-8 sequences byte-wise.
-                    let start = self.pos - 1;
-                    let len = match b {
-                        0x00..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    if start + len > self.bytes.len() {
-                        return Err(SchemaError::Parse("truncated UTF-8".into()));
-                    }
-                    let chunk = std::str::from_utf8(&self.bytes[start..start + len])
-                        .map_err(|_| SchemaError::Parse("invalid UTF-8".into()))?;
-                    s.push_str(chunk);
-                    self.pos = start + len;
-                }
-            }
-        }
-    }
-    fn value(&mut self) -> Result<Value, SchemaError> {
-        match self.peek() {
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b'-' | b'0'..=b'9') => {
-                let start = self.pos;
-                while matches!(
-                    self.peek(),
-                    Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-                ) {
-                    self.pos += 1;
-                }
-                let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-                text.parse::<f64>()
-                    .map(Value::Num)
-                    .map_err(|_| SchemaError::Parse(format!("bad number {text:?}")))
-            }
-            _ => Err(SchemaError::Parse("expected a value".into())),
-        }
-    }
-    fn literal(&mut self, word: &str, v: Value) -> Result<Value, SchemaError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(SchemaError::Parse(format!("expected literal {word:?}")))
-        }
-    }
-}
-
-/// Field requirement kinds for the per-tag tables below.
-enum Need {
-    U,
-    I,
-    B,
-    S,
-    OptU,
-    Enum(&'static [&'static str]),
-}
-
-const PASSES: &[&str] = &[
-    "schedule_trace",
-    "rank",
-    "delay_idle_slots",
-    "merge",
-    "chop",
-    "simulate",
-    "driver",
-    "engine",
-    "exact",
-];
-const RUNGS: &[&str] = &["paper", "pinned_old", "concatenation"];
-const STALLS: &[&str] = &["data_wait", "head_blocked"];
-const SEVERITIES: &[&str] = &["info", "warning", "error"];
-const OUTCOMES: &[&str] = &["scheduled", "cached", "degraded", "failed"];
-
-fn requirements(ev: &str) -> Option<&'static [(&'static str, Need)]> {
-    Some(match ev {
-        "pass_begin" => &[("pass", Need::Enum(PASSES))],
-        "pass_end" => &[("pass", Need::Enum(PASSES)), ("nanos", Need::U)],
-        "rank_run" => &[
-            ("nodes", Need::U),
-            ("makespan", Need::U),
-            ("feasible", Need::B),
-        ],
-        "idle_move" => &[
-            ("unit", Need::U),
-            ("slot", Need::U),
-            ("new_start", Need::OptU),
-            ("moved", Need::B),
-        ],
-        "block_begin" => &[
-            ("block", Need::U),
-            ("carried", Need::U),
-            ("new_nodes", Need::U),
-        ],
-        "merge_probe" => &[("delta", Need::I), ("feasible", Need::B)],
-        "merge_done" => &[
-            ("rung", Need::Enum(RUNGS)),
-            ("makespan", Need::U),
-            ("relaxed", Need::I),
-        ],
-        "chop" => &[
-            ("cut", Need::OptU),
-            ("emitted", Need::U),
-            ("carried", Need::U),
-            ("offset", Need::U),
-        ],
-        "issue" => &[
-            ("cycle", Need::U),
-            ("pos", Need::U),
-            ("node", Need::U),
-            ("unit", Need::U),
-        ],
-        "stall" => &[
-            ("cycle", Need::U),
-            ("head", Need::U),
-            ("kind", Need::Enum(STALLS)),
-            ("cycles", Need::U),
-        ],
-        "window_occupancy" => &[("cycle", Need::U), ("occupancy", Need::U)],
-        "counter" => &[("name", Need::S), ("delta", Need::U)],
-        "diagnostic" => &[
-            ("severity", Need::Enum(SEVERITIES)),
-            ("code", Need::S),
-            ("message", Need::S),
-        ],
-        "cache_query" => &[("key", Need::S), ("hit", Need::B)],
-        "cache_evict" => &[("key", Need::S), ("resident", Need::U)],
-        "task_done" => &[
-            ("task", Need::U),
-            ("outcome", Need::Enum(OUTCOMES)),
-            ("makespan", Need::U),
-        ],
-        "req_accept" => &[("queue_depth", Need::U)],
-        "req_shed" => &[("queue_depth", Need::U)],
-        "req_done" => &[("status", Need::U), ("nanos", Need::U)],
-        "span_start" => &[("span", Need::U), ("parent", Need::OptU), ("name", Need::S)],
-        "span_end" => &[("span", Need::U), ("nanos", Need::U)],
-        _ => return None,
-    })
 }
 
 /// Validate one trace line against the schema. Returns the parsed
 /// object (with its `"ev"` tag) on success so callers can assert on
-/// payloads without re-parsing.
-pub fn validate_line(line: &str) -> Result<BTreeMap<String, Value>, SchemaError> {
+/// payloads without re-parsing. Fields the schema does not know are
+/// ignored, except that an optional field (`shard`, `warm`, `span`)
+/// may only appear on an event that declares it.
+pub fn validate_line(line: &str) -> Result<BTreeMap<String, Json>, SchemaError> {
     let map = parse_flat_object(line)?;
     let ev = match map.get("ev") {
-        Some(Value::Str(s)) => s.clone(),
+        Some(Json::Str(s)) => s.clone(),
         _ => return Err(SchemaError::MissingTag),
     };
-    let reqs = requirements(&ev).ok_or_else(|| SchemaError::UnknownTag(ev.clone()))?;
-    for &(field, ref need) in reqs {
-        let value = map.get(field).ok_or(SchemaError::MissingField {
-            ev: ev.clone(),
-            field,
-        })?;
-        let ok = match need {
-            Need::U => matches!(value, Value::Num(n) if *n >= 0.0 && n.fract() == 0.0),
-            Need::I => matches!(value, Value::Num(n) if n.fract() == 0.0),
-            Need::B => matches!(value, Value::Bool(_)),
-            Need::S => matches!(value, Value::Str(_)),
-            Need::OptU => {
-                matches!(value, Value::Null)
-                    || matches!(value, Value::Num(n) if *n >= 0.0 && n.fract() == 0.0)
+    let Some(spec) = SCHEMA.iter().find(|spec| spec.tag == ev) else {
+        return Err(SchemaError::UnknownTag(ev));
+    };
+    for &FieldSpec { name: field, kind } in spec.fields {
+        match (map.get(field), kind) {
+            (None, kind) if kind.optional() => {}
+            (None, _) => return Err(SchemaError::MissingField { ev, field }),
+            (Some(Json::Str(got)), Kind::Choice(names)) if !names.contains(&got.as_str()) => {
+                let got = got.clone();
+                return Err(SchemaError::BadEnum { ev, field, got });
             }
-            Need::Enum(allowed) => match value {
-                Value::Str(s) => {
-                    if !allowed.contains(&s.as_str()) {
-                        return Err(SchemaError::BadEnum {
-                            ev,
-                            field,
-                            got: s.clone(),
-                        });
-                    }
-                    true
-                }
-                _ => false,
-            },
-        };
-        if !ok {
-            let want = match need {
-                Need::U => "a non-negative integer",
-                Need::I => "an integer",
-                Need::B => "a boolean",
-                Need::S => "a string",
-                Need::OptU => "a non-negative integer or null",
-                Need::Enum(_) => "a string",
-            };
-            return Err(SchemaError::WrongType { ev, field, want });
+            (Some(value), kind) if !kind.accepts(value) => {
+                let want = kind.want();
+                return Err(SchemaError::WrongType { ev, field, want });
+            }
+            _ => {}
         }
     }
-    // Span ids are allocated from 1 (0 is the reserved "no span"
-    // sentinel), so wherever a `"span"` field appears — as the identity
-    // of a span_start/span_end or as optional attribution on another
-    // event — it must be a positive integer.
-    if let Some(value) = map.get("span") {
-        if !matches!(value, Value::Num(n) if *n >= 1.0 && n.fract() == 0.0) {
-            return Err(SchemaError::WrongType {
-                ev,
-                field: "span",
-                want: "a positive integer",
-            });
-        }
-    }
-    // Cache attribution is optional (`"warm"` appears only on warm
-    // hits, `"shard"` only when the emitter sets it) but typed when
-    // present: `"shard"` is a non-negative integer and `"warm"` a
-    // boolean, and both belong to cache events only.
-    if let Some(value) = map.get("shard") {
-        if !(ev == "cache_query" || ev == "cache_evict")
-            || !matches!(value, Value::Num(n) if *n >= 0.0 && n.fract() == 0.0)
-        {
-            return Err(SchemaError::WrongType {
-                ev,
-                field: "shard",
-                want: "a non-negative integer on a cache event",
-            });
-        }
-    }
-    if let Some(value) = map.get("warm") {
-        if ev != "cache_query" || !matches!(value, Value::Bool(_)) {
-            return Err(SchemaError::WrongType {
-                ev,
-                field: "warm",
-                want: "a boolean on cache_query",
-            });
-        }
+    let stray = SCHEMA.iter().flat_map(|other| other.fields).find(|f| {
+        f.kind.optional()
+            && map.contains_key(f.name)
+            && spec.fields.iter().all(|own| own.name != f.name)
+    });
+    if let Some(f) = stray {
+        let (field, want) = (f.name, "absent on this event");
+        return Err(SchemaError::WrongType { ev, field, want });
     }
     Ok(map)
 }
@@ -410,126 +206,11 @@ pub fn validate_document(text: &str) -> Result<Vec<String>, (usize, SchemaError)
             continue;
         }
         let map = validate_line(line).map_err(|e| (i + 1, e))?;
-        if let Some(Value::Str(tag)) = map.get("ev") {
+        if let Some(Json::Str(tag)) = map.get("ev") {
             tags.push(tag.clone());
         }
     }
     Ok(tags)
-}
-
-/// A span-consistency violation found by [`check_spans`].
-#[derive(Clone, Debug, PartialEq)]
-pub enum SpanError {
-    /// The same span id was started twice.
-    DuplicateStart(u64),
-    /// A span names itself as its parent.
-    SelfParent(u64),
-    /// A `span_start` references a parent that was never started
-    /// earlier in the document (the "mismatched span/parent pair").
-    UnknownParent {
-        /// Span being started.
-        span: u64,
-        /// The parent id it claims, which is unknown at this point.
-        parent: u64,
-    },
-    /// A `span_end` for a span id that was never started.
-    EndWithoutStart(u64),
-    /// A span was ended twice.
-    DoubleEnd(u64),
-}
-
-impl fmt::Display for SpanError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SpanError::DuplicateStart(s) => write!(f, "span {s} started twice"),
-            SpanError::SelfParent(s) => write!(f, "span {s} is its own parent"),
-            SpanError::UnknownParent { span, parent } => {
-                write!(f, "span {span} references unknown parent {parent}")
-            }
-            SpanError::EndWithoutStart(s) => write!(f, "span {s} ended but never started"),
-            SpanError::DoubleEnd(s) => write!(f, "span {s} ended twice"),
-        }
-    }
-}
-
-/// Summary returned by a clean [`check_spans`] pass.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct SpanReport {
-    /// How many spans were started.
-    pub started: usize,
-    /// How many spans were ended.
-    pub ended: usize,
-    /// Span ids started but never ended, in start order. A complete
-    /// trace has none; a trace truncated mid-run legitimately may.
-    pub unclosed: Vec<u64>,
-}
-
-/// Check the span discipline of a JSONL document: every `span_start`
-/// has a unique id, parents refer to previously started spans, and
-/// every `span_end` closes an open span exactly once.
-///
-/// Lines that fail to parse as flat objects are skipped — run
-/// [`validate_document`] first for schema errors; this pass only
-/// checks cross-line span consistency. Returns `(line_number, error)`
-/// on the first violation.
-pub fn check_spans(text: &str) -> Result<SpanReport, (usize, SpanError)> {
-    // Span state: started (known id) and whether it has ended.
-    let mut ended: BTreeMap<u64, bool> = BTreeMap::new();
-    let mut report = SpanReport::default();
-    let mut start_order = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let lineno = i + 1;
-        let map = match parse_flat_object(line.trim()) {
-            Ok(m) => m,
-            Err(_) => continue,
-        };
-        let tag = match map.get("ev") {
-            Some(Value::Str(s)) => s.as_str(),
-            _ => continue,
-        };
-        let num = |field: &str| -> Option<u64> {
-            match map.get(field) {
-                Some(Value::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
-                _ => None,
-            }
-        };
-        match tag {
-            "span_start" => {
-                let Some(span) = num("span") else { continue };
-                if ended.contains_key(&span) {
-                    return Err((lineno, SpanError::DuplicateStart(span)));
-                }
-                if let Some(parent) = num("parent") {
-                    if parent == span {
-                        return Err((lineno, SpanError::SelfParent(span)));
-                    }
-                    if !ended.contains_key(&parent) {
-                        return Err((lineno, SpanError::UnknownParent { span, parent }));
-                    }
-                }
-                ended.insert(span, false);
-                start_order.push(span);
-                report.started += 1;
-            }
-            "span_end" => {
-                let Some(span) = num("span") else { continue };
-                match ended.get_mut(&span) {
-                    None => return Err((lineno, SpanError::EndWithoutStart(span))),
-                    Some(true) => return Err((lineno, SpanError::DoubleEnd(span))),
-                    Some(done) => {
-                        *done = true;
-                        report.ended += 1;
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    report.unclosed = start_order
-        .into_iter()
-        .filter(|s| ended.get(s) == Some(&false))
-        .collect();
-    Ok(report)
 }
 
 #[cfg(test)]
@@ -677,7 +358,7 @@ mod tests {
         for ev in &events {
             let line = event_to_json(ev);
             let map = validate_line(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
-            assert_eq!(map.get("ev"), Some(&Value::Str(ev.name().to_string())));
+            assert_eq!(map.get("ev"), Some(&Json::Str(ev.name().to_string())));
         }
     }
 
@@ -764,55 +445,29 @@ mod tests {
     }
 
     #[test]
-    fn span_checker_accepts_well_formed_forests() {
-        let doc = "\
-{\"seq\":0,\"ev\":\"span_start\",\"span\":1,\"parent\":null,\"name\":\"request\"}\n\
-{\"seq\":1,\"ev\":\"span_start\",\"span\":2,\"parent\":1,\"name\":\"engine\"}\n\
-{\"seq\":2,\"ev\":\"span_end\",\"span\":2,\"nanos\":10}\n\
-{\"seq\":3,\"ev\":\"span_end\",\"span\":1,\"nanos\":20}\n\
-{\"seq\":4,\"ev\":\"span_start\",\"span\":3,\"parent\":null,\"name\":\"request\"}\n";
-        let report = check_spans(doc).unwrap();
-        assert_eq!(report.started, 3);
-        assert_eq!(report.ended, 2);
-        assert_eq!(report.unclosed, vec![3]);
+    fn optional_fields_stay_on_their_events() {
+        assert!(matches!(
+            validate_line(r#"{"ev":"counter","name":"x","delta":1,"span":2}"#),
+            Err(SchemaError::WrongType { field: "span", .. })
+        ));
+        assert!(validate_line(r#"{"ev":"pass_begin","pass":"exact","span":2}"#).is_ok());
+        // Fields the schema does not know are ignored.
+        assert!(
+            validate_line(r#"{"seq":4,"ev":"counter","name":"x","delta":1,"extra":0}"#).is_ok()
+        );
     }
 
     #[test]
-    fn span_checker_rejects_mismatched_pairs() {
-        let unknown_parent =
-            "{\"ev\":\"span_start\",\"span\":2,\"parent\":9,\"name\":\"engine\"}\n";
-        assert_eq!(
-            check_spans(unknown_parent).unwrap_err(),
-            (1, SpanError::UnknownParent { span: 2, parent: 9 })
+    fn nested_field_values_are_parse_errors() {
+        assert!(matches!(
+            validate_line(r#"{"ev":"counter","name":"x","delta":[1]}"#),
+            Err(SchemaError::Parse(_))
+        ));
+        let deep = format!(
+            r#"{{"ev":"counter","name":"x","delta":{}{}}}"#,
+            "[".repeat(200_000),
+            "]".repeat(200_000)
         );
-
-        let self_parent = "{\"ev\":\"span_start\",\"span\":2,\"parent\":2,\"name\":\"x\"}\n";
-        assert_eq!(
-            check_spans(self_parent).unwrap_err(),
-            (1, SpanError::SelfParent(2))
-        );
-
-        let dup = "\
-{\"ev\":\"span_start\",\"span\":1,\"parent\":null,\"name\":\"a\"}\n\
-{\"ev\":\"span_start\",\"span\":1,\"parent\":null,\"name\":\"b\"}\n";
-        assert_eq!(
-            check_spans(dup).unwrap_err(),
-            (2, SpanError::DuplicateStart(1))
-        );
-
-        let orphan_end = "{\"ev\":\"span_end\",\"span\":5,\"nanos\":1}\n";
-        assert_eq!(
-            check_spans(orphan_end).unwrap_err(),
-            (1, SpanError::EndWithoutStart(5))
-        );
-
-        let double_end = "\
-{\"ev\":\"span_start\",\"span\":1,\"parent\":null,\"name\":\"a\"}\n\
-{\"ev\":\"span_end\",\"span\":1,\"nanos\":1}\n\
-{\"ev\":\"span_end\",\"span\":1,\"nanos\":2}\n";
-        assert_eq!(
-            check_spans(double_end).unwrap_err(),
-            (3, SpanError::DoubleEnd(1))
-        );
+        assert!(matches!(validate_line(&deep), Err(SchemaError::Parse(_))));
     }
 }

@@ -146,6 +146,7 @@ impl Recorder for IdleMoves {
             slot,
             new_start,
             moved,
+            ..
         } = *event
         {
             self.0.borrow_mut().push((unit, slot, new_start, moved));

@@ -20,7 +20,7 @@
 
 use std::process::ExitCode;
 
-use asched_obs::schema::{check_spans, validate_document};
+use asched_obs::schema::validate_document;
 use asched_trace::{
     cache_attribution, calibrate_json, critical_path_passes, folded_stacks, pass_breakdown,
     render_tree, Trace,
@@ -257,23 +257,10 @@ fn main() -> ExitCode {
     }
 
     if args.check {
-        // Full schema validation + the cross-line span checker, in
-        // addition to the structural checks above.
+        // Full schema validation, on top of the structural checks
+        // `Trace::parse` made above.
         if let Err((line, err)) = validate_document(&text) {
             violations.push(format!("schema violation at line {line}: {err}"));
-        }
-        match check_spans(&text) {
-            Ok(report) => {
-                if !report.unclosed.is_empty() {
-                    violations.push(format!(
-                        "span checker: {} unclosed span(s)",
-                        report.unclosed.len()
-                    ));
-                }
-            }
-            Err((line, err)) => {
-                violations.push(format!("span checker failed at line {line}: {err}"));
-            }
         }
         if !violations.is_empty() {
             for v in &violations {

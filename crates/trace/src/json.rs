@@ -1,284 +1,8 @@
-//! A minimal recursive JSON parser for *nested* documents.
-//!
-//! The trace event schema is flat by design and is parsed by
-//! [`asched_obs::schema::parse_flat_object`]; this parser exists for
-//! the documents that are not flat — `BENCH_*.json` snapshots (metrics
-//! object nested inside the envelope) and service-model files. It
-//! supports the full JSON value grammar minus `\uXXXX` escapes beyond
-//! the BMP pass-through the workspace emits (ASCII `\u00XX` only),
-//! which is all these documents ever contain.
+//! The workspace's one JSON reader, re-exported from
+//! [`asched_obs::json`] where it sits beside the writer. This crate
+//! reads the documents that are not flat with it — `BENCH_*.json`
+//! snapshots (a metrics object nested inside the envelope) and
+//! service-model files — and trace lines through
+//! [`asched_obs::schema::parse_flat_object`].
 
-use std::collections::BTreeMap;
-
-/// A parsed JSON value.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number, kept as `f64` (snapshot metrics are f64 already).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object; insertion order is not preserved (keys are unique in
-    /// every document this tool reads).
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    /// Member lookup on objects.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
-
-    /// Numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// String value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s.as_str()),
-            _ => None,
-        }
-    }
-}
-
-/// Parse one JSON document. The whole input must be consumed.
-pub fn parse(text: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing bytes at offset {}", p.pos));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek();
-        if b.is_some() {
-            self.pos += 1;
-        }
-        b
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, want: u8) -> Result<(), String> {
-        match self.bump() {
-            Some(b) if b == want => Ok(()),
-            got => Err(format!(
-                "offset {}: expected {:?}, got {:?}",
-                self.pos,
-                want as char,
-                got.map(|b| b as char)
-            )),
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            other => Err(format!(
-                "offset {}: unexpected {:?}",
-                self.pos,
-                other.map(|b| b as char)
-            )),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("offset {}: expected {word:?}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|e| format!("offset {start}: bad number {text:?}: {e}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = Vec::new();
-        loop {
-            match self.bump() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => break,
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push(b'"'),
-                    Some(b'\\') => out.push(b'\\'),
-                    Some(b'/') => out.push(b'/'),
-                    Some(b'n') => out.push(b'\n'),
-                    Some(b't') => out.push(b'\t'),
-                    Some(b'r') => out.push(b'\r'),
-                    Some(b'b') => out.push(0x08),
-                    Some(b'f') => out.push(0x0c),
-                    Some(b'u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self.bump().ok_or("truncated \\u escape")?;
-                            code = code * 16
-                                + (d as char)
-                                    .to_digit(16)
-                                    .ok_or_else(|| format!("bad \\u digit {:?}", d as char))?;
-                        }
-                        let c = char::from_u32(code)
-                            .ok_or_else(|| format!("bad \\u code point {code:#x}"))?;
-                        let mut buf = [0u8; 4];
-                        out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
-                    }
-                    other => {
-                        return Err(format!("bad escape {:?}", other.map(|b| b as char)));
-                    }
-                },
-                Some(b) => out.push(b),
-            }
-        }
-        String::from_utf8(out).map_err(|e| format!("string is not UTF-8: {e}"))
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => break,
-                other => {
-                    return Err(format!(
-                        "offset {}: expected ',' or ']', got {:?}",
-                        self.pos,
-                        other.map(|b| b as char)
-                    ));
-                }
-            }
-        }
-        Ok(Json::Arr(items))
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => break,
-                other => {
-                    return Err(format!(
-                        "offset {}: expected ',' or '}}', got {:?}",
-                        self.pos,
-                        other.map(|b| b as char)
-                    ));
-                }
-            }
-        }
-        Ok(Json::Obj(map))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parses_nested_documents() {
-        let doc = r#"{"a":{"b":[1,2.5,-3e2]},"s":"x\"y","t":true,"n":null}"#;
-        let v = parse(doc).unwrap();
-        let b = v.get("a").and_then(|a| a.get("b")).unwrap();
-        assert_eq!(
-            *b,
-            Json::Arr(vec![Json::Num(1.0), Json::Num(2.5), Json::Num(-300.0)])
-        );
-        assert_eq!(v.get("s").and_then(Json::as_str), Some("x\"y"));
-        assert_eq!(v.get("t"), Some(&Json::Bool(true)));
-        assert_eq!(v.get("n"), Some(&Json::Null));
-    }
-
-    #[test]
-    fn rejects_garbage() {
-        assert!(parse("").is_err());
-        assert!(parse("{").is_err());
-        assert!(parse("{}extra").is_err());
-        assert!(parse(r#"{"a":}"#).is_err());
-        assert!(parse("[1,]").is_err());
-    }
-
-    #[test]
-    fn parses_a_real_snapshot_envelope() {
-        let doc =
-            r#"{"schema":"asched-bench-snapshot-v2","label":"ctx","metrics":{"a.b":1,"a.c":0.5}}"#;
-        let v = parse(doc).unwrap();
-        assert_eq!(v.get("schema").and_then(Json::as_str).unwrap().len(), 24);
-        let m = v.get("metrics").unwrap();
-        assert_eq!(m.get("a.b").and_then(Json::as_f64), Some(1.0));
-    }
-}
+pub use asched_obs::json::{parse, Json};

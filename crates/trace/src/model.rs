@@ -9,13 +9,17 @@
 //! folded onto the span they happened inside.
 //!
 //! Parsing is tolerant of unknown event tags (forward compatibility)
-//! but strict about span structure: an end without a start, a duplicate
-//! start, or a parent that never started is reported, not ignored —
-//! the acceptance bar for the serving tier is *zero* orphan spans.
+//! but strict about span structure, and is the workspace's one span
+//! checker: an end without a start, a second start or end of a span, a
+//! parent that had not started (a span naming itself included) or an
+//! attribution to an unknown span is reported in [`Trace::orphans`],
+//! and a span never ended in [`Trace::unclosed`] — the acceptance bar
+//! for the serving tier is *zero* of either.
 
 use std::collections::BTreeMap;
 
-use asched_obs::schema::{parse_flat_object, SchemaError, Value};
+use asched_obs::json::Json;
+use asched_obs::schema::{parse_flat_object, SchemaError};
 
 /// One reconstructed span.
 #[derive(Clone, Debug)]
@@ -92,16 +96,16 @@ pub struct Trace {
     pub req_done: Vec<(u64, u64, u64)>,
 }
 
-fn num(map: &BTreeMap<String, Value>, key: &str) -> Option<u64> {
+fn num(map: &BTreeMap<String, Json>, key: &str) -> Option<u64> {
     match map.get(key) {
-        Some(Value::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
+        Some(Json::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
         _ => None,
     }
 }
 
-fn text<'m>(map: &'m BTreeMap<String, Value>, key: &str) -> Option<&'m str> {
+fn text<'m>(map: &'m BTreeMap<String, Json>, key: &str) -> Option<&'m str> {
     match map.get(key) {
-        Some(Value::Str(s)) => Some(s.as_str()),
+        Some(Json::Str(s)) => Some(s.as_str()),
         _ => None,
     }
 }
@@ -134,7 +138,7 @@ impl Trace {
         t
     }
 
-    fn absorb(&mut self, ev: &str, map: &BTreeMap<String, Value>) {
+    fn absorb(&mut self, ev: &str, map: &BTreeMap<String, Json>) {
         match ev {
             "span_start" => {
                 let (Some(id), Some(name)) = (num(map, "span"), text(map, "name")) else {
@@ -215,14 +219,14 @@ impl Trace {
                         }
                     }
                     "cache_query" => match map.get("hit") {
-                        Some(Value::Bool(true)) => {
+                        Some(Json::Bool(true)) => {
                             s.cache_hits += 1;
                             // "warm" is emitted only when true.
-                            if matches!(map.get("warm"), Some(Value::Bool(true))) {
+                            if matches!(map.get("warm"), Some(Json::Bool(true))) {
                                 s.cache_warm_hits += 1;
                             }
                         }
-                        Some(Value::Bool(false)) => s.cache_misses += 1,
+                        Some(Json::Bool(false)) => s.cache_misses += 1,
                         _ => {}
                     },
                     "cache_evict" => s.cache_evictions += 1,
@@ -287,7 +291,7 @@ impl Trace {
     }
 }
 
-fn text_owned(map: &BTreeMap<String, Value>) -> Option<String> {
+fn text_owned(map: &BTreeMap<String, Json>) -> Option<String> {
     text(map, "ev").map(str::to_string)
 }
 
@@ -349,6 +353,35 @@ mod tests {
             Orphan::UnknownAttribution { span: 7, .. }
         ));
         assert_eq!(t.unclosed, vec![5]);
+    }
+
+    #[test]
+    fn reports_duplicate_starts_double_ends_and_self_parents() {
+        let dup = Trace::parse(
+            "{\"ev\":\"span_start\",\"span\":1,\"parent\":null,\"name\":\"a\"}\n\
+             {\"ev\":\"span_start\",\"span\":1,\"parent\":null,\"name\":\"b\"}\n",
+        );
+        assert_eq!(dup.orphans, vec![Orphan::DuplicateStart(1)]);
+        assert_eq!(dup.spans[&1].name, "a", "the first start wins");
+
+        let double_end = Trace::parse(
+            "{\"ev\":\"span_start\",\"span\":1,\"parent\":null,\"name\":\"a\"}\n\
+             {\"ev\":\"span_end\",\"span\":1,\"nanos\":1}\n\
+             {\"ev\":\"span_end\",\"span\":1,\"nanos\":2}\n",
+        );
+        assert_eq!(double_end.orphans, vec![Orphan::DoubleEnd(1)]);
+        assert_eq!(double_end.spans[&1].nanos, Some(1), "the first end wins");
+        assert!(double_end.unclosed.is_empty());
+
+        // A span cannot be its own parent: it has not started yet when
+        // its parent is looked up.
+        let self_parent =
+            Trace::parse("{\"ev\":\"span_start\",\"span\":2,\"parent\":2,\"name\":\"x\"}\n");
+        assert_eq!(
+            self_parent.orphans,
+            vec![Orphan::UnknownParent { span: 2, parent: 2 }]
+        );
+        assert_eq!(self_parent.unclosed, vec![2]);
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! Span telemetry, end to end: golden traces through the real server,
 //! schema acceptance of span events, and byte-fuzz robustness of the
-//! validator and span checker.
+//! validator and the span-forest rebuild (`Trace::parse`, the one span
+//! checker).
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use asched::obs::schema::{check_spans, validate_document, validate_line, SpanError};
+use asched::obs::schema::{validate_document, validate_line};
 use asched::obs::JsonlRecorder;
 use asched::serve::{http_request, Server, ServerConfig};
-use asched::trace::{folded_stacks, Trace};
+use asched::trace::{folded_stacks, Orphan, Trace};
 use proptest::prelude::*;
 
 /// Drive a few requests through a real server with a JSONL recorder
@@ -48,19 +49,15 @@ fn server_traces_form_complete_request_trees() {
     const N: usize = 8;
     let log = server_trace(N);
 
-    // Schema-valid, span-consistent, fully closed.
+    // Schema-valid, span-consistent, fully closed: the analyzer
+    // reconstructs one tree per request with zero orphans.
     validate_document(&log).unwrap_or_else(|(line, err)| panic!("line {line}: {err}"));
-    let report = check_spans(&log).unwrap_or_else(|(line, err)| panic!("line {line}: {err}"));
-    assert!(
-        report.unclosed.is_empty(),
-        "unclosed: {:?}",
-        report.unclosed
-    );
-
-    // The analyzer reconstructs one tree per request, zero orphans.
     let t = Trace::parse(&log);
+    assert!(t.bad_lines.is_empty(), "{:?}", t.bad_lines);
     assert!(t.orphans.is_empty(), "{:?}", t.orphans);
-    assert!(t.unclosed.is_empty());
+    assert!(t.unclosed.is_empty(), "unclosed: {:?}", t.unclosed);
+    // request + queue/read/handle/write + engine + one task, per request.
+    assert_eq!(t.spans.len(), 7 * N);
     let requests = t.roots_named("request");
     assert_eq!(requests.len(), N);
     assert_eq!(t.req_done.len(), N);
@@ -112,7 +109,7 @@ fn golden_span_lines_validate() {
 #[test]
 fn bad_span_fields_are_rejected() {
     // `span` must always be a positive integer; `span_start` needs a
-    // name; mismatched pairs are caught by the cross-line checker.
+    // name; mismatched pairs are caught when the forest is rebuilt.
     for line in [
         r#"{"seq":0,"ev":"span_start","span":0,"parent":null,"name":"x"}"#,
         r#"{"seq":0,"ev":"span_start","span":1,"parent":null}"#,
@@ -124,24 +121,25 @@ fn bad_span_fields_are_rejected() {
     }
 
     let mismatched = "{\"ev\":\"span_start\",\"span\":2,\"parent\":7,\"name\":\"x\"}\n";
-    match check_spans(mismatched) {
-        Err((1, SpanError::UnknownParent { span: 2, parent: 7 })) => {}
-        other => panic!("mismatched pair must be flagged, got {other:?}"),
-    }
+    assert_eq!(
+        Trace::parse(mismatched).orphans,
+        vec![Orphan::UnknownParent { span: 2, parent: 7 }],
+        "mismatched pair must be flagged"
+    );
     let double_end = "{\"ev\":\"span_start\",\"span\":1,\"parent\":null,\"name\":\"x\"}\n\
                       {\"ev\":\"span_end\",\"span\":1,\"nanos\":1}\n\
                       {\"ev\":\"span_end\",\"span\":1,\"nanos\":2}\n";
-    assert!(matches!(
-        check_spans(double_end),
-        Err((3, SpanError::DoubleEnd(1)))
-    ));
+    let t = Trace::parse(double_end);
+    assert_eq!(t.orphans, vec![Orphan::DoubleEnd(1)]);
+    assert_eq!(t.spans.len(), 1);
+    assert!(t.unclosed.is_empty());
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Arbitrary byte soup never panics the validator, the span
-    /// checker, or the trace analyzer — they return errors or skip.
+    /// Arbitrary byte soup never panics the validator or the trace
+    /// analyzer — they return errors or skip.
     #[test]
     fn validators_never_panic_on_soup(lines in proptest::collection::vec(
         proptest::collection::vec(proptest::char::any(), 0..60), 0..8)) {
@@ -151,7 +149,6 @@ proptest! {
             .collect::<Vec<_>>()
             .join("\n");
         let _ = validate_document(&text);
-        let _ = check_spans(&text);
         let _ = Trace::parse(&text);
         for line in text.lines() {
             let _ = validate_line(line);
@@ -179,7 +176,6 @@ proptest! {
             ));
         }
         let _ = validate_document(&text);
-        let _ = check_spans(&text);
         let t = Trace::parse(&text);
         // The analyzer never invents spans.
         prop_assert!(t.spans.len() <= spans.len());
