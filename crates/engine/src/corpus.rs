@@ -17,6 +17,12 @@
 //! the generator's defaults; `w` (window) and `units` (a unit count or
 //! `rs6000`) describe the machine, `label` overrides the default
 //! `kind:seed:wW` label.
+//!
+//! Parameters are checked before any generator runs, so a served
+//! manifest cannot panic a generator or ask it for unbounded work:
+//! `dag` needs `nodes >= blocks >= 1`, `prog` needs `regs` in `1..=32`,
+//! every probability and fraction must be finite and within `[0, 1]`,
+//! and one line generates at most 4,096 nodes.
 
 use asched_graph::MachineModel;
 use asched_ir::{build_trace_graph, LatencyModel};
@@ -42,6 +48,11 @@ impl fmt::Display for CorpusError {
 }
 
 impl std::error::Error for CorpusError {}
+
+/// Most nodes one manifest line may generate. Every manifest in the
+/// repository builds 32 or fewer; the generators' cost grows with the
+/// square of the node count before any deadline applies.
+const MAX_LINE_NODES: usize = 4096;
 
 fn err(line: usize, message: impl Into<String>) -> CorpusError {
     CorpusError {
@@ -85,6 +96,30 @@ impl<'a> Line<'a> {
             Some(v) => v
                 .parse()
                 .map_err(|_| err(self.no, format!("bad value for {key}: {v:?}"))),
+        }
+    }
+
+    /// A probability or fraction: finite and within `[0, 1]`.
+    fn fraction(&mut self, key: &str, default: f64) -> Result<f64, CorpusError> {
+        let v: f64 = self.num(key, default)?;
+        if !(0.0..=1.0).contains(&v) {
+            return Err(err(
+                self.no,
+                format!("{key} must be within [0, 1], got {v}"),
+            ));
+        }
+        Ok(v)
+    }
+
+    /// Reject a line that would generate more than [`MAX_LINE_NODES`]
+    /// nodes (`None`: the count overflowed).
+    fn node_cap(&self, nodes: Option<usize>) -> Result<(), CorpusError> {
+        match nodes {
+            Some(n) if n <= MAX_LINE_NODES => Ok(()),
+            _ => Err(err(
+                self.no,
+                format!("a line may generate at most {MAX_LINE_NODES} nodes"),
+            )),
         }
     }
 
@@ -138,13 +173,24 @@ pub fn parse_manifest(text: &str) -> Result<Vec<TraceTask>, CorpusError> {
                 let p = DagParams {
                     nodes: l.num("nodes", DagParams::default().nodes)?,
                     blocks: l.num("blocks", DagParams::default().blocks)?,
-                    edge_prob: l.num("edge_prob", DagParams::default().edge_prob)?,
-                    cross_prob: l.num("cross_prob", DagParams::default().cross_prob)?,
+                    edge_prob: l.fraction("edge_prob", DagParams::default().edge_prob)?,
+                    cross_prob: l.fraction("cross_prob", DagParams::default().cross_prob)?,
                     max_latency: l.num("max_latency", DagParams::default().max_latency)?,
                     max_exec: l.num("max_exec", DagParams::default().max_exec)?,
-                    class_fraction: l.num("class_fraction", DagParams::default().class_fraction)?,
+                    class_fraction: l
+                        .fraction("class_fraction", DagParams::default().class_fraction)?,
                     seed: l.num("seed", 0)?,
                 };
+                if !(p.nodes >= p.blocks && p.blocks >= 1) {
+                    return Err(err(
+                        no,
+                        format!(
+                            "need nodes >= blocks >= 1, got nodes={} blocks={}",
+                            p.nodes, p.blocks
+                        ),
+                    ));
+                }
+                l.node_cap(Some(p.nodes))?;
                 (random_trace_dag(&p), p.seed)
             }
             "seam" => {
@@ -155,6 +201,12 @@ pub fn parse_manifest(text: &str) -> Result<Vec<TraceTask>, CorpusError> {
                     chain_latency: l.num("chain_latency", SeamParams::default().chain_latency)?,
                     seed: l.num("seed", 0)?,
                 };
+                // Two heads, the fillers, a chain consumer and a producer.
+                l.node_cap(
+                    p.fillers
+                        .checked_add(4)
+                        .and_then(|k| k.checked_mul(p.blocks)),
+                )?;
                 (seam_trace(&p), p.seed)
             }
             "prog" => {
@@ -162,13 +214,19 @@ pub fn parse_manifest(text: &str) -> Result<Vec<TraceTask>, CorpusError> {
                     blocks: l.num("blocks", ProgParams::default().blocks)?,
                     insts_per_block: l.num("insts", ProgParams::default().insts_per_block)?,
                     regs: l.num("regs", ProgParams::default().regs)?,
-                    mem_fraction: l.num("mem", ProgParams::default().mem_fraction)?,
-                    mul_fraction: l.num("mul", ProgParams::default().mul_fraction)?,
+                    mem_fraction: l.fraction("mem", ProgParams::default().mem_fraction)?,
+                    mul_fraction: l.fraction("mul", ProgParams::default().mul_fraction)?,
                     is_loop: false,
                     accumulators: 0,
                     with_branches: l.num::<u8>("branches", 0)? != 0,
                     seed: l.num("seed", 0)?,
                 };
+                if !(1..=32).contains(&p.regs) {
+                    return Err(err(no, format!("regs must be in 1..=32, got {}", p.regs)));
+                }
+                // A branching block ends with a compare and a branch.
+                let per_block = p.insts_per_block.checked_add(2 * p.with_branches as usize);
+                l.node_cap(per_block.and_then(|k| k.checked_mul(p.blocks)))?;
                 let prog = random_program(&p);
                 (build_trace_graph(&prog, &LatencyModel::fig3()), p.seed)
             }
@@ -268,6 +326,40 @@ prog blocks=2 insts=6 seed=5 w=8 units=rs6000 label=hot-loop\n";
         assert_eq!(parse_manifest("\ndag nodes=zz\n").unwrap_err().line, 2);
         assert_eq!(parse_manifest("dag zorp=1\n").unwrap_err().line, 1);
         assert_eq!(parse_manifest("dag w=0\n").unwrap_err().line, 1);
+    }
+
+    #[test]
+    fn out_of_range_parameters_are_rejected_before_generating() {
+        for line in [
+            "dag nodes=0",
+            "dag blocks=0",
+            "dag nodes=5 blocks=10",
+            "dag cross_prob=nan",
+            "dag edge_prob=1.5",
+            "dag class_fraction=-0.1",
+            "dag edge_prob=inf",
+            "dag nodes=10000000 blocks=4",
+            "dag nodes=4097 blocks=1",
+            "seam blocks=1000 fillers=1000",
+            "seam blocks=2 fillers=18446744073709551615",
+            "prog regs=0",
+            "prog regs=33",
+            "prog mul=nan",
+            "prog mem=2",
+            "prog blocks=100 insts=100",
+            "prog blocks=2 insts=18446744073709551615 branches=1",
+        ] {
+            let e = parse_manifest(&format!("# ok\n{line} w=2\n")).unwrap_err();
+            assert_eq!(e.line, 2, "{line}: {e}");
+        }
+        // The bounds themselves are accepted.
+        let text = "dag nodes=4096 blocks=4096 edge_prob=0 cross_prob=1\n\
+                    seam blocks=512 fillers=4\n\
+                    prog blocks=2 insts=3 regs=32 mem=1 mul=0 branches=1\n";
+        let tasks = parse_manifest(text).unwrap();
+        assert_eq!(tasks[0].graph.len(), MAX_LINE_NODES);
+        assert_eq!(tasks[1].graph.len(), MAX_LINE_NODES);
+        assert_eq!(tasks[2].graph.len(), 10);
     }
 
     #[test]

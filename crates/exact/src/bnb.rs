@@ -92,9 +92,9 @@ pub(crate) fn solve(
     let (height, asap) = {
         let analysis = ctx.cache.analysis(g, mask).map_err(ExactError::Cyclic)?;
         let mut h_by_id = vec![0u64; g.len()];
-        for &id in analysis.order.iter().rev() {
+        for &id in analysis.order().iter().rev() {
             let mut tail = 0u64;
-            for &(s, lat) in &analysis.succs[id.index()] {
+            for &(s, lat) in analysis.succs(id) {
                 tail = tail.max(lat as u64 + h_by_id[s.index()]);
             }
             h_by_id[id.index()] = g.exec_time(id) as u64 + tail;

@@ -47,9 +47,9 @@ pub fn critical_path_bound(
     let analysis = ctx.cache.analysis(g, mask)?;
     let mut best = 0u64;
     let mut h = vec![0u64; g.len()];
-    for &id in analysis.order.iter().rev() {
+    for &id in analysis.order().iter().rev() {
         let mut tail = 0u64;
-        for &(s, lat) in &analysis.succs[id.index()] {
+        for &(s, lat) in analysis.succs(id) {
             tail = tail.max(lat as u64 + h[s.index()]);
         }
         let height = g.exec_time(id) as u64 + tail;
@@ -77,13 +77,13 @@ pub fn earliest_starts(
     est.clear();
     est.resize(g.len(), 0);
     if let Some(rel) = release {
-        for &id in &analysis.order {
+        for &id in analysis.order() {
             est[id.index()] = rel[id.index()];
         }
     }
-    for &id in &analysis.order {
+    for &id in analysis.order() {
         let done = est[id.index()] + g.exec_time(id) as u64;
-        for &(s, lat) in &analysis.succs[id.index()] {
+        for &(s, lat) in analysis.succs(id) {
             let ready = done + lat as u64;
             if ready > est[s.index()] {
                 est[s.index()] = ready;

@@ -11,7 +11,11 @@
 //! * [`AnalysisCache`] — a small memo of derived analyses keyed by
 //!   `(graph stamp, mask)`. The stamp ([`DepGraph::stamp`]) is refreshed
 //!   on every graph mutation, so stale entries can never be returned;
-//!   they simply stop matching and age out of the FIFO.
+//!   they simply stop matching and age out of the FIFO. Each
+//!   [`Analysis`] is stored flat over the mask's *local ids*
+//!   `0..|mask|`, so a miss costs O(|mask|²/64 + in-mask edges) however
+//!   large the graph is, and once the cache is full a miss computes into
+//!   the buffers of the entry it evicts: a warm miss allocates nothing.
 //! * [`Scratch`] — the working vectors of the rank/list/idle/sim hot
 //!   loops, resized (never shrunk) per call so that a warmed-up context
 //!   runs those loops without touching the allocator.
@@ -25,9 +29,8 @@
 
 use crate::graph::DepGraph;
 use crate::node::NodeId;
-use crate::reach::descendants_with_order;
-use crate::set::NodeSet;
-use crate::topo::{topo_order, CycleError};
+use crate::set::{set_bits, NodeSet};
+use crate::topo::CycleError;
 use asched_obs::Recorder;
 use std::collections::HashMap;
 
@@ -111,21 +114,188 @@ impl<'a> SchedOpts<'a> {
 
 /// Derived analyses of one `(graph, mask)` pair, computed once and
 /// shared by every rank run on that pair.
-#[derive(Clone, Debug)]
+///
+/// Stored flat over *local ids* `0..|mask|`, numbered in global-id order:
+/// one arena of descendant rows (`|mask|` rows of `⌈|mask|/64⌉` words)
+/// and CSR successor lists, so its size and the cost of building it
+/// follow the mask, not the graph. The accessors take and return global
+/// [`NodeId`]s; a node outside the mask has no descendants and no
+/// successors.
+#[derive(Clone, Debug, Default)]
 pub struct Analysis {
+    /// Stamp of the analysed graph.
+    stamp: u64,
+    /// The analysed mask.
+    mask: NodeSet,
+    /// Mask members in the words before each mask word: the local id of
+    /// `x` is `before[w]` plus the members below `x` in word `w`.
+    before: Vec<u32>,
+    /// Mask members by local id (increasing global id).
+    nodes: Vec<NodeId>,
     /// Topological order of the masked subgraph (loop-independent edges).
-    pub order: Vec<NodeId>,
-    /// Strict-descendant bitsets, indexed by `NodeId::index()`.
-    pub desc: Vec<NodeSet>,
-    /// Deduplicated max-latency successor lists restricted to the mask,
-    /// indexed by `NodeId::index()` (empty outside the mask).
-    pub succs: Vec<Vec<(NodeId, u32)>>,
+    order: Vec<NodeId>,
+    /// Words per descendant row.
+    row_words: usize,
+    /// Strict-descendant rows: bit `j` of row `i` is set iff local `j`
+    /// is a descendant of local `i`.
+    desc_bits: Vec<u64>,
+    /// Offsets of each local id's successors in `succ_list`, plus the end.
+    succ_start: Vec<u32>,
+    /// Deduplicated max-latency successors restricted to the mask.
+    succ_list: Vec<(NodeId, u32)>,
 }
 
-struct CacheEntry {
-    stamp: u64,
-    mask: NodeSet,
-    analysis: Analysis,
+impl Analysis {
+    /// Topological order of the masked subgraph (loop-independent edges).
+    #[inline]
+    pub fn order(&self) -> &[NodeId] {
+        &self.order
+    }
+
+    /// Strict descendants of `x` within the mask, in increasing id order.
+    pub fn desc(&self, x: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let row: &[u64] = if self.mask.contains(x) {
+            let i = self.local(x) * self.row_words;
+            &self.desc_bits[i..i + self.row_words]
+        } else {
+            &[]
+        };
+        set_bits(row).map(|j| self.nodes[j])
+    }
+
+    /// Immediate loop-independent successors of `x` within the mask,
+    /// deduplicated with the max latency among parallel edges (the same
+    /// list as [`DepGraph::succs_in`]).
+    pub fn succs(&self, x: NodeId) -> &[(NodeId, u32)] {
+        if !self.mask.contains(x) {
+            return &[];
+        }
+        let i = self.local(x);
+        &self.succ_list[self.succ_start[i] as usize..self.succ_start[i + 1] as usize]
+    }
+
+    /// The local id of mask member `x`.
+    #[inline]
+    fn local(&self, x: NodeId) -> usize {
+        let (w, b) = (x.index() / 64, x.index() % 64);
+        let below = self.mask.words()[w] & ((1u64 << b) - 1);
+        self.before[w] as usize + below.count_ones() as usize
+    }
+
+    /// Recompute this analysis for `(g, mask)` in place, reusing every
+    /// buffer. On a cycle the contents are unspecified.
+    fn compute(
+        &mut self,
+        g: &DepGraph,
+        mask: &NodeSet,
+        kahn: &mut KahnScratch,
+    ) -> Result<(), CycleError> {
+        self.stamp = g.stamp();
+        self.mask.clone_from(mask);
+        self.before.clear();
+        let mut members = 0u32;
+        for &w in mask.words() {
+            self.before.push(members);
+            members += w.count_ones();
+        }
+        self.nodes.clear();
+        self.nodes.extend(mask.iter());
+        let m = self.nodes.len();
+
+        // Successor lists in first-edge order, parallel edges folded to
+        // their max latency (as `DepGraph::succs_in`).
+        self.succ_start.clear();
+        self.succ_list.clear();
+        for &x in &self.nodes {
+            let row = self.succ_list.len();
+            self.succ_start.push(row as u32);
+            for e in g.out_edges_li(x) {
+                if !mask.contains(e.dst) {
+                    continue;
+                }
+                match self.succ_list[row..].iter_mut().find(|(d, _)| *d == e.dst) {
+                    Some((_, lat)) => *lat = (*lat).max(e.latency),
+                    None => self.succ_list.push((e.dst, e.latency)),
+                }
+            }
+        }
+        self.succ_start.push(self.succ_list.len() as u32);
+
+        // Kahn's algorithm with `topo_order`'s choices: the ready queue
+        // starts sorted by stable key and each pop appends its newly
+        // ready successors in stable-key order. Keys are unique, so the
+        // unstable sorts are deterministic and allocation-free.
+        let KahnScratch {
+            indeg,
+            queue,
+            newly,
+        } = kahn;
+        indeg.clear();
+        indeg.resize(m, 0);
+        for &(s, _) in &self.succ_list {
+            indeg[self.local(s)] += 1;
+        }
+        let key = |i: &u32| g.stable_key(self.nodes[*i as usize]);
+        queue.clear();
+        queue.extend((0..m as u32).filter(|&i| indeg[i as usize] == 0));
+        queue.sort_unstable_by_key(key);
+        let mut cursor = 0;
+        while cursor < queue.len() {
+            let i = queue[cursor] as usize;
+            cursor += 1;
+            newly.clear();
+            for k in self.succ_start[i]..self.succ_start[i + 1] {
+                let j = self.local(self.succ_list[k as usize].0);
+                indeg[j] -= 1;
+                if indeg[j] == 0 {
+                    newly.push(j as u32);
+                }
+            }
+            newly.sort_unstable_by_key(key);
+            queue.extend_from_slice(newly);
+        }
+        if queue.len() != m {
+            let i = indeg
+                .iter()
+                .position(|&k| k > 0)
+                .expect("cycle implies a node with nonzero in-degree");
+            return Err(CycleError {
+                witness: self.nodes[i],
+            });
+        }
+        self.order.clear();
+        self.order
+            .extend(queue.iter().map(|&i| self.nodes[i as usize]));
+
+        // Descendant rows by one reverse-topological sweep of row unions.
+        let rw = m.div_ceil(64);
+        self.row_words = rw;
+        self.desc_bits.clear();
+        self.desc_bits.resize(m * rw, 0);
+        for &i in queue.iter().rev() {
+            let i = i as usize;
+            for k in self.succ_start[i]..self.succ_start[i + 1] {
+                let j = self.local(self.succ_list[k as usize].0);
+                self.desc_bits[i * rw + j / 64] |= 1 << (j % 64);
+                for w in 0..rw {
+                    self.desc_bits[i * rw + w] |= self.desc_bits[j * rw + w];
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Working vectors of [`Analysis::compute`]'s topological sort, indexed
+/// by local id.
+#[derive(Debug, Default)]
+struct KahnScratch {
+    /// Unpopped in-mask predecessors per node.
+    indeg: Vec<u32>,
+    /// The ready queue; once the sort completes, the order itself.
+    queue: Vec<u32>,
+    /// Successors made ready by the current pop.
+    newly: Vec<u32>,
 }
 
 /// Default number of `(graph, mask)` analyses kept per context. Plenty
@@ -140,10 +310,16 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 16;
 /// Because a stamp is refreshed on every mutation, invalidation is
 /// implicit: a mutated graph can never hit a stale entry. Lookups on the
 /// hit path are allocation-free (a linear scan of at most
-/// `capacity` entries comparing stamp and bitset words).
+/// `capacity` entries comparing stamp and bitset words). A miss computes
+/// into spare buffers; once the cache is full, eviction hands the oldest
+/// entry's buffers to the next miss, so misses stop allocating once the
+/// buffers have grown to the masks in use.
 pub struct AnalysisCache {
-    entries: Vec<CacheEntry>,
+    entries: Vec<Analysis>,
     capacity: usize,
+    /// The buffers the next miss computes into.
+    spare: Analysis,
+    kahn: KahnScratch,
     hits: u64,
     misses: u64,
 }
@@ -159,6 +335,8 @@ impl AnalysisCache {
         AnalysisCache {
             entries: Vec::new(),
             capacity: capacity.max(1),
+            spare: Analysis::default(),
+            kahn: KahnScratch::default(),
             hits: 0,
             misses: 0,
         }
@@ -175,24 +353,16 @@ impl AnalysisCache {
             .position(|e| e.stamp == g.stamp() && &e.mask == mask)
         {
             self.hits += 1;
-            return Ok(&self.entries[i].analysis);
+            return Ok(&self.entries[i]);
         }
         self.misses += 1;
-        let order = topo_order(g, mask)?;
-        let desc = descendants_with_order(g, mask, &order);
-        let mut succs = vec![Vec::new(); g.len()];
-        for id in mask.iter() {
-            succs[id.index()] = g.succs_in(id, mask);
-        }
+        self.spare.compute(g, mask, &mut self.kahn)?;
+        let fresh = std::mem::take(&mut self.spare);
         if self.entries.len() >= self.capacity {
-            self.entries.remove(0); // FIFO: oldest first
+            self.spare = self.entries.remove(0); // FIFO: oldest first
         }
-        self.entries.push(CacheEntry {
-            stamp: g.stamp(),
-            mask: mask.clone(),
-            analysis: Analysis { order, desc, succs },
-        });
-        Ok(&self.entries.last().expect("just pushed").analysis)
+        self.entries.push(fresh);
+        Ok(self.entries.last().expect("just pushed"))
     }
 
     /// Number of cache hits served so far.
@@ -231,19 +401,30 @@ impl Default for AnalysisCache {
     }
 }
 
-/// Scratch vectors of the greedy list scheduler.
+/// Scratch state of the greedy list scheduler, indexed by *position*
+/// in the mask's priority list.
 #[derive(Debug, Default)]
 pub struct ListScratch {
-    /// Priority order filtered to the mask.
+    /// The mask's nodes in priority order; positions in it are the
+    /// pass's local ids. Callers load it before a pass.
     pub order: Vec<NodeId>,
+    /// Position of each mask node in `order`, indexed by
+    /// `NodeId::index()` (stale outside the mask).
+    pub pos: Vec<u32>,
     /// Next free cycle per functional unit.
     pub unit_free: Vec<u64>,
-    /// Unscheduled-predecessor counts per node.
-    pub preds_left: Vec<usize>,
-    /// Earliest start per node.
+    /// Unscheduled in-mask predecessor edges per position.
+    pub preds_left: Vec<u32>,
+    /// Earliest start per position (final once `preds_left` is 0).
     pub est: Vec<u64>,
-    /// Already-issued flags per node.
-    pub done: Vec<bool>,
+    /// Bitset of positions ready to issue at the current cycle.
+    pub ready: Vec<u64>,
+    /// Positions with no predecessor left whose earliest start is ahead.
+    pub pending: Vec<u32>,
+    /// Start cycle per position: the schedule under construction.
+    pub start: Vec<u64>,
+    /// Functional unit per position.
+    pub unit: Vec<u32>,
 }
 
 /// Scratch state of the lookahead-window simulator.
@@ -278,9 +459,8 @@ pub struct Scratch {
     pub ds: Vec<NodeId>,
     /// Per-unit earliest-completion bound in backward packing.
     pub unit_earliest: Vec<i64>,
-    /// Rank-priority order buffer.
-    pub prio: Vec<NodeId>,
-    /// List-scheduler scratch.
+    /// List-scheduler scratch; Rank builds its priority list in
+    /// `list.order`.
     pub list: ListScratch,
     /// Per-block release-time buffer (trace scheduling).
     pub release: Vec<u64>,
@@ -372,10 +552,11 @@ mod tests {
         let mask = g.all_nodes();
         let mut cache = AnalysisCache::new();
         let a = cache.analysis(&g, &mask).unwrap();
-        assert_eq!(a.order, topo_order(&g, &mask).unwrap());
-        assert_eq!(a.desc, crate::reach::descendants(&g, &mask).unwrap());
+        assert_eq!(a.order(), crate::topo::topo_order(&g, &mask).unwrap());
+        let desc = crate::reach::descendants(&g, &mask).unwrap();
         for id in mask.iter() {
-            assert_eq!(a.succs[id.index()], g.succs_in(id, &mask));
+            assert!(a.desc(id).eq(desc[id.index()].iter()));
+            assert_eq!(a.succs(id), g.succs_in(id, &mask));
         }
     }
 
@@ -405,7 +586,9 @@ mod tests {
         assert_eq!(cache.len(), 2);
         // Sub-mask analysis really is restricted.
         let a = cache.analysis(&g, &sub).unwrap();
-        assert_eq!(a.order.len(), 2);
+        assert_eq!(a.order().len(), 2);
+        assert!(a.desc(NodeId(2)).next().is_none(), "n2 is outside the mask");
+        assert!(a.succs(NodeId(2)).is_empty());
     }
 
     #[test]
@@ -413,7 +596,7 @@ mod tests {
         let mut g = diamond();
         let mask = g.all_nodes();
         let mut cache = AnalysisCache::new();
-        let before = cache.analysis(&g, &mask).unwrap().desc[0].len();
+        let before = cache.analysis(&g, &mask).unwrap().desc(NodeId(0)).count();
         assert_eq!(before, 3);
         // New edge extends nobody's descendants (parallel), but the
         // stamp must still change and force a recompute.
@@ -450,6 +633,23 @@ mod tests {
         let mut cache = AnalysisCache::new();
         assert!(cache.analysis(&g, &mask).is_err());
         assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn failed_miss_leaves_the_spare_reusable() {
+        // A cyclic mask fails halfway through computing into the spare
+        // buffers; the next miss must still compute from scratch.
+        let mut g = diamond();
+        g.add_dep(NodeId(3), NodeId(1), 0);
+        let mut cache = AnalysisCache::with_capacity(1);
+        let all = g.all_nodes();
+        assert!(cache.analysis(&g, &all).is_err());
+        let acyclic = NodeSet::from_iter_with_universe(g.len(), [NodeId(0), NodeId(1), NodeId(2)]);
+        let a = cache.analysis(&g, &acyclic).unwrap();
+        assert_eq!(a.order(), [NodeId(0), NodeId(1), NodeId(2)]);
+        assert!(a.desc(NodeId(0)).eq([NodeId(1), NodeId(2)]));
+        assert_eq!(a.succs(NodeId(0)), [(NodeId(1), 1), (NodeId(2), 2)]);
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

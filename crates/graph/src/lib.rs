@@ -51,7 +51,7 @@ pub use edge::{DepEdge, DepKind};
 pub use graph::DepGraph;
 pub use machine::{FuClass, MachineModel};
 pub use node::{BlockId, NodeData, NodeId};
-pub use reach::{ancestors, descendants, descendants_with_order};
+pub use reach::{ancestors, descendants};
 pub use schedule::Schedule;
 pub use set::NodeSet;
 pub use topo::{topo_order, CycleError};

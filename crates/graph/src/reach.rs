@@ -13,20 +13,11 @@ use crate::topo::{topo_order, CycleError};
 /// `mask` (transitive successors over distance-0 edges).
 ///
 /// The returned vector is indexed by `NodeId::index()`; entries for nodes
-/// outside `mask` are empty sets.
+/// outside `mask` are empty sets. This is the plain reference form; the
+/// scheduling hot paths read the mask-local rows of the cached
+/// [`crate::Analysis`] instead.
 pub fn descendants(g: &DepGraph, mask: &NodeSet) -> Result<Vec<NodeSet>, CycleError> {
     let order = topo_order(g, mask)?;
-    Ok(descendants_with_order(g, mask, &order))
-}
-
-/// [`descendants`] reusing a topological order the caller already
-/// computed — the Rank Algorithm needs both, and sorting twice per rank
-/// run would double the topo cost in merge's relaxation loops.
-pub fn descendants_with_order(
-    g: &DepGraph,
-    mask: &NodeSet,
-    order: &[crate::NodeId],
-) -> Vec<NodeSet> {
     let mut desc = vec![NodeSet::new(g.len()); g.len()];
     for &id in order.iter().rev() {
         let mut acc = NodeSet::new(g.len());
@@ -38,7 +29,7 @@ pub fn descendants_with_order(
         }
         desc[id.index()] = acc;
     }
-    desc
+    Ok(desc)
 }
 
 /// For each node in `mask`, the set of its strict ancestors within `mask`

@@ -9,7 +9,7 @@ use crate::node::NodeId;
 use std::fmt;
 
 /// A set of [`NodeId`]s backed by a dense bitset.
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
+#[derive(PartialEq, Eq, Hash, Default)]
 pub struct NodeSet {
     words: Vec<u64>,
     /// Number of node ids the set can address (capacity, not cardinality).
@@ -50,6 +50,12 @@ impl NodeSet {
     #[inline]
     pub fn universe(&self) -> usize {
         self.universe
+    }
+
+    /// The bitset words: id `i` is bit `i % 64` of word `i / 64`.
+    #[inline]
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
     }
 
     /// Empty the set and re-target it at `universe` ids, keeping the
@@ -157,18 +163,39 @@ impl NodeSet {
 
     /// Iterate members in increasing id order.
     pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut bits = w;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    None
-                } else {
-                    let b = bits.trailing_zeros();
-                    bits &= bits - 1;
-                    Some(NodeId((wi * 64) as u32 + b))
-                }
-            })
+        set_bits(&self.words).map(|i| NodeId(i as u32))
+    }
+}
+
+/// The indices of the set bits of `words` in increasing order (bit `i`
+/// is bit `i % 64` of word `i / 64`).
+pub(crate) fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(wi, &w)| {
+        let mut bits = w;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                None
+            } else {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                Some(wi * 64 + b)
+            }
         })
+    })
+}
+
+impl Clone for NodeSet {
+    fn clone(&self) -> Self {
+        NodeSet {
+            words: self.words.clone(),
+            universe: self.universe,
+        }
+    }
+
+    /// Reuses `self`'s word buffer: no allocation when it is big enough.
+    fn clone_from(&mut self, source: &Self) {
+        self.words.clone_from(&source.words);
+        self.universe = source.universe;
     }
 }
 

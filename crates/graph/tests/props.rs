@@ -1,7 +1,8 @@
 //! Property tests for the graph substrate.
 
 use asched_graph::{
-    ancestors, descendants, heights, topo_order, BlockId, DepGraph, NodeId, NodeSet,
+    ancestors, descendants, heights, topo_order, AnalysisCache, BlockId, DepGraph, DepKind, NodeId,
+    NodeSet,
 };
 use proptest::prelude::*;
 
@@ -30,6 +31,86 @@ fn arb_dag() -> impl Strategy<Value = DepGraph> {
         }
         g
     })
+}
+
+/// A deterministic xorshift stream.
+fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+    let mut state = seed | 1;
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    }
+}
+
+/// Random DAG of up to `max_n` nodes, large enough for descendant rows
+/// of several words, with parallel edges of different latencies and
+/// loop-carried back edges (which analyses must ignore).
+fn arb_wide_dag(max_n: usize) -> impl Strategy<Value = DepGraph> {
+    (2usize..max_n, any::<u64>(), 0.01f64..0.15).prop_map(|(n, seed, density)| {
+        let mut g = DepGraph::new();
+        for i in 0..n {
+            g.add_simple(format!("n{i}"), BlockId((i / 8) as u32));
+        }
+        let mut next = xorshift(seed);
+        for i in 0..n {
+            for j in (i + 1)..n {
+                if (next() % 1000) as f64 / 1000.0 < density {
+                    let (src, dst) = (NodeId(i as u32), NodeId(j as u32));
+                    g.add_dep(src, dst, (next() % 4) as u32);
+                    if next().is_multiple_of(4) {
+                        g.add_dep(src, dst, (next() % 4) as u32);
+                    }
+                    if next().is_multiple_of(8) {
+                        g.add_edge(dst, src, 1, 1, DepKind::Data);
+                    }
+                }
+            }
+        }
+        g
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The cached analysis, stored flat over mask-local ids, reads back
+    /// as the plain reference forms for random non-contiguous masks:
+    /// `order()` is `topo_order`, `desc(x)` is `descendants`' set and
+    /// `succs(x)` is `DepGraph::succs_in` (both empty outside the mask).
+    /// A two-entry cache makes later masks, of other sizes, compute into
+    /// the buffers FIFO eviction recycled; earlier hits must survive it.
+    #[test]
+    fn cached_analysis_matches_reference(
+        g in arb_wide_dag(150),
+        seeds in proptest::collection::vec(any::<u64>(), 3..8),
+    ) {
+        let mut cache = AnalysisCache::with_capacity(2);
+        let mut masks: Vec<NodeSet> = Vec::new();
+        for &seed in &seeds {
+            let mut next = xorshift(seed);
+            let keep = 1 + next() % 4;
+            masks.push(NodeSet::from_iter_with_universe(
+                g.len(),
+                g.node_ids().filter(|_| next() % 4 < keep),
+            ));
+        }
+        for (k, mask) in masks.iter().enumerate() {
+            // Revisit the previous mask too: a hit after a recycle.
+            for mask in [mask, &masks[k.saturating_sub(1)]] {
+                let a = cache.analysis(&g, mask).unwrap();
+                prop_assert_eq!(a.order(), &topo_order(&g, mask).unwrap()[..]);
+                let desc = descendants(&g, mask).unwrap();
+                for id in g.node_ids() {
+                    prop_assert!(a.desc(id).eq(desc[id.index()].iter()), "desc({})", id);
+                    let succs = if mask.contains(id) { g.succs_in(id, mask) } else { Vec::new() };
+                    prop_assert_eq!(a.succs(id), &succs[..], "succs({})", id);
+                }
+            }
+        }
+        prop_assert!(cache.len() <= 2);
+    }
 }
 
 proptest! {

@@ -2,10 +2,21 @@
 //!
 //! Step 3 of the Rank Algorithm, and the engine behind every baseline
 //! scheduler: given a total priority order over the nodes, at each cycle
-//! scan the list and start every ready instruction on a free compatible
+//! start every ready instruction, in priority order, on a free compatible
 //! unit. The scheduler never leaves a unit idle when some ready
 //! instruction could use it — the *greedy* property the paper's Ordering
 //! Constraint (Definition 2.3) refers to.
+//!
+//! The pass is event-driven and works in *positions* of the priority
+//! list (local ids `0..|mask|`): a bitset of ready positions is scanned
+//! in priority order, a node whose predecessors are done waits in a
+//! pending list until its earliest start arrives, and time jumps to the
+//! next unit-free cycle or pending start. The cycles it visits and the
+//! `(start, unit)` it gives each node are those of a scan over the whole
+//! list at every cycle; only the cost differs. Every working vector and
+//! the schedule under construction live in the context's
+//! [`ListScratch`], so on a warm context a pass allocates nothing until
+//! its result is packed into a [`Schedule`].
 //!
 //! Inside the Rank Algorithm the pass also receives the deadlines and
 //! stops at the first assignment that completes after its node's
@@ -14,7 +25,7 @@
 //! infeasible probes of `merge` and `Delay_Idle_Slots` — most Rank runs
 //! in the multi-unit regime — pay only for the prefix up to the miss. A
 //! pass that finishes has met every deadline. The check is one
-//! comparison per assignment; nothing is scanned per cycle.
+//! comparison per assignment.
 
 use crate::deadline::Deadlines;
 use asched_graph::{
@@ -42,22 +53,20 @@ pub fn list_schedule(
     priority: &[NodeId],
     opts: &SchedOpts,
 ) -> Schedule {
-    match list_schedule_into(
-        &mut ctx.scratch.list,
-        g,
-        mask,
-        machine,
-        priority,
-        opts.release,
-        None,
-    ) {
-        Ok(sched) => sched,
+    let ls = &mut ctx.scratch.list;
+    ls.order.clear();
+    ls.order
+        .extend(priority.iter().copied().filter(|&id| mask.contains(id)));
+    match list_schedule_into(ls, g, mask, machine, opts.release, None) {
+        Ok(()) => built_schedule(ls, g),
         Err(_) => unreachable!("a pass without deadlines cannot miss one"),
     }
 }
 
-/// The greedy scheduler proper, working out of a [`ListScratch`] so
-/// rank-internal callers can hold other scratch fields across the call.
+/// The greedy scheduler proper, working out of a [`ListScratch`] whose
+/// `order` the caller has loaded with the mask's nodes in priority
+/// order. The schedule is left in the scratch; [`built_schedule`] packs
+/// it.
 ///
 /// With `deadlines`, the pass returns `Err(node)` as soon as it assigns
 /// a node that completes after its deadline; `Ok` then means every
@@ -67,71 +76,106 @@ pub(crate) fn list_schedule_into(
     g: &DepGraph,
     mask: &NodeSet,
     machine: &MachineModel,
-    priority: &[NodeId],
     release: Option<&[u64]>,
     deadlines: Option<&Deadlines>,
-) -> Result<Schedule, NodeId> {
+) -> Result<(), NodeId> {
     let ListScratch {
-        order: prio,
+        order,
+        pos,
         unit_free,
         preds_left,
         est,
-        done,
+        ready,
+        pending,
+        start,
+        unit,
     } = ls;
-    prio.clear();
-    prio.extend(priority.iter().copied().filter(|&id| mask.contains(id)));
-    debug_assert_eq!(prio.len(), mask.len(), "priority must cover the mask");
-
-    let mut sched = Schedule::new(g.len());
-    unit_free.clear();
-    unit_free.resize(machine.num_units(), 0);
-    // Remaining unscheduled predecessor count per node (within mask).
-    preds_left.clear();
-    preds_left.resize(g.len(), 0);
-    for id in mask.iter() {
-        // Raw edge count (parallel edges counted separately): the issue
-        // loop below decrements once per raw edge.
-        preds_left[id.index()] = g.in_edges_li(id).filter(|e| mask.contains(e.src)).count();
+    let m = order.len();
+    assert_eq!(m, mask.len(), "priority must cover the mask");
+    if pos.len() < g.len() {
+        pos.resize(g.len(), 0);
     }
-    // Earliest start by dependences, valid once preds_left == 0.
+    for (p, &x) in order.iter().enumerate() {
+        pos[x.index()] = p as u32;
+    }
+    preds_left.clear();
     est.clear();
-    est.resize(g.len(), 0);
-    if let Some(rel) = release {
-        for id in mask.iter() {
-            est[id.index()] = rel[id.index()];
+    for &x in order.iter() {
+        // Raw edge count (parallel edges counted separately): issuing a
+        // node decrements once per raw edge.
+        preds_left.push(g.in_edges_li(x).filter(|e| mask.contains(e.src)).count() as u32);
+        est.push(release.map_or(0, |rel| rel[x.index()]));
+    }
+    ready.clear();
+    ready.resize(m.div_ceil(64), 0);
+    // Every node with no predecessor left waits in `pending` until its
+    // earliest start, the least of which is `next_release`.
+    pending.clear();
+    let mut next_release = u64::MAX;
+    for p in 0..m {
+        if preds_left[p] == 0 {
+            pending.push(p as u32);
+            next_release = next_release.min(est[p]);
         }
     }
-    let mut remaining = mask.len();
-    done.clear();
-    done.resize(g.len(), false);
+    start.clear();
+    start.resize(m, 0);
+    unit.clear();
+    unit.resize(m, 0);
+    unit_free.clear();
+    unit_free.resize(machine.num_units(), 0);
 
+    let mut remaining = m;
     let mut t: u64 = 0;
     while remaining > 0 {
-        let mut issued = false;
-        for &x in prio.iter() {
-            if done[x.index()] || preds_left[x.index()] > 0 || est[x.index()] > t {
-                continue;
-            }
-            // A ready node: find a free compatible unit.
-            let class = g.node(x).class;
-            let unit = machine.units_for(class).find(|&u| unit_free[u] <= t);
-            let Some(u) = unit else { continue };
-            let exec = g.exec_time(x);
-            let completion = t + exec as u64;
-            if deadlines.is_some_and(|d| completion as i64 > d.get(x)) {
-                return Err(x);
-            }
-            sched.assign(x, t, u, exec);
-            unit_free[u] = completion;
-            done[x.index()] = true;
-            remaining -= 1;
-            issued = true;
-            for e in g.out_edges_li(x) {
-                if mask.contains(e.dst) && !done[e.dst.index()] {
-                    preds_left[e.dst.index()] -= 1;
-                    let ready = completion + e.latency as u64;
-                    if ready > est[e.dst.index()] {
-                        est[e.dst.index()] = ready;
+        if next_release <= t {
+            next_release = u64::MAX;
+            pending.retain(|&p| {
+                let p = p as usize;
+                if est[p] <= t {
+                    ready[p / 64] |= 1 << (p % 64);
+                    return false;
+                }
+                next_release = next_release.min(est[p]);
+                true
+            });
+        }
+        // Issue ready nodes in priority order while some unit is free.
+        // A node issued now completes after `t`, so its successors
+        // become pending, never ready at this cycle.
+        let mut free = unit_free.iter().filter(|&&f| f <= t).count();
+        for (wi, word) in ready.iter_mut().enumerate() {
+            let mut bits = *word;
+            while bits != 0 && free > 0 {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let p = wi * 64 + b;
+                let x = order[p];
+                let class = g.node(x).class;
+                let Some(u) = machine.units_for(class).find(|&u| unit_free[u] <= t) else {
+                    continue;
+                };
+                let exec = g.exec_time(x);
+                let completion = t + exec as u64;
+                if deadlines.is_some_and(|d| completion as i64 > d.get(x)) {
+                    return Err(x);
+                }
+                *word &= !(1 << b);
+                start[p] = t;
+                unit[p] = u as u32;
+                unit_free[u] = completion;
+                free -= 1;
+                remaining -= 1;
+                for e in g.out_edges_li(x) {
+                    if !mask.contains(e.dst) {
+                        continue;
+                    }
+                    let q = pos[e.dst.index()] as usize;
+                    est[q] = est[q].max(completion + e.latency as u64);
+                    preds_left[q] -= 1;
+                    if preds_left[q] == 0 {
+                        pending.push(q as u32);
+                        next_release = next_release.min(est[q]);
                     }
                 }
             }
@@ -139,43 +183,40 @@ pub(crate) fn list_schedule_into(
         if remaining == 0 {
             break;
         }
-        // Advance to the next event: a unit freeing up or a node becoming
-        // ready. If we issued something this cycle, re-scan at t+1 (new
-        // readiness may have appeared for zero-latency edges only at
-        // completion times, which the event scan below also finds).
-        let mut next = u64::MAX;
-        for &f in unit_free.iter() {
-            if f > t {
-                next = next.min(f);
-            }
-        }
-        for id in mask.iter() {
-            if !done[id.index()] && preds_left[id.index()] == 0 && est[id.index()] > t {
-                next = next.min(est[id.index()]);
-            }
-        }
+        // Advance to the next event: a unit freeing up or a pending
+        // node's earliest start. Nothing changes in between.
+        let next = unit_free
+            .iter()
+            .copied()
+            .filter(|&f| f > t)
+            .fold(next_release, u64::min);
         if next == u64::MAX {
-            if !issued {
-                // Nothing issued and no future event: some pending node
-                // has no compatible unit on this machine — a machine/
-                // graph mismatch. Fail loudly rather than spin forever.
-                let stuck = mask
-                    .iter()
-                    .find(|&id| !done[id.index()] && preds_left[id.index()] == 0)
-                    .expect("a DAG always has a source pending");
-                panic!(
-                    "no functional unit on this machine can run node {stuck} \
-                     (class {:?})",
-                    g.node(stuck).class
-                );
-            }
-            // This cycle's issues created the next work; step one cycle.
-            next = t + 1;
+            // No future event: some ready node has no compatible unit on
+            // this machine — a machine/graph mismatch. Fail loudly
+            // rather than spin forever.
+            let stuck = (0..m)
+                .filter(|&p| ready[p / 64] & (1 << (p % 64)) != 0)
+                .map(|p| order[p])
+                .min()
+                .expect("a DAG always has a source pending");
+            panic!(
+                "no functional unit on this machine can run node {stuck} \
+                 (class {:?})",
+                g.node(stuck).class
+            );
         }
-        debug_assert!(next > t, "time must advance");
         t = next;
     }
-    Ok(sched)
+    Ok(())
+}
+
+/// The schedule a finished [`list_schedule_into`] pass built.
+pub(crate) fn built_schedule(ls: &ListScratch, g: &DepGraph) -> Schedule {
+    let mut sched = Schedule::new(g.len());
+    for (p, &x) in ls.order.iter().enumerate() {
+        sched.assign(x, ls.start[p], ls.unit[p] as usize, g.exec_time(x));
+    }
+    sched
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@
 //! scratch so a warmed-up context computes ranks without allocating.
 
 use crate::deadline::Deadlines;
-use crate::list::list_schedule_into;
+use crate::list::{built_schedule, list_schedule_into};
 use asched_graph::{AnalysisCache, BackwardMode, CycleError, SchedCtx, SchedOpts, Scratch};
 use asched_graph::{DepGraph, MachineModel, NodeId, NodeSet, Schedule};
 use std::fmt;
@@ -153,7 +153,7 @@ pub(crate) fn compute_ranks_into(
     urgency.clear();
     urgency.resize(n, u32::MAX);
 
-    for &x in analysis.order.iter().rev() {
+    for &x in analysis.order().iter().rev() {
         // Gather descendants sorted by decreasing rank (ranks are already
         // final: reverse topological order). Among equal ranks, fill the
         // *latest* slots with the descendants whose placement constrains
@@ -165,12 +165,12 @@ pub(crate) fn compute_ranks_into(
         // ties break on the stable source key for determinism — the key
         // is unique per node, so the comparator is a total order and the
         // (allocation-free) unstable sort is deterministic.
-        let succs = &analysis.succs[x.index()];
+        let succs = analysis.succs(x);
         for &(s, lat) in succs {
             urgency[s.index()] = lat;
         }
         ds.clear();
-        ds.extend(analysis.desc[x.index()].iter());
+        ds.extend(analysis.desc(x));
         ds.sort_unstable_by(|&a, &b| {
             rank[b.index()]
                 .cmp(&rank[a.index()])
@@ -333,41 +333,37 @@ fn rank_schedule_inner(
         opts.backward,
     )?;
     let Scratch {
-        rank: ranks,
-        prio,
-        list,
-        ..
+        rank: ranks, list, ..
     } = &mut ctx.scratch;
-    rank_priority_into(prio, g, mask, ranks);
     // Both greedy passes get the deadlines and stop at the first miss,
-    // so an infeasible run pays only for the prefix up to it.
-    if let Ok(schedule) = list_schedule_into(list, g, mask, machine, prio, opts.release, Some(d)) {
-        return Ok(RankOutput {
-            schedule,
-            ranks: ranks.clone(),
-            priority: prio.clone(),
+    // so an infeasible run pays only for the prefix up to it, and both
+    // lists live in the list scratch: an infeasible run on a warm
+    // context allocates nothing.
+    rank_priority_into(&mut list.order, g, mask, ranks);
+    if list_schedule_into(list, g, mask, machine, opts.release, Some(d)).is_err() {
+        // The rank list missed a deadline. Backward-schedule
+        // tie-breaking makes our rank computation slightly pessimistic
+        // in rare cases; before declaring infeasibility, try the
+        // earliest-deadline-first list (ties by rank, then source
+        // order), which meets deadlines in some of the instances the
+        // rank list does not. The comparator is a total order, so
+        // re-sorting the rank list in place gives the same list as
+        // sorting the mask.
+        list.order.sort_unstable_by(|&a, &b| {
+            d.get(a)
+                .cmp(&d.get(b))
+                .then_with(|| ranks[a.index()].cmp(&ranks[b.index()]))
+                .then_with(|| g.stable_key(a).cmp(&g.stable_key(b)))
         });
+        if let Err(node) = list_schedule_into(list, g, mask, machine, opts.release, Some(d)) {
+            return Err(RankError::Infeasible { node });
+        }
     }
-    // The rank list missed a deadline. Backward-schedule tie-breaking
-    // makes our rank computation slightly pessimistic in rare cases;
-    // before declaring infeasibility, try the earliest-deadline-first
-    // list (ties by rank, then source order), which meets deadlines in
-    // some of the instances the rank list does not.
-    let mut edf: Vec<NodeId> = mask.iter().collect();
-    edf.sort_unstable_by(|&a, &b| {
-        d.get(a)
-            .cmp(&d.get(b))
-            .then_with(|| ranks[a.index()].cmp(&ranks[b.index()]))
-            .then_with(|| g.stable_key(a).cmp(&g.stable_key(b)))
-    });
-    match list_schedule_into(list, g, mask, machine, &edf, opts.release, Some(d)) {
-        Ok(schedule) => Ok(RankOutput {
-            schedule,
-            ranks: ranks.clone(),
-            priority: edf,
-        }),
-        Err(node) => Err(RankError::Infeasible { node }),
-    }
+    Ok(RankOutput {
+        schedule: built_schedule(list, g),
+        ranks: ranks.clone(),
+        priority: list.order.clone(),
+    })
 }
 
 /// [`rank_schedule`] with unconstrained deadlines and default options: a

@@ -126,6 +126,134 @@ fn reference_rank_schedule(
     meets(&s).then_some((s, ranks, edf))
 }
 
+/// The greedy list pass as a scan over the whole priority list at every
+/// cycle, one cycle at a time: the reference the event-driven pass must
+/// reproduce. `Err` carries the first node assigned past its deadline.
+fn scan_list_pass(
+    g: &DepGraph,
+    mask: &NodeSet,
+    machine: &MachineModel,
+    priority: &[NodeId],
+    release: Option<&[u64]>,
+    d: Option<&Deadlines>,
+) -> Result<Schedule, NodeId> {
+    let prio: Vec<NodeId> = priority
+        .iter()
+        .copied()
+        .filter(|&id| mask.contains(id))
+        .collect();
+    let mut sched = Schedule::new(g.len());
+    let mut unit_free = vec![0u64; machine.num_units()];
+    let mut preds_left = vec![0usize; g.len()];
+    let mut est = vec![0u64; g.len()];
+    let mut done = vec![false; g.len()];
+    for id in mask.iter() {
+        preds_left[id.index()] = g.in_edges_li(id).filter(|e| mask.contains(e.src)).count();
+        est[id.index()] = release.map_or(0, |r| r[id.index()]);
+    }
+    let mut remaining = prio.len();
+    let mut t = 0u64;
+    while remaining > 0 {
+        for &x in &prio {
+            if done[x.index()] || preds_left[x.index()] > 0 || est[x.index()] > t {
+                continue;
+            }
+            let class = g.node(x).class;
+            let Some(u) = machine.units_for(class).find(|&u| unit_free[u] <= t) else {
+                continue;
+            };
+            let completion = t + g.exec_time(x) as u64;
+            if d.is_some_and(|d| completion as i64 > d.get(x)) {
+                return Err(x);
+            }
+            sched.assign(x, t, u, g.exec_time(x));
+            unit_free[u] = completion;
+            done[x.index()] = true;
+            remaining -= 1;
+            for e in g.out_edges_li(x) {
+                if mask.contains(e.dst) && !done[e.dst.index()] {
+                    preds_left[e.dst.index()] -= 1;
+                    let ready = completion + e.latency as u64;
+                    est[e.dst.index()] = est[e.dst.index()].max(ready);
+                }
+            }
+        }
+        t += 1;
+    }
+    Ok(sched)
+}
+
+/// A shuffle of every graph node (so the list also carries nodes outside
+/// the mask) and a random mask of about three quarters of them.
+fn priority_and_mask(g: &DepGraph, seed: u64) -> (Vec<NodeId>, NodeSet) {
+    let mut next = xorshift(seed);
+    let mut prio: Vec<NodeId> = g.node_ids().collect();
+    for i in (1..prio.len()).rev() {
+        prio.swap(i, (next() % (i as u64 + 1)) as usize);
+    }
+    let mask = NodeSet::from_iter_with_universe(
+        g.len(),
+        g.node_ids().filter(|_| !next().is_multiple_of(4)),
+    );
+    (prio, mask)
+}
+
+/// `list_schedule` from a priority list with outside nodes, and
+/// `rank_schedule` under deadline sets around the unconstrained makespan
+/// `T` (some with nodes pinned tighter), against [`scan_list_pass`]: the
+/// same `(start, unit)` per node and makespan, the same priority list
+/// when the deadlines are met and the same witness node when they are
+/// not.
+fn assert_list_pass_matches_scan(g: &DepGraph, machine: &MachineModel, release: &[u64], seed: u64) {
+    let (prio, mask) = priority_and_mask(g, seed);
+    let opts = SchedOpts::default().with_release(release);
+    let mut ctx = SchedCtx::new();
+    let got = list_schedule(&mut ctx, g, &mask, machine, &prio, &opts);
+    let want = scan_list_pass(g, &mask, machine, &prio, Some(release), None).unwrap();
+    assert_eq!(got.makespan(), want.makespan());
+    assert_eq!(&got, &want);
+
+    let t = want.makespan() as i64 + release.iter().copied().max().unwrap_or(0) as i64;
+    let mut next = xorshift(seed ^ 0x9E37);
+    for variant in 0..8 {
+        let mut d = Deadlines::uniform(g, &mask, t + variant % 3 - 1);
+        for _ in 0..variant / 2 {
+            let victim = NodeId((next() % g.len() as u64) as u32);
+            d.set(victim, 1 + (next() % t.max(1) as u64) as i64);
+        }
+        let ranks = compute_ranks(&mut ctx, g, &mask, machine, &d, &opts)
+            .unwrap()
+            .to_vec();
+        let rank_list = rank_priority(g, &mask, &ranks);
+        let mut edf: Vec<NodeId> = mask.iter().collect();
+        edf.sort_by(|&a, &b| {
+            d.get(a)
+                .cmp(&d.get(b))
+                .then_with(|| ranks[a.index()].cmp(&ranks[b.index()]))
+                .then_with(|| g.stable_key(a).cmp(&g.stable_key(b)))
+        });
+        let want = scan_list_pass(g, &mask, machine, &rank_list, Some(release), Some(&d))
+            .map(|s| (s, rank_list))
+            .or_else(|_| {
+                scan_list_pass(g, &mask, machine, &edf, Some(release), Some(&d)).map(|s| (s, edf))
+            });
+        match (rank_schedule(&mut ctx, g, &mask, machine, &d, &opts), want) {
+            (Ok(out), Ok((schedule, priority))) => {
+                assert_eq!(out.schedule, schedule);
+                assert_eq!(out.priority, priority);
+            }
+            (Err(RankError::Infeasible { node }), Err(witness)) => {
+                assert_eq!(node, witness, "variant {}", variant);
+            }
+            (got, want) => panic!(
+                "variant {variant}: rank_schedule feasible {} vs scan feasible {}",
+                got.is_ok(),
+                want.is_ok()
+            ),
+        }
+    }
+}
+
 /// An `idle_move` event's fields: unit, slot, new start, moved.
 type IdleMove = (u32, u64, Option<u64>, bool);
 
@@ -338,6 +466,24 @@ proptest! {
                 ),
             }
         }
+    }
+
+    /// The event-driven list pass reproduces the per-cycle scan (see
+    /// [`assert_list_pass_matches_scan`]) on the multi-unit instances
+    /// with release times.
+    #[test]
+    fn list_pass_matches_per_cycle_scan(
+        (g, m, release) in arb_multi_unit(24),
+        seed in any::<u64>(),
+    ) {
+        assert_list_pass_matches_scan(&g, &m, &release, seed);
+    }
+
+    /// The same on one unit with 0/1 latencies and no release times.
+    #[test]
+    fn list_pass_matches_per_cycle_scan_on_one_unit(g in arb_dag01(24), seed in any::<u64>()) {
+        let release = vec![0; g.len()];
+        assert_list_pass_matches_scan(&g, &MachineModel::single_unit(2), &release, seed);
     }
 
     /// `delay_idle_slots` with its cheap refutations reproduces the

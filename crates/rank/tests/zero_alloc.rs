@@ -2,11 +2,17 @@
 //! a given (graph, mask), repeated `compute_ranks` calls run without a
 //! single heap allocation — the analysis cache holds the topo order,
 //! descendant bitsets and successor lists, and every scratch buffer is
-//! recycled at its high-water size. Verified with a counting global
-//! allocator, the same technique as `asched-obs`'s null-recorder test.
+//! recycled at its high-water size. An analysis miss on a new mask of a
+//! shape the context has seen computes into the buffers of the entry it
+//! evicts, and an infeasible `rank_schedule` run keeps both greedy
+//! passes in the list scratch, so neither allocates either. Verified
+//! with a counting global allocator, the same technique as
+//! `asched-obs`'s null-recorder test.
 
-use asched_graph::{BlockId, DepGraph, MachineModel, NodeId, SchedCtx, SchedOpts};
-use asched_rank::{compute_ranks, Deadlines};
+use asched_graph::{
+    BlockId, DepGraph, MachineModel, NodeId, NodeSet, SchedCtx, SchedOpts, DEFAULT_CACHE_CAPACITY,
+};
+use asched_rank::{compute_ranks, rank_schedule, Deadlines, RankError};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -153,4 +159,80 @@ fn tightened_deadlines_stay_on_the_warm_path() {
         }
     });
     assert_eq!(n, 0, "deadline changes must not leave the warm path");
+}
+
+#[test]
+fn warm_analysis_miss_does_not_allocate() {
+    // Blocks that are copies of one 24-node pattern (plus edges into the
+    // next block, outside any block mask): every block mask is a new
+    // cache key with the same size and in-mask edge count, like the
+    // `old`, `new` and `old ∪ new` masks of merge on a long trace.
+    const BLOCK: usize = 24;
+    let blocks = DEFAULT_CACHE_CAPACITY + 8;
+    let pattern = trace(BLOCK, BLOCK);
+    let mut g = DepGraph::new();
+    for b in 0..blocks {
+        for i in 0..BLOCK {
+            g.add_simple(format!("b{b}n{i}"), BlockId(b as u32));
+        }
+    }
+    for b in 0..blocks {
+        let base = (b * BLOCK) as u32;
+        for e in pattern.edges() {
+            g.add_dep(NodeId(base + e.src.0), NodeId(base + e.dst.0), e.latency);
+        }
+        if b + 1 < blocks {
+            g.add_dep(NodeId(base), NodeId(base + BLOCK as u32), 1);
+        }
+    }
+    let masks: Vec<NodeSet> = (0..blocks)
+        .map(|b| g.block_nodes(BlockId(b as u32)))
+        .collect();
+    let machine = MachineModel::rs6000_like(4);
+    let d = Deadlines::uniform(&g, &g.all_nodes(), g.len() as i64 * 4);
+    let opts = SchedOpts::default();
+
+    let mut ctx = SchedCtx::new();
+    // Cold: fill the cache past capacity, so eviction has handed an
+    // entry's buffers back for the next miss.
+    let warm = DEFAULT_CACHE_CAPACITY + 2;
+    for mask in &masks[..warm] {
+        compute_ranks(&mut ctx, &g, mask, &machine, &d, &opts).unwrap();
+    }
+    let misses = ctx.cache.misses();
+    let (n, _) = allocations(|| {
+        for mask in &masks[warm..] {
+            compute_ranks(&mut ctx, &g, mask, &machine, &d, &opts).unwrap();
+        }
+    });
+    assert_eq!(ctx.cache.misses() - misses, (blocks - warm) as u64);
+    assert_eq!(n, 0, "warm analysis misses allocated {n} times");
+}
+
+#[test]
+fn infeasible_rank_run_does_not_allocate() {
+    // Deadlines no schedule meets: the rank-list pass and the
+    // earliest-deadline-first retry both miss.
+    let g = trace(256, 8);
+    let mask = NodeSet::from_iter_with_universe(g.len(), (40..64).map(NodeId));
+    let machine = MachineModel::rs6000_like(4);
+    let d = Deadlines::uniform(&g, &mask, 2);
+    let opts = SchedOpts::default();
+
+    let mut ctx = SchedCtx::new();
+    let Err(RankError::Infeasible { node: witness }) =
+        rank_schedule(&mut ctx, &g, &mask, &machine, &d, &opts)
+    else {
+        panic!("deadline 2 on a 24-node mask must be infeasible");
+    };
+    let (n, witnesses) = allocations(|| {
+        let mut same = true;
+        for _ in 0..20 {
+            let again = rank_schedule(&mut ctx, &g, &mask, &machine, &d, &opts);
+            same &= matches!(again, Err(RankError::Infeasible { node }) if node == witness);
+        }
+        same
+    });
+    assert!(witnesses, "every rerun must report the same witness");
+    assert_eq!(n, 0, "infeasible rank runs allocated {n} times");
 }

@@ -84,6 +84,15 @@ fn malformed_bodies_get_400() {
         ),
         ("this is not anything\n", &[]),
         ("dag nodes=8 w=2\n", &[("X-Asched-Format", "csv")]),
+        // Out-of-range generator parameters: each used to panic the
+        // generator (a 500) or, for the last, run ~5·10^13 iterations.
+        ("dag nodes=0 w=2\n", &[]),
+        ("dag blocks=0 w=2\n", &[]),
+        ("dag nodes=5 blocks=10 w=2\n", &[]),
+        ("dag cross_prob=nan w=2\n", &[]),
+        ("prog regs=0 w=2\n", &[]),
+        ("prog mul=nan w=2\n", &[]),
+        ("dag nodes=10000000 w=2\n", &[]),
     ] {
         let resp = post_schedule(addr, body, headers);
         assert_eq!(resp.status, 400, "{body:?} → {}", resp.text());

@@ -9,8 +9,10 @@
 //! symmetric drift ratio `max(base/new, new/base)` against the factor
 //! of the longest matching `--threshold` prefix (default
 //! `--default-threshold`, 2.0). `FACTOR` may be `inf` to exempt a
-//! prefix. Metrics missing from NEW fail the diff (they stopped being
-//! measured); metrics only in NEW are reported but never fail.
+//! prefix. A snapshot's `profile.counters` are compared too, as
+//! `profile.<name>`. Metrics missing from NEW fail the diff (they
+//! stopped being measured); metrics only in NEW are reported but never
+//! fail.
 //!
 //! Exit status: 0 when everything is within threshold, 1 on any
 //! regression or removed metric, 2 on usage / IO errors.

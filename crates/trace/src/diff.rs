@@ -1,7 +1,9 @@
 //! Bench-snapshot regression diffing (`asched-bench-diff`).
 //!
 //! Two `BENCH_*.json` snapshots (the envelope `snapshot_json` writes:
-//! `{"schema":..., "label":..., "metrics":{name: number, ...}}`) are
+//! `{"schema":..., "label":..., "metrics":{name: number, ...}}`, plus
+//! an optional run `profile` whose deterministic work `counters` are
+//! compared as `profile.<name>`) are
 //! compared metric by metric with a *symmetric ratio*:
 //! `max(a/b, b/a)` — so a 2x slowdown and a 2x speedup both read as
 //! ratio 2.0, and thresholds bound drift in either direction (a
@@ -56,11 +58,20 @@ impl DiffOutcome {
     }
 }
 
-/// Extract the flat `metrics` map from a snapshot document.
+/// Extract the flat metric map from a snapshot document: the `metrics`
+/// block, plus every `profile.counters` entry as `profile.<name>` when
+/// the snapshot carries a run profile. The counters are deterministic
+/// work counts (Rank runs, idle-move attempts, merge probes, cache
+/// traffic), so a counter missing from the new snapshot fails like a
+/// removed metric.
 pub fn load_metrics(text: &str) -> Result<BTreeMap<String, f64>, String> {
     let doc = parse(text)?;
     let Some(Json::Obj(metrics)) = doc.get("metrics") else {
         return Err("snapshot has no \"metrics\" object".into());
+    };
+    let counters = match doc.get("profile").and_then(|p| p.get("counters")) {
+        Some(Json::Obj(counters)) => Some(counters),
+        _ => None,
     };
     let mut out = BTreeMap::new();
     for (name, value) in metrics {
@@ -68,6 +79,12 @@ pub fn load_metrics(text: &str) -> Result<BTreeMap<String, f64>, String> {
             .as_f64()
             .ok_or_else(|| format!("metric {name:?} is not a number"))?;
         out.insert(name.clone(), v);
+    }
+    for (name, value) in counters.into_iter().flatten() {
+        let v = value
+            .as_f64()
+            .ok_or_else(|| format!("counter {name:?} is not a number"))?;
+        out.insert(format!("profile.{name}"), v);
     }
     Ok(out)
 }
@@ -217,6 +234,38 @@ mod tests {
         assert_eq!(m, map(&[("a", 1.0), ("b", 2.5)]));
         assert!(load_metrics(r#"{"label":"x"}"#).is_err());
         assert!(load_metrics("not json").is_err());
+    }
+
+    #[test]
+    fn profile_counters_are_gated_as_metrics() {
+        let base = load_metrics(
+            r#"{"metrics":{"a":1},"profile":{"counters":{"rank_runs":1908,"merge_probes":616},"passes":[]}}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            base,
+            map(&[
+                ("a", 1.0),
+                ("profile.merge_probes", 616.0),
+                ("profile.rank_runs", 1908.0)
+            ])
+        );
+        // One more Rank run fails an exact gate; a dropped counter
+        // fails like a removed metric.
+        let more = load_metrics(
+            r#"{"metrics":{"a":1},"profile":{"counters":{"rank_runs":1909,"merge_probes":616}}}"#,
+        )
+        .unwrap();
+        let d = diff_metrics(&base, &more, &[], 1.0);
+        let bad: Vec<&str> = d.regressions().map(|r| r.name.as_str()).collect();
+        assert_eq!(bad, vec!["profile.rank_runs"]);
+        let fewer =
+            load_metrics(r#"{"metrics":{"a":1},"profile":{"counters":{"rank_runs":1908}}}"#)
+                .unwrap();
+        let d = diff_metrics(&base, &fewer, &[], 1.0);
+        assert_eq!(d.removed, vec!["profile.merge_probes".to_string()]);
+        assert!(!d.passed());
+        assert!(load_metrics(r#"{"metrics":{},"profile":{"counters":{"x":"y"}}}"#).is_err());
     }
 
     #[test]
