@@ -15,14 +15,15 @@
 //! [`random_program`] lowered through `asched-ir`'s dependence
 //! analysis with the paper's Figure-3 latencies. Unspecified keys keep
 //! the generator's defaults; `w` (window) and `units` (a unit count or
-//! `rs6000`) describe the machine, `label` overrides the default
-//! `kind:seed:wW` label.
+//! `rs6000`) describe the machine ([`machine_spec`]), `label` overrides
+//! the default `kind:seed:wW` label.
 //!
 //! Parameters are checked before any generator runs, so a served
 //! manifest cannot panic a generator or ask it for unbounded work:
 //! `dag` needs `nodes >= blocks >= 1`, `prog` needs `regs` in `1..=32`,
 //! every probability and fraction must be finite and within `[0, 1]`,
-//! and one line generates at most 4,096 nodes.
+//! latencies and execution times are at most 64 cycles, a machine has
+//! at most 64 units, and one line generates at most 4,096 nodes.
 
 use asched_graph::MachineModel;
 use asched_ir::{build_trace_graph, LatencyModel};
@@ -53,6 +54,17 @@ impl std::error::Error for CorpusError {}
 /// repository builds 32 or fewer; the generators' cost grows with the
 /// square of the node count before any deadline applies.
 const MAX_LINE_NODES: usize = 4096;
+
+/// Most functional units a machine spec may name. The largest machine
+/// in the repository has four (`rs6000`); every list pass walks all
+/// units per node, and the unit table is allocated up front.
+const MAX_UNITS: usize = 64;
+
+/// Largest latency or execution time, in cycles, one manifest key may
+/// ask for. The repository's experiments use at most 4; idle-slot
+/// queries and `chop`'s busy map cost time and memory linear in the
+/// makespan, which grows with these values.
+const MAX_CYCLES: u32 = 64;
 
 fn err(line: usize, message: impl Into<String>) -> CorpusError {
     CorpusError {
@@ -111,6 +123,18 @@ impl<'a> Line<'a> {
         Ok(v)
     }
 
+    /// A latency or execution time: at most [`MAX_CYCLES`].
+    fn cycles(&mut self, key: &str, default: u32) -> Result<u32, CorpusError> {
+        let v: u32 = self.num(key, default)?;
+        if v > MAX_CYCLES {
+            return Err(err(
+                self.no,
+                format!("{key} must be at most {MAX_CYCLES} cycles, got {v}"),
+            ));
+        }
+        Ok(v)
+    }
+
     /// Reject a line that would generate more than [`MAX_LINE_NODES`]
     /// nodes (`None`: the count overflowed).
     fn node_cap(&self, nodes: Option<usize>) -> Result<(), CorpusError> {
@@ -133,24 +157,36 @@ impl<'a> Line<'a> {
     }
 }
 
-fn machine_of(line: &mut Line<'_>) -> Result<MachineModel, CorpusError> {
-    let w: usize = line.num("w", 4)?;
-    if w < 1 {
-        return Err(err(line.no, "w must be >= 1"));
-    }
-    let machine = match line.get("units") {
-        None => MachineModel::single_unit(w),
-        Some("rs6000") => MachineModel::rs6000_like(w),
+/// The machine named by a window `w` and a `units` spec, as manifest
+/// lines and `POST /v1/schedule` query strings write them.
+///
+/// `w` defaults to 4 and must be a positive integer. Without `units`
+/// the machine has one universal unit; `rs6000` is
+/// [`MachineModel::rs6000_like`]; a number `n` in `1..=64` is `n`
+/// uniform universal units.
+pub fn machine_spec(w: Option<&str>, units: Option<&str>) -> Result<MachineModel, String> {
+    let w: usize = match w {
+        None => 4,
+        Some(v) => v
+            .parse()
+            .ok()
+            .filter(|&w| w >= 1)
+            .ok_or_else(|| format!("w must be a positive integer, got {v:?}"))?,
+    };
+    match units {
+        None => Ok(MachineModel::single_unit(w)),
+        Some("rs6000") => Ok(MachineModel::rs6000_like(w)),
         Some(v) => {
             let n: usize = v
                 .parse()
                 .ok()
-                .filter(|&n| n >= 1)
-                .ok_or_else(|| err(line.no, format!("bad value for units: {v:?}")))?;
-            MachineModel::uniform(n, w)
+                .filter(|n| (1..=MAX_UNITS).contains(n))
+                .ok_or_else(|| {
+                    format!("units must be \"rs6000\" or an integer in 1..={MAX_UNITS}, got {v:?}")
+                })?;
+            Ok(MachineModel::uniform(n, w))
         }
-    };
-    Ok(machine)
+    }
 }
 
 /// Parse a corpus manifest into tasks. Blank lines and `#` comments are
@@ -166,7 +202,7 @@ pub fn parse_manifest(text: &str) -> Result<Vec<TraceTask>, CorpusError> {
         let words: Vec<&str> = line.split_whitespace().collect();
         let (kind, rest) = words.split_first().expect("non-empty line");
         let mut l = Line::parse(no, rest)?;
-        let machine = machine_of(&mut l)?;
+        let machine = machine_spec(l.get("w"), l.get("units")).map_err(|e| err(no, e))?;
         let label_override = l.get("label").map(str::to_owned);
         let (graph, seed) = match *kind {
             "dag" => {
@@ -175,8 +211,8 @@ pub fn parse_manifest(text: &str) -> Result<Vec<TraceTask>, CorpusError> {
                     blocks: l.num("blocks", DagParams::default().blocks)?,
                     edge_prob: l.fraction("edge_prob", DagParams::default().edge_prob)?,
                     cross_prob: l.fraction("cross_prob", DagParams::default().cross_prob)?,
-                    max_latency: l.num("max_latency", DagParams::default().max_latency)?,
-                    max_exec: l.num("max_exec", DagParams::default().max_exec)?,
+                    max_latency: l.cycles("max_latency", DagParams::default().max_latency)?,
+                    max_exec: l.cycles("max_exec", DagParams::default().max_exec)?,
                     class_fraction: l
                         .fraction("class_fraction", DagParams::default().class_fraction)?,
                     seed: l.num("seed", 0)?,
@@ -197,8 +233,9 @@ pub fn parse_manifest(text: &str) -> Result<Vec<TraceTask>, CorpusError> {
                 let p = SeamParams {
                     blocks: l.num("blocks", SeamParams::default().blocks)?,
                     fillers: l.num("fillers", SeamParams::default().fillers)?,
-                    seam_latency: l.num("seam_latency", SeamParams::default().seam_latency)?,
-                    chain_latency: l.num("chain_latency", SeamParams::default().chain_latency)?,
+                    seam_latency: l.cycles("seam_latency", SeamParams::default().seam_latency)?,
+                    chain_latency: l
+                        .cycles("chain_latency", SeamParams::default().chain_latency)?,
                     seed: l.num("seed", 0)?,
                 };
                 // Two heads, the fillers, a chain consumer and a producer.
@@ -348,6 +385,14 @@ prog blocks=2 insts=6 seed=5 w=8 units=rs6000 label=hot-loop\n";
             "prog mem=2",
             "prog blocks=100 insts=100",
             "prog blocks=2 insts=18446744073709551615 branches=1",
+            "dag units=0",
+            "dag units=65",
+            "dag units=1000000000000",
+            "dag max_latency=65",
+            "dag max_latency=4294967295",
+            "dag max_exec=65",
+            "seam seam_latency=65",
+            "seam chain_latency=20000000",
         ] {
             let e = parse_manifest(&format!("# ok\n{line} w=2\n")).unwrap_err();
             assert_eq!(e.line, 2, "{line}: {e}");
@@ -355,11 +400,14 @@ prog blocks=2 insts=6 seed=5 w=8 units=rs6000 label=hot-loop\n";
         // The bounds themselves are accepted.
         let text = "dag nodes=4096 blocks=4096 edge_prob=0 cross_prob=1\n\
                     seam blocks=512 fillers=4\n\
-                    prog blocks=2 insts=3 regs=32 mem=1 mul=0 branches=1\n";
+                    prog blocks=2 insts=3 regs=32 mem=1 mul=0 branches=1\n\
+                    dag nodes=8 max_latency=64 max_exec=64 units=64\n\
+                    seam seam_latency=64 chain_latency=64\n";
         let tasks = parse_manifest(text).unwrap();
         assert_eq!(tasks[0].graph.len(), MAX_LINE_NODES);
         assert_eq!(tasks[1].graph.len(), MAX_LINE_NODES);
         assert_eq!(tasks[2].graph.len(), 10);
+        assert_eq!(tasks[3].machine.units.len(), MAX_UNITS);
     }
 
     #[test]

@@ -24,8 +24,7 @@
 //!   once in the frame (outside the CRC) and once inside the payload.
 //!   A mismatch means the frame was damaged without breaking the CRC
 //!   framing; that record alone is dropped and the load continues.
-//! - **Domain-stamped.** The header embeds
-//!   [`FINGERPRINT_DOMAIN`](crate::fingerprint::FINGERPRINT_DOMAIN),
+//! - **Domain-stamped.** The header embeds [`FINGERPRINT_DOMAIN`],
 //!   so a file written under an older fingerprint scheme is rejected
 //!   wholesale instead of silently mis-keying entries.
 //!

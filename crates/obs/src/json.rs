@@ -5,7 +5,7 @@
 //! strings, nulls and pre-rendered nested values. [`parse`] reads any
 //! JSON document back into a [`Json`] tree — JSONL trace lines (which
 //! [`crate::schema::parse_flat_object`] then checks are flat),
-//! `BENCH_*.json` snapshots, service-model files and server responses.
+//! `BENCH_*.json` snapshots and server responses.
 //! Nesting deeper than `MAX_DEPTH` (128) levels is a parse error, so
 //! hostile input cannot overflow the stack.
 

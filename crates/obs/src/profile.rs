@@ -186,8 +186,7 @@ impl Histogram {
             })
     }
 
-    /// Render as the JSON object embedded in profiles, snapshots and
-    /// the service-time model emitted by `asched-trace --calibrate`:
+    /// Render as the JSON object embedded in profiles and snapshots:
     /// `{"count":..,"sum":..,"min":..,"max":..,"buckets":[{"lo","hi","n"},..]}`.
     pub fn to_json(&self) -> String {
         let mut o = JsonObject::new();

@@ -3,18 +3,13 @@
 //! ```text
 //! asched-load (--addr HOST:PORT | --spawn WORKERS)
 //!             [--requests N] [--clients N] [--seed S]
-//!             [--rate RPS --duration SECS] [--arrival uniform|poisson]
 //!             [--queue N] [--deadline-ms MS] [--timeout-ms MS]
 //!             [--cache-file FILE] [--cache-compare LABEL]
 //!             [--snapshot LABEL] [--trace FILE]
 //! ```
 //!
-//! Default drive is closed loop: `--clients` threads push `--requests`
-//! distinct bodies, retrying 503s after the server's `Retry-After`.
-//! With `--rate`/`--duration` the run is open loop instead (503s
-//! counted, not retried); `--arrival poisson` paces it with the seeded
-//! Poisson process the fleet simulator uses (seeded by `--seed`), so a
-//! real run replays a simulated scenario's arrivals. `--spawn N`
+//! The drive is a closed loop: `--clients` threads push `--requests`
+//! bodies, retrying 503s after the server's `Retry-After`. `--spawn N`
 //! starts an in-process server with `N` workers on an ephemeral port —
 //! handy for CI, which then needs no background process management;
 //! `--queue`/`--deadline-ms` tune that spawned server. `--trace FILE`
@@ -42,9 +37,7 @@ use std::time::Duration;
 
 use asched_bench::report::snapshot_json;
 use asched_obs::{JsonlRecorder, NullRecorder, Recorder};
-use asched_serve::{
-    run_closed_loop, run_open_loop, synth_request_bodies, Arrival, LoadReport, Server, ServerConfig,
-};
+use asched_serve::{run_closed_loop, synth_request_bodies, LoadReport, Server, ServerConfig};
 
 struct Args {
     addr: Option<String>,
@@ -52,9 +45,6 @@ struct Args {
     requests: usize,
     clients: usize,
     seed: u64,
-    rate: Option<f64>,
-    duration_secs: u64,
-    arrival: Option<String>,
     queue: usize,
     deadline_ms: Option<u64>,
     timeout_ms: u64,
@@ -71,9 +61,6 @@ fn parse_args() -> Result<Args, String> {
         requests: 500,
         clients: 8,
         seed: 42,
-        rate: None,
-        duration_secs: 5,
-        arrival: None,
         queue: 64,
         deadline_ms: None,
         timeout_ms: 10_000,
@@ -96,9 +83,6 @@ fn parse_args() -> Result<Args, String> {
             "--requests" => args.requests = num!("--requests"),
             "--clients" => args.clients = num!("--clients"),
             "--seed" => args.seed = num!("--seed"),
-            "--rate" => args.rate = Some(num!("--rate")),
-            "--duration" => args.duration_secs = num!("--duration"),
-            "--arrival" => args.arrival = Some(val("--arrival")?),
             "--queue" => args.queue = num!("--queue"),
             "--deadline-ms" => args.deadline_ms = Some(num!("--deadline-ms")),
             "--timeout-ms" => args.timeout_ms = num!("--timeout-ms"),
@@ -110,8 +94,6 @@ fn parse_args() -> Result<Args, String> {
                 println!(
                     "usage: asched-load (--addr HOST:PORT | --spawn WORKERS)\n\
                      \x20                  [--requests N] [--clients N] [--seed S]\n\
-                     \x20                  [--rate RPS --duration SECS]\n\
-                     \x20                  [--arrival uniform|poisson]\n\
                      \x20                  [--queue N] [--deadline-ms MS] [--timeout-ms MS]\n\
                      \x20                  [--cache-file FILE] [--cache-compare LABEL]\n\
                      \x20                  [--snapshot LABEL] [--trace FILE]"
@@ -124,21 +106,15 @@ fn parse_args() -> Result<Args, String> {
     if args.addr.is_some() == args.spawn.is_some() {
         return Err("pass exactly one of --addr or --spawn".into());
     }
-    if args.arrival.is_some() && args.rate.is_none() {
-        return Err("--arrival shapes the open loop; it requires --rate".into());
-    }
     if args.trace.is_some() && args.spawn.is_none() {
         return Err("--trace records the spawned server's events; it requires --spawn".into());
     }
     if args.cache_file.is_some() && args.spawn.is_none() {
         return Err("--cache-file configures the spawned server; it requires --spawn".into());
     }
-    if args.cache_compare.is_some()
-        && (args.spawn.is_none() || args.rate.is_some() || args.cache_file.is_some())
-    {
+    if args.cache_compare.is_some() && (args.spawn.is_none() || args.cache_file.is_some()) {
         return Err(
-            "--cache-compare runs its own closed-loop spawns; it requires --spawn and \
-             excludes --rate/--cache-file"
+            "--cache-compare runs its own spawns; it requires --spawn and excludes --cache-file"
                 .into(),
         );
     }
@@ -169,7 +145,7 @@ fn print_report(r: &LoadReport) {
 }
 
 /// One leg of `--cache-compare`: spawn a fresh server backed by
-/// `cache_file`, push the whole closed-loop workload through it, and
+/// `cache_file`, push the whole workload through it, and
 /// report the load report plus the engine-side hit counters.
 fn compare_leg(
     args: &Args,
@@ -336,27 +312,7 @@ fn main() -> ExitCode {
 
     let bodies = synth_request_bodies(args.requests, args.seed);
     let timeout = Duration::from_millis(args.timeout_ms.max(1));
-    let arrival = match args.arrival.as_deref() {
-        None | Some("uniform") => Arrival::Uniform,
-        Some("poisson") => Arrival::Poisson { seed: args.seed },
-        Some(other) => {
-            eprintln!("asched-load: --arrival must be uniform or poisson, got {other:?}");
-            return ExitCode::from(2);
-        }
-    };
-    let report = match args.rate {
-        None => run_closed_loop(addr, &bodies, args.clients, args.deadline_ms, timeout),
-        Some(rate) => run_open_loop(
-            addr,
-            &bodies,
-            args.clients,
-            rate,
-            Duration::from_secs(args.duration_secs),
-            arrival,
-            args.deadline_ms,
-            timeout,
-        ),
-    };
+    let report = run_closed_loop(addr, &bodies, args.clients, args.deadline_ms, timeout);
     print_report(&report);
 
     if let Some(label) = &args.snapshot {

@@ -29,7 +29,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arrival;
 pub mod client;
 pub mod flight;
 pub mod http;
@@ -40,10 +39,9 @@ pub mod prom;
 pub mod server;
 pub mod wire;
 
-pub use arrival::{exp_gap_secs, poisson_offsets, portable_ln, uniform_offsets};
 pub use client::{http_request, ClientResponse};
 pub use flight::{FlightRecorder, RequestSummary};
-pub use loadgen::{run_closed_loop, run_open_loop, synth_request_bodies, Arrival, LoadReport};
+pub use loadgen::{run_closed_loop, synth_request_bodies, LoadReport};
 pub use metrics::{ServeMetrics, WorkerCacheStats};
 pub use policy::{Admission, AdmissionPolicy, DeadlinePolicy};
 pub use prom::validate_exposition;

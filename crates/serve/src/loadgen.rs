@@ -1,22 +1,13 @@
 //! Load generation for the scheduling service (`asched-load`).
 //!
-//! Two drive modes over the same worker pool:
-//!
-//! - **closed loop** ([`run_closed_loop`]): `clients` threads each keep
-//!   exactly one request in flight, pulling the next body off a shared
-//!   counter. A 503 (shed) is retried after the backoff the server
-//!   itself asked for — the response's `Retry-After` header, the same
-//!   value [`crate::policy::AdmissionPolicy`] computes — falling back
-//!   to a short fixed backoff only when the header is absent. Retries
-//!   are counted, requests are never abandoned, so under overload the
-//!   offered rate self-regulates to what the server admits;
-//! - **open loop** ([`run_open_loop`]): a pacing thread emits tickets
-//!   on an [`Arrival`] schedule (uniform pacing, or the seeded Poisson
-//!   process from [`crate::arrival`] that `asched-fleet` simulates)
-//!   onto an `mpsc` channel regardless of completions, and the clients
-//!   fire as tickets arrive. Under overload the ticket backlog grows
-//!   and sheds surface as 503s, which open loop does *not* retry — the
-//!   point is to measure shedding, not hide it.
+//! [`run_closed_loop`] drives the server from `clients` threads, each
+//! keeping exactly one request in flight and pulling the next body off
+//! a shared counter. A 503 (shed) is retried after the backoff the
+//! server itself asked for — the response's `Retry-After` header, the
+//! same value [`crate::policy::AdmissionPolicy`] computes — falling
+//! back to a short fixed backoff only when the header is absent.
+//! Retries are counted, requests are never abandoned, so under
+//! overload the offered rate self-regulates to what the server admits.
 //!
 //! Every outcome is tallied in a [`LoadReport`]: per-status counts,
 //! retry and dropped-connection totals, and a client-side latency
@@ -24,48 +15,21 @@
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use asched_obs::Histogram;
 
-use crate::arrival::{poisson_offsets, uniform_offsets};
 use crate::client::http_request;
 
-/// How many times a closed-loop client retries one shed request before
+/// How many times a client retries one shed request before
 /// counting it as failed. High enough that a drained-but-alive server
 /// is the only way to exhaust it.
 const MAX_RETRIES_PER_REQUEST: u32 = 200;
 
 /// Cap on an honored `Retry-After`, so a buggy or hostile server
-/// cannot park a closed-loop client for minutes.
+/// cannot park a client for minutes.
 const MAX_RETRY_AFTER_SECS: u64 = 30;
-
-/// The open-loop arrival schedule.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Arrival {
-    /// Fixed-interval pacing: request `i` is due at `i / rate` seconds.
-    Uniform,
-    /// Seeded Poisson process ([`poisson_offsets`]) — the same arrival
-    /// sequence `asched-fleet` drives its simulated replicas with, so a
-    /// real run can replay a simulated scenario exactly.
-    Poisson {
-        /// RNG seed for the inter-arrival gaps.
-        seed: u64,
-    },
-}
-
-impl Arrival {
-    /// The offsets (from run start) at which the `n` planned requests
-    /// become due.
-    pub fn offsets(&self, rate: f64, n: usize) -> Vec<Duration> {
-        match self {
-            Arrival::Uniform => uniform_offsets(rate, n),
-            Arrival::Poisson { seed } => poisson_offsets(rate, n, *seed),
-        }
-    }
-}
 
 /// Deterministic single-line manifest bodies mirroring
 /// [`asched_engine::synth_corpus`] exactly: same families, same
@@ -99,7 +63,7 @@ pub struct LoadReport {
     pub ok: u64,
     /// Responses per status code, ascending.
     pub status_counts: Vec<(u16, u64)>,
-    /// 503-triggered retries performed (closed loop only).
+    /// 503-triggered retries performed.
     pub retries: u64,
     /// Total backoff slept before those retries, milliseconds. When the
     /// server's `Retry-After` is honored this is ≥ `retries * 1000` at
@@ -110,9 +74,8 @@ pub struct LoadReport {
     pub dropped: u64,
     /// 200 responses carrying `X-Asched-Degraded` (deadline pressure).
     pub degraded_responses: u64,
-    /// Client-observed request latency, microseconds. Closed loop
-    /// measures per attempt chain (including retry backoff); open loop
-    /// per attempt.
+    /// Client-observed request latency, microseconds, per attempt
+    /// chain (including retry backoff).
     pub latency_us: Histogram,
     /// Wall-clock for the whole run.
     pub elapsed: Duration,
@@ -291,84 +254,6 @@ pub fn run_closed_loop(
                             _ => break,
                         }
                     }
-                    local
-                        .latency_us
-                        .record(req_start.elapsed().as_micros() as u64);
-                }
-                local
-            }));
-        }
-        let mut total = LoadReport::default();
-        for h in handles {
-            if let Ok(local) = h.join() {
-                total.merge(&local);
-            }
-        }
-        total
-    });
-    let mut total = total;
-    total.elapsed = started.elapsed();
-    total
-}
-
-/// Drive the server open loop: `rate` requests per second for
-/// `duration`, from `clients` worker threads fed by a pacing thread
-/// following the `arrival` schedule. Bodies cycle; 503s are recorded,
-/// not retried.
-#[allow(clippy::too_many_arguments)] // a load run really has this many knobs
-pub fn run_open_loop(
-    addr: SocketAddr,
-    bodies: &[String],
-    clients: usize,
-    rate: f64,
-    duration: Duration,
-    arrival: Arrival,
-    deadline_ms: Option<u64>,
-    timeout: Duration,
-) -> LoadReport {
-    assert!(!bodies.is_empty(), "open loop needs at least one body");
-    let rate = rate.max(0.1);
-    let planned = (rate * duration.as_secs_f64()).ceil() as usize;
-    let offsets = arrival.offsets(rate, planned);
-    let (tx, rx) = mpsc::channel::<usize>();
-    let rx = Arc::new(Mutex::new(rx));
-    let started = Instant::now();
-
-    let total = std::thread::scope(|scope| {
-        let offsets = &offsets;
-        scope.spawn(move || {
-            for (i, off) in offsets.iter().enumerate() {
-                let due = started + *off;
-                if let Some(wait) = due.checked_duration_since(Instant::now()) {
-                    thread::sleep(wait);
-                }
-                if tx.send(i).is_err() {
-                    break;
-                }
-            }
-            // tx drops here; clients drain the backlog and stop.
-        });
-
-        let mut handles = Vec::new();
-        for _ in 0..clients.max(1) {
-            let rx = Arc::clone(&rx);
-            handles.push(scope.spawn(move || {
-                let mut local = LoadReport::default();
-                loop {
-                    let ticket = {
-                        let guard = rx.lock().unwrap_or_else(|e| e.into_inner());
-                        guard.recv()
-                    };
-                    let Ok(i) = ticket else { break };
-                    local.sent += 1;
-                    let req_start = Instant::now();
-                    attempt(
-                        addr,
-                        &bodies[i % bodies.len()],
-                        deadline_ms,
-                        timeout,
-                        &mut local,
-                    );
                     local
                         .latency_us
                         .record(req_start.elapsed().as_micros() as u64);

@@ -1,11 +1,10 @@
 //! The serving tier's *decision* logic, factored out of the request
-//! path so it has exactly two consumers: the live server
-//! ([`crate::server`]) and the fleet simulator (`asched-fleet`).
+//! path of the live server ([`crate::server`]).
 //!
 //! Everything here is a pure function of its inputs — no clocks, no
-//! sockets, no locks — which is what lets the discrete-event simulator
-//! in `crates/fleet` promise that its replicas can never drift from
-//! production behavior: both call the same code with the same numbers.
+//! sockets, no locks — so each decision can be checked without a
+//! server: `tests/policy_extraction.rs` compares it with the original
+//! inline logic over hand-picked edge cases and a seeded random sweep.
 //!
 //! Three decisions live here:
 //!
@@ -65,8 +64,8 @@ impl AdmissionPolicy {
     }
 
     /// The `Retry-After` hint sent with a shed, in seconds. One knob,
-    /// one place: a well-behaved client (and the simulator's client
-    /// model) waits this long before retrying a 503.
+    /// one place: a well-behaved client (`asched-load` among them)
+    /// waits this long before retrying a 503.
     pub fn retry_after_secs(&self, _queue_len: usize) -> u64 {
         1
     }

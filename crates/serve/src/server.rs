@@ -7,12 +7,10 @@
 //!   When the queue is full the connection is *shed* immediately with
 //!   `503 Service Unavailable` + `Retry-After` — the service degrades
 //!   by refusing work it cannot start in time, never by hanging;
-//! - **worker threads** (each owning one long-lived
-//!   [`SchedCtx`](asched_graph::SchedCtx) and one
-//!   [`Engine`](asched_engine::Engine) attached to the server's one
-//!   schedule cache) pop connections, parse the request, and schedule.
-//!   Handlers run under `catch_unwind`, so a panic costs one 500, not
-//!   a worker;
+//! - **worker threads** (each owning one long-lived [`SchedCtx`] and
+//!   one [`Engine`] attached to the server's one schedule cache) pop
+//!   connections, parse the request, and schedule. Handlers run under
+//!   `catch_unwind`, so a panic costs one 500, not a worker;
 //! - each request carries a **deadline** measured from the moment it
 //!   was accepted. The remaining budget is converted into a
 //!   [`LookaheadConfig::step_budget`](asched_core::LookaheadConfig),
@@ -93,8 +91,7 @@ pub struct ServerConfig {
 
 impl ServerConfig {
     /// The admission policy this configuration induces — the single
-    /// source of the queue-full shed rule and its `Retry-After` value,
-    /// shared with the fleet simulator.
+    /// source of the queue-full shed rule and its `Retry-After` value.
     pub fn admission(&self) -> AdmissionPolicy {
         AdmissionPolicy {
             queue_capacity: self.queue_capacity,
@@ -102,8 +99,7 @@ impl ServerConfig {
     }
 
     /// The deadline policy this configuration induces — header
-    /// tightening and the deadline→step-budget conversion, shared with
-    /// the fleet simulator.
+    /// tightening and the deadline→step-budget conversion.
     pub fn deadline(&self) -> DeadlinePolicy {
         DeadlinePolicy {
             default_deadline_ms: self.deadline_ms,
@@ -635,8 +631,7 @@ fn schedule(
     // Deadline: the header may tighten the server default, never relax
     // it. Whatever wall-clock already elapsed in the queue is charged
     // against the request before its step budget is computed. All three
-    // decisions go through the shared DeadlinePolicy so the fleet
-    // simulator computes the identical budgets.
+    // decisions go through DeadlinePolicy.
     let deadline = sh.cfg.deadline();
     let deadline_ms = match deadline.effective_deadline_ms(req.header("x-asched-deadline-ms")) {
         Ok(ms) => ms,

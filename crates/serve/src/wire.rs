@@ -10,8 +10,8 @@
 //! meaningful regardless of how requests interleaved across workers.
 
 use asched_core::LookaheadConfig;
-use asched_engine::{parse_manifest, BatchReport, TaskReport, TraceTask};
-use asched_graph::{MachineModel, NodeId};
+use asched_engine::{machine_spec, parse_manifest, BatchReport, TaskReport, TraceTask};
+use asched_graph::NodeId;
 use asched_ir::{build_trace_graph, parse_program, LatencyModel, ProgramKind};
 use asched_obs::json::JsonObject;
 
@@ -63,31 +63,6 @@ pub fn detect_format(body: &str) -> BodyFormat {
     BodyFormat::Manifest
 }
 
-fn machine_from_query(req: &Request) -> Result<MachineModel, WireError> {
-    let w: usize = match req.query("w") {
-        None => 4,
-        Some(v) => v.parse().ok().filter(|w| *w >= 1).ok_or_else(|| {
-            bad(
-                "bad_query",
-                format!("w must be a positive integer, got {v:?}"),
-            )
-        })?,
-    };
-    match req.query("units") {
-        None => Ok(MachineModel::single_unit(w)),
-        Some("rs6000") => Ok(MachineModel::rs6000_like(w)),
-        Some(v) => {
-            let n: usize = v.parse().ok().filter(|n| *n >= 1).ok_or_else(|| {
-                bad(
-                    "bad_query",
-                    format!("units must be \"rs6000\" or a positive integer, got {v:?}"),
-                )
-            })?;
-            Ok(MachineModel::uniform(n, w))
-        }
-    }
-}
-
 /// Parse a `POST /v1/schedule` body into engine tasks.
 ///
 /// Honors the `X-Asched-Format` header (`manifest` / `ir`) as an
@@ -122,7 +97,8 @@ pub fn parse_schedule_request(
                     "loop programs are not served here; submit a trace{...} program",
                 ));
             }
-            let machine = machine_from_query(req)?;
+            let machine = machine_spec(req.query("w"), req.query("units"))
+                .map_err(|e| bad("bad_query", e))?;
             let graph = build_trace_graph(&prog, &LatencyModel::fig3());
             let label = req
                 .query("label")

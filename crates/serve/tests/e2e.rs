@@ -93,10 +93,42 @@ fn malformed_bodies_get_400() {
         ("prog regs=0 w=2\n", &[]),
         ("prog mul=nan w=2\n", &[]),
         ("dag nodes=10000000 w=2\n", &[]),
+        // Machines and latencies past their caps: each would make the
+        // scheduler allocate or loop in proportion to the number.
+        ("dag units=65 w=2\n", &[]),
+        ("dag units=1000000000000 w=2\n", &[]),
+        ("dag max_latency=20000000 w=2\n", &[]),
+        ("dag max_exec=65 w=2\n", &[]),
+        ("seam seam_latency=65 w=2\n", &[]),
+        ("seam chain_latency=4294967295 w=2\n", &[]),
     ] {
         let resp = post_schedule(addr, body, headers);
         assert_eq!(resp.status, 400, "{body:?} → {}", resp.text());
         assert!(resp.text().contains(r#""error":"#), "{}", resp.text());
+    }
+    // The IR form takes its machine from the query string, under the
+    // same unit cap.
+    let ir = "trace {\n block A {\n  li gr1 = 5\n }\n}\n";
+    for target in [
+        "/v1/schedule?units=65",
+        "/v1/schedule?units=1000000000000",
+        "/v1/schedule?w=0",
+    ] {
+        let resp = http_request(
+            addr,
+            "POST",
+            target,
+            &[("X-Asched-Format", "ir")],
+            ir.as_bytes(),
+            TIMEOUT,
+        )
+        .expect("request must complete");
+        assert_eq!(resp.status, 400, "{target} → {}", resp.text());
+        assert!(
+            resp.text().contains(r#""error":"bad_query""#),
+            "{}",
+            resp.text()
+        );
     }
     // A raw non-HTTP byte stream is answered 400, not dropped.
     use std::io::{Read, Write};

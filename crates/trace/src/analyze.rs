@@ -1,12 +1,8 @@
 //! Analyses over a reconstructed [`Trace`]: rendered span trees,
-//! pass and cache breakdowns, folded stacks for flamegraphs, and the
-//! service-time calibration model.
+//! pass and cache breakdowns, and folded stacks for flamegraphs.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-use asched_obs::json::JsonObject;
-use asched_obs::Histogram;
 
 use crate::model::Trace;
 
@@ -188,62 +184,6 @@ fn fold_into(t: &Trace, id: u64, path: &mut String, folded: &mut BTreeMap<String
     path.truncate(parent_len);
 }
 
-/// Build the service-time model for the fleet simulator: per span name
-/// and per pass, a microsecond histogram of observed durations, plus a
-/// cache-conditioned split of `task` spans (hit vs miss service time —
-/// the two service regimes the simulator's per-worker schedule-cache
-/// model samples from). The output is self-describing JSON
-/// (`asched-service-model-v1`) reusing [`Histogram::to_json`]'s bucket
-/// encoding; `crates/trace`'s own
-/// [`ServiceModel`](crate::calibrate::ServiceModel) parses it back.
-pub fn calibrate_json(t: &Trace) -> String {
-    let mut span_hists: BTreeMap<&str, Histogram> = BTreeMap::new();
-    let mut pass_hists: BTreeMap<&str, Histogram> = BTreeMap::new();
-    let mut task_hit = Histogram::new();
-    let mut task_miss = Histogram::new();
-    for s in t.spans.values() {
-        if let Some(nanos) = s.nanos {
-            span_hists
-                .entry(s.name.as_str())
-                .or_default()
-                .record(nanos / 1_000);
-            // A task span carries exactly one cache_query attribution
-            // when caching is on; spans without one (cache disabled)
-            // belong to neither regime.
-            if s.name == "task" {
-                if s.cache_hits > 0 {
-                    task_hit.record(nanos / 1_000);
-                } else if s.cache_misses > 0 {
-                    task_miss.record(nanos / 1_000);
-                }
-            }
-        }
-        for (pass, nanos) in &s.passes {
-            pass_hists
-                .entry(pass.as_str())
-                .or_default()
-                .record(nanos / 1_000);
-        }
-    }
-    let render = |hists: BTreeMap<&str, Histogram>| {
-        let mut obj = JsonObject::new();
-        for (name, h) in hists {
-            obj.raw(name, &h.to_json());
-        }
-        obj.finish()
-    };
-    let mut o = JsonObject::new();
-    o.str("schema", "asched-service-model-v1")
-        .str("unit", "us")
-        .u64("spans_total", t.spans.len() as u64)
-        .u64("requests", t.roots_named("request").len() as u64);
-    o.raw("span_us", &render(span_hists));
-    o.raw("pass_us", &render(pass_hists));
-    o.raw("task_hit_us", &task_hit.to_json());
-    o.raw("task_miss_us", &task_miss.to_json());
-    o.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,30 +267,5 @@ mod tests {
         );
         let tree = render_tree(&t, 1);
         assert!(tree.contains("cache 2h/1m (1 warm)"), "{tree}");
-    }
-
-    #[test]
-    fn calibration_model_is_parseable_json() {
-        let t = sample();
-        let model = calibrate_json(&t);
-        let v = crate::json::parse(&model).expect("model parses");
-        assert_eq!(
-            v.get("schema").and_then(crate::json::Json::as_str),
-            Some("asched-service-model-v1")
-        );
-        assert_eq!(
-            v.get("requests").and_then(crate::json::Json::as_f64),
-            Some(1.0)
-        );
-        // request span: 10000 ns → 10 us histogram with one sample.
-        let req = v.get("span_us").and_then(|s| s.get("request")).unwrap();
-        assert_eq!(
-            req.get("count").and_then(crate::json::Json::as_f64),
-            Some(1.0)
-        );
-        assert_eq!(
-            req.get("sum").and_then(crate::json::Json::as_f64),
-            Some(10.0)
-        );
     }
 }

@@ -2,14 +2,13 @@
 //!
 //! ```text
 //! asched-trace FILE [--check] [--min-coverage PCT]
-//!              [--trees N] [--folded FILE] [--calibrate FILE]
+//!              [--trees N] [--folded FILE]
 //! ```
 //!
 //! Default output is a summary: line/span totals, per-name span
 //! latencies, the pass breakdown, and cache attribution. `--trees N`
 //! additionally renders the first N span trees. `--folded FILE` writes
-//! folded stacks for flamegraph tooling and `--calibrate FILE` writes
-//! the `asched-service-model-v1` service-time model.
+//! folded stacks for flamegraph tooling.
 //!
 //! `--check` turns the analysis into a gate (exit 1 on violation):
 //! the document must validate against the event schema, the span
@@ -22,8 +21,7 @@ use std::process::ExitCode;
 
 use asched_obs::schema::validate_document;
 use asched_trace::{
-    cache_attribution, calibrate_json, critical_path_passes, folded_stacks, pass_breakdown,
-    render_tree, Trace,
+    cache_attribution, critical_path_passes, folded_stacks, pass_breakdown, render_tree, Trace,
 };
 
 struct Args {
@@ -32,7 +30,6 @@ struct Args {
     min_coverage: f64,
     trees: usize,
     folded: Option<String>,
-    calibrate: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -42,7 +39,6 @@ fn parse_args() -> Result<Args, String> {
         min_coverage: 95.0,
         trees: 0,
         folded: None,
-        calibrate: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -60,11 +56,10 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--trees: {e}"))?
             }
             "--folded" => args.folded = Some(val("--folded")?),
-            "--calibrate" => args.calibrate = Some(val("--calibrate")?),
             "--help" | "-h" => {
                 println!(
                     "usage: asched-trace FILE [--check] [--min-coverage PCT]\n\
-                     \x20                   [--trees N] [--folded FILE] [--calibrate FILE]"
+                     \x20                   [--trees N] [--folded FILE]"
                 );
                 std::process::exit(0);
             }
@@ -243,13 +238,6 @@ fn main() -> ExitCode {
 
     if let Some(path) = &args.folded {
         if let Err(e) = std::fs::write(path, folded_stacks(&trace)) {
-            eprintln!("asched-trace: cannot write {path}: {e}");
-            return ExitCode::from(2);
-        }
-        println!("wrote {path}");
-    }
-    if let Some(path) = &args.calibrate {
-        if let Err(e) = std::fs::write(path, calibrate_json(&trace) + "\n") {
             eprintln!("asched-trace: cannot write {path}: {e}");
             return ExitCode::from(2);
         }

@@ -8,31 +8,25 @@
 //! - [`model::Trace`] rebuilds the span forest from a JSONL file and
 //!   checks its structure (zero orphans, zero unclosed spans);
 //! - [`analyze`] renders span trees, per-pass and critical-path
-//!   breakdowns, cache attribution, folded stacks for flamegraph
-//!   tooling, and the `asched-service-model-v1` calibration file;
-//! - [`calibrate`] parses that calibration file back
-//!   ([`calibrate::ServiceModel`], byte-exact round trip) — the form
-//!   the fleet simulator (`crates/fleet`) samples service times from;
+//!   breakdowns, cache attribution, and folded stacks for flamegraph
+//!   tooling;
 //! - [`diff`] compares two `BENCH_*.json` snapshots with per-prefix
 //!   drift thresholds (the `asched-bench-diff` binary, wired into CI).
 //!
 //! Binaries: `asched-trace FILE [--check] [--trees N] [--folded F]
-//! [--calibrate F] [--min-coverage PCT]` and
+//! [--min-coverage PCT]` and
 //! `asched-bench-diff BASE NEW [--threshold PREFIX=FACTOR]...`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analyze;
-pub mod calibrate;
 pub mod diff;
 pub mod json;
 pub mod model;
 
 pub use analyze::{
-    cache_attribution, calibrate_json, critical_path_passes, folded_stacks, pass_breakdown,
-    render_tree, CacheRow,
+    cache_attribution, critical_path_passes, folded_stacks, pass_breakdown, render_tree, CacheRow,
 };
-pub use calibrate::{ModelHistogram, ServiceModel};
 pub use diff::{diff_metrics, drift_ratio, load_metrics, parse_threshold, DiffOutcome, DiffRow};
 pub use model::{Orphan, Span, Trace};
