@@ -113,8 +113,9 @@ fn bench_merge_cold_vs_warm(c: &mut Criterion) {
             b.iter(|| {
                 let mut sc = SchedCtx::new();
                 d.restore_from(&saved);
-                merge(&mut sc, &g, &machine, &old, &new, &mut d, &cfg, &opts)
+                merge(&mut sc, &g, &machine, &old, &new, &mut d, None, &cfg, &opts)
                     .unwrap()
+                    .0
                     .schedule
                     .makespan()
             })
@@ -122,11 +123,12 @@ fn bench_merge_cold_vs_warm(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("warm", n), &n, |b, _| {
             let mut sc = SchedCtx::new();
             let mut d = d0.clone();
-            merge(&mut sc, &g, &machine, &old, &new, &mut d, &cfg, &opts).unwrap();
+            merge(&mut sc, &g, &machine, &old, &new, &mut d, None, &cfg, &opts).unwrap();
             b.iter(|| {
                 d.restore_from(&saved);
-                merge(&mut sc, &g, &machine, &old, &new, &mut d, &cfg, &opts)
+                merge(&mut sc, &g, &machine, &old, &new, &mut d, None, &cfg, &opts)
                     .unwrap()
+                    .0
                     .schedule
                     .makespan()
             })

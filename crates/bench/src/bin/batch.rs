@@ -119,8 +119,9 @@ fn engine_config(o: &Options, jobs: usize) -> EngineConfig {
         cache_capacity: o.cache.unwrap_or(1024),
         step_budget: o.budget,
         // Buffering every scheduler event only pays off when a trace
-        // file wants them; engine-level events flow regardless.
-        capture: o.trace.is_some(),
+        // file or a snapshot's profile wants them; engine-level events
+        // flow regardless.
+        capture: o.trace.is_some() || o.snapshot.is_some(),
     }
 }
 

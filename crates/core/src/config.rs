@@ -28,10 +28,15 @@ pub struct LookaheadConfig {
     /// Algorithm `Lookahead` produces its emitted orders, also build the
     /// independent per-block schedule, measure both on the window model,
     /// and keep the better one. The paper's exact machinery never needs
-    /// this; our reconstruction has a rare one-cycle tie residue (see
-    /// `asched-rank`'s fidelity note), and the guard restores
+    /// this; our reconstruction has a tie residue (see `asched-rank`'s
+    /// fidelity note), and on multi-unit machines the per-block code
+    /// often simulates shorter, so the guard restores
     /// "anticipatory never loses to local" by construction for the cost
-    /// of one extra scheduling pass. On by default.
+    /// of one extra scheduling pass. The pass is skipped when the
+    /// emitted code already meets the trace's lower bound
+    /// `max(capacity bound, critical path)`, which no code beats. Each
+    /// guard run counts one `portfolio_runs` and reports whether the
+    /// per-block code won as `portfolio_wins`. On by default.
     pub portfolio: bool,
     /// Section 5.2.3's compile-time optimization for 0/1 latencies:
     /// consider only `G_li` sources as dummy-sink candidates and only

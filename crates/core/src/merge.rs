@@ -19,10 +19,32 @@
 //!    relaxation amount; the paper bounds the relaxation count by the
 //!    window size; we bound it by the guaranteed-feasible
 //!    concatenation).
+//!
+//! Three Rank runs of the figure are skipped when their answer is
+//! already known, with the same schedules, deadlines, rungs and
+//! `merge_probe` events:
+//!
+//! * **The carried schedule.** When `chop` emitted nothing, the next
+//!   merge's `old` is the previous block's whole schedule, under the
+//!   same deadlines and release times. If that schedule is the Rank
+//!   Algorithm's own output for them, the caller passes it in as
+//!   `carried` and it stands for the `old`-alone run of step 2.
+//! * **The ceiling on demand.** The relaxation ceiling needs a Rank run
+//!   of `new` alone, but only failed probes read it. The search starts
+//!   from a floor that replaces that makespan by `capacity_bound(new)`
+//!   and makes the run only when its next step would pass the floor,
+//!   so it probes the same deltas.
+//! * **The first block.** With `old = ∅`, probe(0)'s deadlines are step
+//!   1's, all lowered by the same amount. Every rank drops by that
+//!   amount, so the priority list and the greedy schedule are step 1's,
+//!   and that schedule meets `T` by definition: probe(0) succeeds with
+//!   step 1's output, its ranks lowered.
 
 use crate::config::LookaheadConfig;
 use crate::error::CoreError;
-use asched_graph::{DepGraph, MachineModel, NodeSet, SchedCtx, SchedOpts};
+use asched_graph::{
+    capacity_bound, DepGraph, MachineModel, NodeSet, SchedCtx, SchedOpts, Schedule,
+};
 use asched_obs::{record, Event, MergeRung, Pass};
 use asched_rank::{rank_schedule, Deadlines, RankOutput};
 
@@ -37,10 +59,18 @@ use asched_rank::{rank_schedule, Deadlines, RankOutput};
 /// final `merge_done` event names the fallback rung that produced the
 /// schedule and the relaxation applied to the `new` deadlines.
 ///
+/// `carried`, when given, must be what `rank_schedule` returns for
+/// `old` under `d` and `opts.release`; it replaces that run. `Lookahead`
+/// passes the previous block's final schedule when `chop` emitted
+/// nothing and the schedule came out of a Rank run under the final
+/// deadlines: a `Paper` or `PinnedOld` rung, or a `Delay_Idle_Slots`
+/// move.
+///
 /// Every probe re-ranks the same `old ∪ new` set, so the `ctx` analysis
 /// cache collapses the whole relaxation search onto one graph analysis.
 ///
-/// Returns the rank-algorithm output for the merged set.
+/// Returns the rank-algorithm output for the merged set and the rung
+/// that produced it.
 #[allow(clippy::too_many_arguments)]
 pub fn merge(
     ctx: &mut SchedCtx,
@@ -49,11 +79,12 @@ pub fn merge(
     old: &NodeSet,
     new: &NodeSet,
     d: &mut Deadlines,
+    carried: Option<&Schedule>,
     cfg: &LookaheadConfig,
     opts: &SchedOpts,
-) -> Result<RankOutput, CoreError> {
+) -> Result<(RankOutput, MergeRung), CoreError> {
     let result = asched_obs::timed_span(opts.rec, Pass::Merge, opts.span, || {
-        merge_inner(ctx, g, machine, old, new, d, cfg, opts)
+        merge_inner(ctx, g, machine, old, new, d, carried, cfg, opts)
     });
     if let Ok((out, rung, relaxed)) = &result {
         record!(
@@ -65,7 +96,7 @@ pub fn merge(
             }
         );
     }
-    result.map(|(out, _, _)| out)
+    result.map(|(out, rung, _)| (out, rung))
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -76,6 +107,7 @@ fn merge_inner(
     old: &NodeSet,
     new: &NodeSet,
     d: &mut Deadlines,
+    carried: Option<&Schedule>,
     cfg: &LookaheadConfig,
     opts: &SchedOpts,
 ) -> Result<(RankOutput, MergeRung, i64), CoreError> {
@@ -88,30 +120,46 @@ fn merge_inner(
         .release
         .map(|r| cur.iter().map(|id| r[id.index()]).max().unwrap_or(0) as i64)
         .unwrap_or(0);
-    let unbounded = |mask: &NodeSet| {
-        let mut d = Deadlines::unbounded(g, mask);
-        d.shift_all(mask, slack);
-        d
-    };
 
     // Step 1: unconstrained lower bound T for the merged set.
-    let d_free = unbounded(&cur);
+    let d_free = free_deadlines(g, &cur, slack);
     let s0 = rank_schedule(ctx, g, &cur, machine, &d_free, opts)?;
     let t_lower = s0.schedule.makespan() as i64;
+
+    if old.is_empty() {
+        // The first block: probe(0) would rank `new` under `T` instead
+        // of `D + slack`, so its output is s0's with every rank lowered
+        // by the difference.
+        d.set_all(new, t_lower);
+        record!(
+            opts.rec,
+            Event::MergeProbe {
+                delta: 0,
+                feasible: true
+            }
+        );
+        let lowered = d_free.horizon() + slack - t_lower;
+        let mut out = s0;
+        for id in new.iter() {
+            out.ranks[id.index()] -= lowered;
+        }
+        return Ok((out, MergeRung::Paper, 0));
+    }
 
     // Makespan of `old` alone under its current deadlines. Off the
     // restricted machine the greedy scheduler may miss inherited
     // deadlines even though they were achievable in the larger context;
     // in that case re-derive achievable deadlines from an unconstrained
     // schedule of `old` alone.
-    let old_alone = if old.is_empty() {
-        None
-    } else {
-        Some(schedule_or_relax(ctx, g, machine, old, d, slack, opts)?)
+    let fresh;
+    let old_alone = match carried {
+        Some(s) => s,
+        None => {
+            fresh = schedule_or_relax(ctx, g, machine, old, d, slack, opts)?.schedule;
+            &fresh
+        }
     };
-    let t_old = old_alone
-        .as_ref()
-        .map_or(0, |o| o.schedule.makespan() as i64);
+    let t_old = old_alone.makespan() as i64;
 
     // Step 2: protect old; step 3: new gets the lower bound.
     if cfg.protect_old {
@@ -126,18 +174,10 @@ fn merge_inner(
     }
     d.set_all(new, t_lower);
 
-    // Guaranteed-feasible ceiling: schedule old alone, then new alone
-    // after the largest latency (paper: "there is a feasible … schedule
-    // that can be obtained by first scheduling all of the old nodes
-    // followed by all of the new nodes, with possibly [max latency] idle
-    // time between the two").
-    let t_new_alone = rank_schedule(ctx, g, new, machine, &unbounded(new), opts)?
-        .schedule
-        .makespan() as i64;
-    let ceiling = t_old + g.max_latency() as i64 + t_new_alone;
+    let mut ceiling = Ceiling::new(g, machine, new, t_old, slack);
 
     // Rung 1 (the paper): relax only the `new` deadlines until feasible.
-    match relax_loop(ctx, g, machine, &cur, new, d, t_lower, ceiling, opts) {
+    match relax_loop(ctx, g, machine, &cur, new, d, t_lower, &mut ceiling, opts) {
         Ok((out, delta)) => return Ok((out, MergeRung::Paper, delta)),
         Err(CoreError::MergeFailed) => {}
         Err(e) => return Err(e),
@@ -149,25 +189,86 @@ fn merge_inner(
     // old-alone schedule — achievable by construction — and retry. `new`
     // can then still fill old's idle slots, which is all the paper's
     // protection is meant to allow.
-    if let Some(oa) = &old_alone {
-        for id in old.iter() {
-            d.set(
-                id,
-                oa.schedule.completion(id).expect("old scheduled") as i64,
-            );
-        }
-        d.set_all(new, t_lower);
-        match relax_loop(ctx, g, machine, &cur, new, d, t_lower, ceiling, opts) {
-            Ok((out, delta)) => return Ok((out, MergeRung::PinnedOld, delta)),
-            Err(CoreError::MergeFailed) => {}
-            Err(e) => return Err(e),
-        }
+    for id in old.iter() {
+        d.set(id, old_alone.completion(id).expect("old scheduled") as i64);
+    }
+    d.set_all(new, t_lower);
+    match relax_loop(ctx, g, machine, &cur, new, d, t_lower, &mut ceiling, opts) {
+        Ok((out, delta)) => return Ok((out, MergeRung::PinnedOld, delta)),
+        Err(CoreError::MergeFailed) => {}
+        Err(e) => return Err(e),
     }
 
     // Rung 3: the concatenation the paper's feasibility argument relies
     // on — old alone, then new alone after the largest latency.
-    concatenation_fallback(ctx, g, machine, old, new, d, t_old, opts)
+    concatenation_fallback(ctx, g, machine, old, new, d, slack, opts)
         .map(|out| (out, MergeRung::Concatenation, 0))
+}
+
+/// Deadlines that constrain nothing under release times up to `slack`:
+/// the unbounded horizon `D`, shifted past the largest release.
+fn free_deadlines(g: &DepGraph, mask: &NodeSet, slack: i64) -> Deadlines {
+    let mut d = Deadlines::unbounded(g, mask);
+    d.shift_all(mask, slack);
+    d
+}
+
+/// The relaxation ceiling: the guaranteed-feasible concatenation's
+/// length `t_old + max_latency + T_new`, where `T_new` is the makespan
+/// of `new` scheduled alone (paper: "there is a feasible … schedule that
+/// can be obtained by first scheduling all of the old nodes followed by
+/// all of the new nodes, with possibly [max latency] idle time between
+/// the two"). `T_new` costs a Rank run, so it is made on demand; until
+/// then `floor` stands in, with `capacity_bound(new)` — which no
+/// schedule of `new` beats — in place of `T_new`.
+struct Ceiling {
+    /// `t_old + max_latency + capacity_bound(new)`, at most the ceiling.
+    floor: i64,
+    /// `t_old + max_latency`.
+    base: i64,
+    /// Release slack that widens the new-alone run's horizon.
+    slack: i64,
+    /// The ceiling, once computed.
+    known: Option<i64>,
+}
+
+impl Ceiling {
+    fn new(g: &DepGraph, machine: &MachineModel, new: &NodeSet, t_old: i64, slack: i64) -> Self {
+        let base = t_old + g.max_latency() as i64;
+        Ceiling {
+            floor: base + capacity_bound(g, new, machine) as i64,
+            base,
+            slack,
+            known: None,
+        }
+    }
+
+    /// The ceiling, scheduling `new` alone on first use.
+    fn exact(
+        &mut self,
+        ctx: &mut SchedCtx,
+        g: &DepGraph,
+        machine: &MachineModel,
+        new: &NodeSet,
+        opts: &SchedOpts,
+    ) -> Result<i64, CoreError> {
+        if let Some(c) = self.known {
+            return Ok(c);
+        }
+        let t_new = rank_schedule(
+            ctx,
+            g,
+            new,
+            machine,
+            &free_deadlines(g, new, self.slack),
+            opts,
+        )?
+        .schedule
+        .makespan() as i64;
+        let c = self.base + t_new;
+        self.known = Some(c);
+        Ok(c)
+    }
 }
 
 /// The paper's relaxation loop: schedule `cur` under `d`; on
@@ -175,6 +276,11 @@ fn merge_inner(
 /// paper ("or log(W) if binary search is used") the search is
 /// exponential-then-binary over the relaxation amount rather than
 /// one-cycle steps, so a merge costs O(log(ceiling - T)) rank runs.
+///
+/// The exponential search reads the ceiling only to clamp its next step
+/// and to give up after a failed probe at the ceiling. Neither can
+/// happen while the next step stays within the floor, so the exact
+/// ceiling is computed only once a step would pass it.
 #[allow(clippy::too_many_arguments)]
 fn relax_loop(
     ctx: &mut SchedCtx,
@@ -184,7 +290,7 @@ fn relax_loop(
     new: &NodeSet,
     d: &mut Deadlines,
     t_lower: i64,
-    ceiling: i64,
+    ceiling: &mut Ceiling,
     opts: &SchedOpts,
 ) -> Result<(RankOutput, i64), CoreError> {
     // Probe with `new` deadlines relaxed by `delta`; `d` holds the
@@ -207,17 +313,22 @@ fn relax_loop(
                 Err(asched_rank::RankError::Infeasible { .. }) => Err(CoreError::MergeFailed),
             }
         };
-    let max_delta = ceiling - t_lower;
     // Exponential probe for a feasible relaxation.
     let mut hi = 0i64;
     let mut hi_out = loop {
         match probe(ctx, hi, d) {
             Ok(out) => break out,
             Err(CoreError::MergeFailed) => {
+                let step = if hi == 0 { 1 } else { hi * 2 };
+                if step <= ceiling.floor - t_lower {
+                    hi = step;
+                    continue;
+                }
+                let max_delta = ceiling.exact(ctx, g, machine, new, opts)? - t_lower;
                 if hi >= max_delta {
                     return Err(CoreError::MergeFailed);
                 }
-                hi = if hi == 0 { 1 } else { (hi * 2).min(max_delta) };
+                hi = step.min(max_delta);
             }
             Err(e) => return Err(e),
         }
@@ -270,9 +381,7 @@ fn schedule_or_relax(
         Ok(o) => Ok(o),
         Err(asched_rank::RankError::Cyclic(c)) => Err(CoreError::Cyclic(c)),
         Err(asched_rank::RankError::Infeasible { .. }) => {
-            let mut free = Deadlines::unbounded(g, set);
-            free.shift_all(set, slack);
-            let o = rank_schedule(ctx, g, set, machine, &free, opts)?;
+            let o = rank_schedule(ctx, g, set, machine, &free_deadlines(g, set, slack), opts)?;
             for id in set.iter() {
                 d.set(id, o.schedule.completion(id).expect("scheduled") as i64);
             }
@@ -293,44 +402,23 @@ fn concatenation_fallback(
     old: &NodeSet,
     new: &NodeSet,
     d: &mut Deadlines,
-    t_old: i64,
+    slack: i64,
     opts: &SchedOpts,
 ) -> Result<RankOutput, CoreError> {
-    let slack: i64 = opts
-        .release
-        .map(|r| {
-            old.union(new)
-                .iter()
-                .map(|id| r[id.index()])
-                .max()
-                .unwrap_or(0) as i64
-        })
-        .unwrap_or(0);
-    let s_old = if old.is_empty() {
-        None
-    } else {
-        Some(schedule_or_relax(ctx, g, machine, old, d, slack, opts)?)
-    };
-    let mut d_new = Deadlines::unbounded(g, new);
-    d_new.shift_all(new, slack);
-    let s_new = rank_schedule(ctx, g, new, machine, &d_new, opts)?;
+    let s_old = schedule_or_relax(ctx, g, machine, old, d, slack, opts)?;
+    let s_new = rank_schedule(ctx, g, new, machine, &free_deadlines(g, new, slack), opts)?;
     // Splice after the makespan of the old schedule we ACTUALLY use —
-    // schedule_or_relax may have rescheduled `old` past the caller's
-    // `t_old` estimate, and splicing at the stale offset would overlap
-    // units or violate cross-block latencies.
-    let t_old_actual = s_old
-        .as_ref()
-        .map_or(t_old.max(0) as u64, |o| o.schedule.makespan());
-    let offset = t_old_actual + g.max_latency() as u64;
+    // schedule_or_relax may have rescheduled `old` past the `t_old` the
+    // relaxation rungs used, and splicing at that stale offset would
+    // overlap units or violate cross-block latencies.
+    let offset = s_old.schedule.makespan() + g.max_latency() as u64;
 
     let mut sched = asched_graph::Schedule::new(g.len());
     let mut ranks = vec![i64::MAX; g.len()];
-    if let Some(so) = &s_old {
-        for id in old.iter() {
-            let st = so.schedule.start(id).expect("old scheduled");
-            sched.assign(id, st, so.schedule.unit(id).unwrap(), g.exec_time(id));
-            ranks[id.index()] = so.ranks[id.index()];
-        }
+    for id in old.iter() {
+        let st = s_old.schedule.start(id).expect("old scheduled");
+        sched.assign(id, st, s_old.schedule.unit(id).unwrap(), g.exec_time(id));
+        ranks[id.index()] = s_old.ranks[id.index()];
     }
     for id in new.iter() {
         let st = s_new.schedule.start(id).expect("new scheduled") + offset;
@@ -352,6 +440,7 @@ pub(crate) mod tests {
     use super::*;
     use asched_graph::validate::validate_schedule;
     use asched_graph::{BlockId, NodeId};
+    use proptest::prelude::*;
 
     fn m1() -> MachineModel {
         MachineModel::single_unit(2)
@@ -428,13 +517,14 @@ pub(crate) mod tests {
         d.set(bb1[0], 1); // x
         let cfg = LookaheadConfig::default();
         let mut ctx = SchedCtx::new();
-        let out = merge(
+        let (out, _) = merge(
             &mut ctx,
             &g,
             &m1(),
             &old,
             &new,
             &mut d,
+            None,
             &cfg,
             &SchedOpts::default(),
         )
@@ -466,13 +556,14 @@ pub(crate) mod tests {
         let old = NodeSet::new(g.len());
         let mut d = Deadlines::uniform(&g, &old, 0);
         let cfg = LookaheadConfig::default();
-        let out = merge(
+        let (out, _) = merge(
             &mut SchedCtx::new(),
             &g,
             &m1(),
             &old,
             &new,
             &mut d,
+            None,
             &cfg,
             &SchedOpts::default(),
         )
@@ -499,13 +590,14 @@ pub(crate) mod tests {
         let new = NodeSet::from_iter_with_universe(g.len(), [n1, n2]);
         let mut d = Deadlines::uniform(&g, &old, 1);
         let cfg = LookaheadConfig::default();
-        let out = merge(
+        let (out, _) = merge(
             &mut SchedCtx::new(),
             &g,
             &m1(),
             &old,
             &new,
             &mut d,
+            None,
             &cfg,
             &SchedOpts::default(),
         )
@@ -537,17 +629,268 @@ pub(crate) mod tests {
         let release = vec![5u64];
         let cfg = LookaheadConfig::default();
         let opts = SchedOpts::default().with_release(&release);
-        let out = merge(
+        let (out, _) = merge(
             &mut SchedCtx::new(),
             &g,
             &m1(),
             &old,
             &new,
             &mut d,
+            None,
             &cfg,
             &opts,
         )
         .unwrap();
         assert_eq!(out.schedule.start(n1), Some(5));
+    }
+
+    /// A random Section 4.2 trace with release times: `blocks` blocks,
+    /// edge latencies 0–3, execution times 1–2, 60% of the nodes bound
+    /// to a concrete unit class, on `rs6000_like(W)` or `uniform(2, W)`
+    /// with W ∈ {1, 2, 4, 8}; about a third of the nodes get a release
+    /// time of 1–3.
+    pub(crate) fn random_case(
+        nodes: usize,
+        blocks: usize,
+        seed: u64,
+        rs6000: bool,
+        wi: usize,
+    ) -> (DepGraph, MachineModel, Vec<u64>) {
+        use asched_workloads::{random_trace_dag, DagParams};
+        let g = random_trace_dag(&DagParams {
+            nodes: nodes.max(blocks),
+            blocks,
+            edge_prob: 0.3,
+            cross_prob: 0.2,
+            max_latency: 3,
+            max_exec: 2,
+            class_fraction: 0.6,
+            seed,
+        });
+        let w = [1, 2, 4, 8][wi % 4];
+        let machine = if rs6000 {
+            MachineModel::rs6000_like(w)
+        } else {
+            MachineModel::uniform(2, w)
+        };
+        let mut state = seed | 1;
+        let release = (0..g.len())
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                if state.is_multiple_of(3) {
+                    1 + (state >> 8) % 3
+                } else {
+                    0
+                }
+            })
+            .collect();
+        (g, machine, release)
+    }
+
+    /// Keeps the `merge_probe`, `merge_done` and `idle_move` events, in
+    /// order: what a merge or `Delay_Idle_Slots` decided, without the
+    /// `rank_run` events of the runs behind it.
+    #[derive(Default)]
+    pub(crate) struct Decisions(pub(crate) std::cell::RefCell<Vec<String>>);
+
+    impl asched_obs::Recorder for Decisions {
+        fn enabled(&self) -> bool {
+            true
+        }
+
+        fn record(&self, event: &Event<'_>) {
+            if matches!(
+                event,
+                Event::MergeProbe { .. } | Event::MergeDone { .. } | Event::IdleMove { .. }
+            ) {
+                self.0.borrow_mut().push(format!("{event:?}"));
+            }
+        }
+    }
+
+    /// [`relax_loop`] with the ceiling computed up front: the reference
+    /// the ceiling on demand must match.
+    #[allow(clippy::too_many_arguments)]
+    fn eager_relax_loop(
+        ctx: &mut SchedCtx,
+        g: &DepGraph,
+        machine: &MachineModel,
+        cur: &NodeSet,
+        new: &NodeSet,
+        d: &mut Deadlines,
+        t_lower: i64,
+        ceiling: i64,
+        opts: &SchedOpts,
+    ) -> Result<(RankOutput, i64), CoreError> {
+        let probe =
+            |ctx: &mut SchedCtx, delta: i64, d: &mut Deadlines| -> Result<RankOutput, CoreError> {
+                d.shift_all(new, delta);
+                let r = rank_schedule(ctx, g, cur, machine, d, opts);
+                d.shift_all(new, -delta);
+                record!(
+                    opts.rec,
+                    Event::MergeProbe {
+                        delta,
+                        feasible: r.is_ok()
+                    }
+                );
+                r.map_err(CoreError::from)
+            };
+        let max_delta = ceiling - t_lower;
+        let mut hi = 0i64;
+        let mut hi_out = loop {
+            match probe(ctx, hi, d) {
+                Ok(out) => break out,
+                Err(CoreError::MergeFailed) => {
+                    if hi >= max_delta {
+                        return Err(CoreError::MergeFailed);
+                    }
+                    hi = if hi == 0 { 1 } else { (hi * 2).min(max_delta) };
+                }
+                Err(e) => return Err(e),
+            }
+        };
+        let mut lo = hi / 2 + i64::from(hi > 0);
+        if hi == 0 {
+            lo = 0;
+        }
+        let (mut lo, mut hi) = (lo.min(hi), hi);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match probe(ctx, mid, d) {
+                Ok(out) => {
+                    hi_out = out;
+                    hi = mid;
+                }
+                Err(CoreError::MergeFailed) => lo = mid + 1,
+                Err(e) => return Err(e),
+            }
+        }
+        d.shift_all(new, hi);
+        Ok((hi_out, hi))
+    }
+
+    /// A relaxation result reduced to what the two loops must agree on.
+    type Relaxed = Option<(Schedule, Vec<i64>, Vec<NodeId>, i64)>;
+
+    fn relaxed(r: Result<(RankOutput, i64), CoreError>) -> Relaxed {
+        match r {
+            Ok((out, delta)) => Some((out.schedule, out.ranks, out.priority, delta)),
+            Err(CoreError::MergeFailed) => None,
+            Err(e) => panic!("unexpected merge error {e}"),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The ceiling on demand probes the deltas the eager ceiling
+        /// probes and settles on the same relaxation, in both rungs that
+        /// share one ceiling. Each seam of a random trace is relaxed
+        /// from two deadline sets on `old`: its `old`-alone completions
+        /// with some pinned up to two cycles earlier (often infeasible
+        /// up to the ceiling), and the plain completions.
+        #[test]
+        fn ceiling_on_demand_matches_the_eager_ceiling(
+            nodes in 6usize..28,
+            blocks in 2usize..5,
+            seed in any::<u64>(),
+            rs6000 in any::<bool>(),
+            wi in 0usize..4,
+        ) {
+            let (g, m, release) = random_case(nodes, blocks, seed, rs6000, wi);
+            let opts = SchedOpts::default().with_release(&release);
+            let slack = release.iter().copied().max().unwrap_or(0) as i64;
+            let mut ctx = SchedCtx::new();
+            let mut pick = seed;
+            let bl = g.blocks();
+            for k in 1..bl.len() {
+                let old = (0..k).fold(NodeSet::new(g.len()), |acc, i| acc.union(&g.block_nodes(bl[i])));
+                let new = g.block_nodes(bl[k]);
+                let cur = old.union(&new);
+                let free = |mask: &NodeSet| free_deadlines(&g, mask, slack);
+                let run = |ctx: &mut SchedCtx, mask: &NodeSet| {
+                    rank_schedule(ctx, &g, mask, &m, &free(mask), &opts).unwrap().schedule
+                };
+                let t_lower = run(&mut ctx, &cur).makespan() as i64;
+                let s_old = run(&mut ctx, &old);
+                let t_old = s_old.makespan() as i64;
+                let t_new = run(&mut ctx, &new).makespan() as i64;
+                let eager = t_old + g.max_latency() as i64 + t_new;
+
+                let mut pinned = Deadlines::uniform(&g, &cur, t_lower);
+                let mut plain = pinned.clone();
+                for id in old.iter() {
+                    let c = s_old.completion(id).unwrap() as i64;
+                    pick = pick.rotate_left(7) ^ 0x9E37_79B9;
+                    pinned.set(id, if pick.is_multiple_of(3) { c - (pick >> 4) as i64 % 3 } else { c });
+                    plain.set(id, c);
+                }
+                let mut ceiling = Ceiling::new(&g, &m, &new, t_old, slack);
+                for d0 in [&pinned, &plain] {
+                    let (lazy_rec, eager_rec) = (Decisions::default(), Decisions::default());
+                    let (mut d_lazy, mut d_eager) = (d0.clone(), d0.clone());
+                    let lazy = relax_loop(
+                        &mut ctx, &g, &m, &cur, &new, &mut d_lazy, t_lower, &mut ceiling,
+                        &opts.with_recorder(&lazy_rec),
+                    );
+                    let reference = eager_relax_loop(
+                        &mut ctx, &g, &m, &cur, &new, &mut d_eager, t_lower, eager,
+                        &opts.with_recorder(&eager_rec),
+                    );
+                    prop_assert_eq!(lazy_rec.0.into_inner(), eager_rec.0.into_inner());
+                    prop_assert_eq!(relaxed(lazy), relaxed(reference));
+                    prop_assert_eq!(d_lazy, d_eager);
+                    prop_assert!(ceiling.known.is_none_or(|c| c == eager));
+                }
+            }
+        }
+
+        /// With `old = ∅` the merge is a real probe(0): `rank_schedule`
+        /// under the merge's final deadlines gives the same schedule,
+        /// ranks and priority list, and the merge reports that one
+        /// feasible probe. Every block of a random trace is tried as the
+        /// first, under release times.
+        #[test]
+        fn first_block_is_a_real_probe(
+            nodes in 6usize..28,
+            blocks in 2usize..5,
+            seed in any::<u64>(),
+            rs6000 in any::<bool>(),
+            wi in 0usize..4,
+        ) {
+            let (g, m, release) = random_case(nodes, blocks, seed, rs6000, wi);
+            let opts = SchedOpts::default().with_release(&release);
+            let mut ctx = SchedCtx::new();
+            let none = NodeSet::new(g.len());
+            for blk in g.blocks() {
+                let new = g.block_nodes(blk);
+                let mut d = Deadlines::uniform(&g, &none, 0);
+                let rec = Decisions::default();
+                let (out, rung) = merge(
+                    &mut ctx, &g, &m, &none, &new, &mut d, None,
+                    &LookaheadConfig::default(), &opts.with_recorder(&rec),
+                ).unwrap();
+                let probe = rank_schedule(&mut ctx, &g, &new, &m, &d, &opts)
+                    .expect("probe(0) is feasible");
+                prop_assert_eq!(&out.schedule, &probe.schedule);
+                prop_assert_eq!(&out.ranks, &probe.ranks);
+                prop_assert_eq!(&out.priority, &probe.priority);
+                prop_assert_eq!(rung, MergeRung::Paper);
+                let makespan = out.schedule.makespan();
+                prop_assert_eq!(
+                    rec.0.into_inner(),
+                    vec![
+                        format!("{:?}", Event::MergeProbe { delta: 0, feasible: true }),
+                        format!(
+                            "{:?}",
+                            Event::MergeDone { rung: MergeRung::Paper, makespan, relaxed: 0 }
+                        ),
+                    ]
+                );
+            }
+        }
     }
 }

@@ -161,11 +161,6 @@ impl Histogram {
         Some(self.max)
     }
 
-    /// The 99.9th percentile; see [`Histogram::percentile`].
-    pub fn p999(&self) -> Option<u64> {
-        self.percentile(0.999)
-    }
-
     /// Iterate non-empty buckets as `(lower_bound, upper_bound, count)`
     /// with inclusive bounds.
     pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
@@ -598,10 +593,10 @@ mod tests {
 
     #[test]
     fn percentile_edge_cases() {
-        // Empty: every percentile (and p999) is None.
+        // Empty: every percentile is None.
         let empty = Histogram::new();
         assert_eq!(empty.percentile(0.0), None);
-        assert_eq!(empty.p999(), None);
+        assert_eq!(empty.percentile(0.999), None);
         assert_eq!(empty.min(), None);
         assert_eq!(empty.max(), None);
 
@@ -611,20 +606,19 @@ mod tests {
         for p in [0.0, 0.5, 0.99, 0.999, 1.0] {
             assert_eq!(one.percentile(p), Some(37), "p={p}");
         }
-        assert_eq!(one.p999(), Some(37));
 
         // Out-of-range p clamps rather than panicking.
         assert_eq!(one.percentile(-3.0), Some(37));
         assert_eq!(one.percentile(42.0), Some(37));
 
-        // p999 sits between p99 and max on a heavy-tailed stream.
+        // p99.9 sits between p99 and max on a heavy-tailed stream.
         let mut h = Histogram::new();
         for _ in 0..999 {
             h.record(10);
         }
         h.record(100_000);
         let p99 = h.percentile(0.99).unwrap();
-        let p999 = h.p999().unwrap();
+        let p999 = h.percentile(0.999).unwrap();
         assert!(p99 <= p999, "p99 {p99} > p999 {p999}");
         assert!(p999 <= 100_000);
     }

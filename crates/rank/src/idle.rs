@@ -330,7 +330,8 @@ fn delay_idle_slots_inner(
                 .sum()
         };
         // Stable sort: equal-demand units must keep ascending order.
-        units.sort_by_key(|&u| std::cmp::Reverse(demand(u)));
+        // `demand` walks the whole mask, so each unit's is computed once.
+        units.sort_by_cached_key(|&u| std::cmp::Reverse(demand(u)));
     }
 
     let asap = mask_earliest_starts(ctx, g, mask, opts);
