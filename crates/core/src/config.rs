@@ -17,27 +17,6 @@ pub struct LookaheadConfig {
     /// schedule, which the hardware cannot actually do — useful only to
     /// demonstrate why the protection exists.
     pub protect_old: bool,
-    /// Window size used when *evaluating* loop-schedule candidates
-    /// (Section 5.2.3 "select the best"). The paper evaluates candidate
-    /// loop schedules by their literal steady-state completion time, i.e.
-    /// window 1; set it higher to co-optimize with lookahead hardware.
-    pub loop_eval_window: usize,
-    /// Iterations used to warm up / measure steady-state loop candidates.
-    pub loop_eval_iters: u32,
-    /// Guard the trace result with the per-block fallback: after
-    /// Algorithm `Lookahead` produces its emitted orders, also build the
-    /// independent per-block schedule, measure both on the window model,
-    /// and keep the better one. The paper's exact machinery never needs
-    /// this; our reconstruction has a tie residue (see `asched-rank`'s
-    /// fidelity note), and on multi-unit machines the per-block code
-    /// often simulates shorter, so the guard restores
-    /// "anticipatory never loses to local" by construction for the cost
-    /// of one extra scheduling pass. The pass is skipped when the
-    /// emitted code already meets the trace's lower bound
-    /// `max(capacity bound, critical path)`, which no code beats. Each
-    /// guard run counts one `portfolio_runs` and reports whether the
-    /// per-block code won as `portfolio_wins`. On by default.
-    pub portfolio: bool,
     /// Section 5.2.3's compile-time optimization for 0/1 latencies:
     /// consider only `G_li` sources as dummy-sink candidates and only
     /// `G_li` sinks as dummy-source candidates. Sound for 0/1 latencies;
@@ -61,9 +40,6 @@ impl Default for LookaheadConfig {
         LookaheadConfig {
             delay_idle_slots: true,
             protect_old: true,
-            loop_eval_window: 1,
-            loop_eval_iters: 16,
-            portfolio: true,
             filter_loop_candidates: false,
             step_budget: None,
         }
@@ -106,7 +82,7 @@ mod tests {
         let c = LookaheadConfig::default();
         assert!(c.delay_idle_slots);
         assert!(c.protect_old);
-        assert_eq!(c.loop_eval_window, 1);
+        assert!(!c.filter_loop_candidates);
     }
 
     #[test]

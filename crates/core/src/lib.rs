@@ -51,6 +51,6 @@ pub use loops::{schedule_loop_trace, LoopTraceResult};
 pub use merge::merge;
 pub use single_block::{
     dummy_sink_transform, dummy_source_transform, schedule_single_block_loop, CandidateKind,
-    CandidateReport, SingleBlockLoopResult,
+    CandidateReport, SingleBlockLoopResult, LOOP_EVAL_ITERS, LOOP_EVAL_WINDOW,
 };
 pub use trace::schedule_blocks_independent;

@@ -24,8 +24,9 @@ use crate::merge::merge;
 use asched_graph::{
     capacity_bound, BlockId, DepGraph, MachineModel, NodeId, NodeSet, SchedCtx, SchedOpts, Schedule,
 };
-use asched_obs::{record, Event, MergeRung, Pass, Recorder};
+use asched_obs::{record, Event, MergeRung, Pass, Recorder, NULL};
 use asched_rank::{delay_idle_slots, Deadlines};
+use asched_sim::{InstStream, IssuePolicy, SimResult};
 
 /// Output of anticipatory trace scheduling.
 #[derive(Clone, Debug)]
@@ -58,12 +59,22 @@ pub struct TraceResult {
 /// instructions into the retained suffix), so `opts.release` and
 /// `opts.backward` are ignored at this level; `opts.rec`, when enabled,
 /// sees the whole run as one timed `schedule_trace` pass with per-block
-/// `block_begin` events, and the `merge`, idle-slot delaying, `chop` and
-/// measurement-simulation stages forward their own events (merge probes
-/// and rungs, idle moves, chop cuts, window issue/stall/occupancy of
-/// Lookahead's code). The portfolio guard's work is unrecorded; each
-/// of its runs emits the `portfolio_runs` and `portfolio_wins`
-/// counters.
+/// `block_begin` events, and the `merge`, idle-slot delaying and `chop`
+/// stages forward their own events (merge probes and rungs, idle moves,
+/// chop cuts).
+///
+/// The result is guarded by the per-block fallback: when Lookahead's
+/// code simulates longer than the trace's lower bound
+/// `max(capacity bound, critical path)`, which no code beats, the
+/// independent per-block schedule is built and measured too, and the
+/// shorter code is emitted. Our reconstruction has a tie residue (see
+/// `asched-rank`'s fidelity note), and on multi-unit machines the
+/// per-block code often simulates shorter, so the guard restores
+/// "anticipatory never loses to local" by construction. Its scheduling
+/// work is unrecorded; each guard run emits the `portfolio_runs` and
+/// `portfolio_wins` counters. The recorder sees one simulation per
+/// trace (window issue/stall/occupancy events), of the code that is
+/// emitted; with a disabled recorder no simulation is added for it.
 ///
 /// One `ctx` per trace: the merge relaxation probes and idle-slot
 /// retries of each block all hit the same cached `(graph, old ∪ new)`
@@ -107,11 +118,58 @@ pub fn schedule_trace(
     opts: &SchedOpts,
 ) -> Result<TraceResult, CoreError> {
     asched_obs::timed_span(opts.rec, Pass::ScheduleTrace, opts.span, || {
-        schedule_trace_inner(ctx, g, machine, cfg, opts.rec, opts.span)
+        let rec = opts.rec;
+        let mut result = lookahead(ctx, g, machine, cfg, rec, opts.span)?;
+        // The guard: code that meets the lower bound cannot be beaten.
+        let mut guard_won = None;
+        if result.makespan > trace_lower_bound(g, machine, &result.block_orders) {
+            let local =
+                crate::trace::schedule_blocks_independent(ctx, g, machine, cfg.delay_idle_slots)?;
+            let stream = InstStream::from_blocks(&local);
+            let sim = simulate(ctx, g, machine, &stream, &NULL);
+            let won = sim.completion < result.makespan;
+            if won {
+                // Rebuild the prediction from the hardware's own
+                // behaviour so every field stays mutually consistent.
+                let predicted = asched_sim::schedule_of(g, machine, &stream, &sim);
+                result = TraceResult {
+                    makespan: sim.completion,
+                    permutation: predicted.order(),
+                    predicted,
+                    block_orders: local,
+                    blocks: result.blocks,
+                };
+            }
+            guard_won = Some(won);
+        }
+        if rec.enabled() {
+            let emitted = InstStream::from_blocks(&result.block_orders);
+            simulate(ctx, g, machine, &emitted, rec);
+        }
+        if let Some(won) = guard_won {
+            for (name, delta) in [("portfolio_runs", 1), ("portfolio_wins", u64::from(won))] {
+                record!(rec, Event::Counter { name, delta });
+            }
+        }
+        Ok(result)
     })
 }
 
-fn schedule_trace_inner(
+/// Run `stream` on the Section 2.3 window model, reporting to `rec`.
+fn simulate(
+    ctx: &mut SchedCtx,
+    g: &DepGraph,
+    machine: &MachineModel,
+    stream: &InstStream,
+    rec: &dyn Recorder,
+) -> SimResult {
+    let opts = SchedOpts::default().with_recorder(rec);
+    asched_sim::simulate(ctx, g, machine, stream, IssuePolicy::Strict, &opts)
+}
+
+/// Algorithm `Lookahead` alone, without the guard: its emitted code,
+/// prediction and measured (unrecorded) makespan.
+pub(crate) fn lookahead(
     ctx: &mut SchedCtx,
     g: &DepGraph,
     machine: &MachineModel,
@@ -275,58 +333,15 @@ fn schedule_trace_inner(
         .collect();
     // The deliverable number: what the Section 2.3 hardware actually
     // does with the emitted code.
-    let measured = asched_sim::simulate(
-        ctx,
-        g,
-        machine,
-        &asched_sim::InstStream::from_blocks(&block_orders),
-        asched_sim::IssuePolicy::Strict,
-        &SchedOpts::default().with_recorder(rec),
-    )
-    .completion;
-    let mut result = TraceResult {
-        makespan: measured,
+    let stream = InstStream::from_blocks(&block_orders);
+    let makespan = simulate(ctx, g, machine, &stream, &NULL).completion;
+    Ok(TraceResult {
+        makespan,
         permutation,
         predicted,
         block_orders,
         blocks,
-    };
-    // Guard against the reconstruction's tie residue: never emit worse
-    // code than the plain per-block schedule. Code that already meets
-    // the trace's lower bound cannot be beaten, so the guard runs only
-    // above it. The recorder sees one simulation per trace, of
-    // Lookahead's own code: the guard's runs unrecorded, and the
-    // `portfolio_*` counters report its outcome.
-    if cfg.portfolio && measured > trace_lower_bound(g, machine, &result.block_orders) {
-        let local =
-            crate::trace::schedule_blocks_independent(ctx, g, machine, cfg.delay_idle_slots)?;
-        let stream = asched_sim::InstStream::from_blocks(&local);
-        let sim = asched_sim::simulate(
-            ctx,
-            g,
-            machine,
-            &stream,
-            asched_sim::IssuePolicy::Strict,
-            &SchedOpts::default(),
-        );
-        let won = sim.completion < measured;
-        for (name, delta) in [("portfolio_runs", 1), ("portfolio_wins", u64::from(won))] {
-            record!(rec, Event::Counter { name, delta });
-        }
-        if won {
-            // Rebuild the prediction from the hardware's own behaviour so
-            // every field stays mutually consistent.
-            let predicted = asched_sim::schedule_of(g, machine, &stream, &sim);
-            result = TraceResult {
-                makespan: sim.completion,
-                permutation: predicted.order(),
-                predicted,
-                block_orders: local,
-                blocks: result.blocks,
-            };
-        }
-    }
-    Ok(result)
+    })
 }
 
 /// `max(capacity bound, critical-path length)` of the whole trace: no
@@ -657,21 +672,39 @@ mod tests {
     }
 
     /// Merging with the carried schedule is merging without it:
-    /// `schedule_trace` (guard off) predicts what the reference loop
-    /// that never carries predicts, through the same merge probes, rungs
-    /// and idle-slot moves, and every carry the reference's rule allows
+    /// [`lookahead`] (no guard) predicts what the reference loop that
+    /// never carries predicts, through the same merge probes, rungs and
+    /// idle-slot moves, and every carry the reference's rule allows
     /// gives an identical merge (see [`reference_lookahead`]).
     fn assert_carrying_changes_nothing(g: &DepGraph, m: &MachineModel) {
-        let cfg = LookaheadConfig {
-            portfolio: false,
-            ..LookaheadConfig::default()
-        };
+        let cfg = LookaheadConfig::default();
         let (got, want) = (Decisions::default(), Decisions::default());
-        let opts = SchedOpts::default().with_recorder(&got);
-        let res = schedule_trace(&mut SchedCtx::new(), g, m, &cfg, &opts).unwrap();
+        let res = lookahead(&mut SchedCtx::new(), g, m, &cfg, &got, None).unwrap();
         let predicted = reference_lookahead(g, m, &cfg, &want);
         assert_eq!(res.predicted, predicted);
         assert_eq!(got.0.into_inner(), want.0.into_inner());
+    }
+
+    /// When the guard emits the per-block code, the recorder's one
+    /// simulation is of that code: `issues` and the `stall_*` counters
+    /// are those of a recorded simulation of the returned orders, not of
+    /// Lookahead's discarded code.
+    #[test]
+    fn guard_win_records_the_emitted_code() {
+        let (g, m, _) = random_case(20, 4, 1, true, 2);
+        let traced = asched_obs::ProfileRecorder::new();
+        let opts = SchedOpts::default().with_recorder(&traced);
+        let cfg = LookaheadConfig::default();
+        let res = schedule_trace(&mut SchedCtx::new(), &g, &m, &cfg, &opts).unwrap();
+        let traced = traced.into_profile();
+        assert_eq!(traced.counter("portfolio_wins"), 1);
+        let emitted = asched_obs::ProfileRecorder::new();
+        let stream = InstStream::from_blocks(&res.block_orders);
+        simulate(&mut SchedCtx::new(), &g, &m, &stream, &emitted);
+        // The simulation's counters: issues, stall_events, stall_cycles*.
+        for (c, &v) in &emitted.into_profile().counters {
+            assert_eq!(traced.counter(c), v, "{c}");
+        }
     }
 
     /// Only a block that `chop` left whole is carried. On this trace,

@@ -14,7 +14,7 @@
 use crate::config::LookaheadConfig;
 use crate::error::CoreError;
 use crate::lookahead::schedule_trace;
-use crate::single_block::schedule_single_block_loop;
+use crate::single_block::{schedule_single_block_loop, LOOP_EVAL_ITERS};
 use asched_graph::{BlockId, DepGraph, MachineModel, NodeId, SchedCtx, SchedOpts};
 use asched_sim::{steady_period_with, trace_loop_completion, trace_steady_period_with};
 
@@ -45,13 +45,13 @@ pub fn schedule_loop_trace(
     let blocks = g.blocks();
     if blocks.len() <= 1 {
         let r = schedule_single_block_loop(ctx, g, machine, cfg, opts)?;
-        // 5.2.3 *selects* candidates at cfg.loop_eval_window (the
+        // 5.2.3 *selects* candidates at LOOP_EVAL_WINDOW (the
         // paper's literal-schedule semantics), but this result's period
         // is documented as measured at the machine's own window — keep
         // the two paths consistent.
         return Ok(LoopTraceResult {
             first_iter: asched_sim::loop_completion(ctx, g, machine, &r.order, 1),
-            period: steady_period_with(ctx, g, machine, &r.order, cfg.loop_eval_iters),
+            period: steady_period_with(ctx, g, machine, &r.order, LOOP_EVAL_ITERS),
             block_orders: vec![r.order],
         });
     }
@@ -85,7 +85,7 @@ pub fn schedule_loop_trace(
     }
 
     let first_iter = trace_loop_completion(ctx, g, machine, &block_orders, 1);
-    let period = trace_steady_period_with(ctx, g, machine, &block_orders, cfg.loop_eval_iters);
+    let period = trace_steady_period_with(ctx, g, machine, &block_orders, LOOP_EVAL_ITERS);
     Ok(LoopTraceResult {
         block_orders,
         period,

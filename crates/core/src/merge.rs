@@ -33,7 +33,8 @@
 //!   of `new` alone, but only failed probes read it. The search starts
 //!   from a floor that replaces that makespan by `capacity_bound(new)`
 //!   and makes the run only when its next step would pass the floor,
-//!   so it probes the same deltas.
+//!   so it probes the same deltas. A merge that ends in the
+//!   concatenation rung has made that run, and splices it in.
 //! * **The first block.** With `old = ∅`, probe(0)'s deadlines are step
 //!   1's, all lowered by the same amount. Every rank drops by that
 //!   amount, so the priority list and the greedy schedule are step 1's,
@@ -200,8 +201,10 @@ fn merge_inner(
     }
 
     // Rung 3: the concatenation the paper's feasibility argument relies
-    // on — old alone, then new alone after the largest latency.
-    concatenation_fallback(ctx, g, machine, old, new, d, slack, opts)
+    // on — old alone, then new alone after the largest latency. Both
+    // failed rungs read the exact ceiling, so `new` alone is scheduled.
+    let s_new = ceiling.new_alone(ctx, g, machine, new, opts)?;
+    concatenation_fallback(ctx, g, machine, old, new, s_new, d, slack, opts)
         .map(|out| (out, MergeRung::Concatenation, 0))
 }
 
@@ -220,7 +223,8 @@ fn free_deadlines(g: &DepGraph, mask: &NodeSet, slack: i64) -> Deadlines {
 /// all of the new nodes, with possibly [max latency] idle time between
 /// the two"). `T_new` costs a Rank run, so it is made on demand; until
 /// then `floor` stands in, with `capacity_bound(new)` — which no
-/// schedule of `new` beats — in place of `T_new`.
+/// schedule of `new` beats — in place of `T_new`. The run is kept: the
+/// concatenation rung splices in that very schedule.
 struct Ceiling {
     /// `t_old + max_latency + capacity_bound(new)`, at most the ceiling.
     floor: i64,
@@ -228,8 +232,8 @@ struct Ceiling {
     base: i64,
     /// Release slack that widens the new-alone run's horizon.
     slack: i64,
-    /// The ceiling, once computed.
-    known: Option<i64>,
+    /// `new` scheduled alone under free deadlines, once run.
+    new_alone: Option<RankOutput>,
 }
 
 impl Ceiling {
@@ -239,8 +243,27 @@ impl Ceiling {
             floor: base + capacity_bound(g, new, machine) as i64,
             base,
             slack,
-            known: None,
+            new_alone: None,
         }
+    }
+
+    /// `new` scheduled alone under free deadlines, run on first use.
+    fn new_alone(
+        &mut self,
+        ctx: &mut SchedCtx,
+        g: &DepGraph,
+        machine: &MachineModel,
+        new: &NodeSet,
+        opts: &SchedOpts,
+    ) -> Result<&RankOutput, CoreError> {
+        let s_new = match self.new_alone.take() {
+            Some(s) => s,
+            None => {
+                let d = free_deadlines(g, new, self.slack);
+                rank_schedule(ctx, g, new, machine, &d, opts)?
+            }
+        };
+        Ok(self.new_alone.insert(s_new))
     }
 
     /// The ceiling, scheduling `new` alone on first use.
@@ -252,22 +275,9 @@ impl Ceiling {
         new: &NodeSet,
         opts: &SchedOpts,
     ) -> Result<i64, CoreError> {
-        if let Some(c) = self.known {
-            return Ok(c);
-        }
-        let t_new = rank_schedule(
-            ctx,
-            g,
-            new,
-            machine,
-            &free_deadlines(g, new, self.slack),
-            opts,
-        )?
-        .schedule
-        .makespan() as i64;
-        let c = self.base + t_new;
-        self.known = Some(c);
-        Ok(c)
+        let base = self.base;
+        let s_new = self.new_alone(ctx, g, machine, new, opts)?;
+        Ok(base + s_new.schedule.makespan() as i64)
     }
 }
 
@@ -391,9 +401,10 @@ fn schedule_or_relax(
 }
 
 /// The guaranteed-feasible schedule: `old` under its deadlines, then
-/// `new` starting `max_latency` after `old` completes. Every cross edge
-/// `old -> new` has latency at most `max_latency`, so the gap satisfies
-/// them all; release times were honoured by both sub-schedules.
+/// `s_new` (`new` scheduled alone under free deadlines) starting
+/// `max_latency` after `old` completes. Every cross edge `old -> new`
+/// has latency at most `max_latency`, so the gap satisfies them all;
+/// release times were honoured by both sub-schedules.
 #[allow(clippy::too_many_arguments)]
 fn concatenation_fallback(
     ctx: &mut SchedCtx,
@@ -401,12 +412,12 @@ fn concatenation_fallback(
     machine: &MachineModel,
     old: &NodeSet,
     new: &NodeSet,
+    s_new: &RankOutput,
     d: &mut Deadlines,
     slack: i64,
     opts: &SchedOpts,
 ) -> Result<RankOutput, CoreError> {
     let s_old = schedule_or_relax(ctx, g, machine, old, d, slack, opts)?;
-    let s_new = rank_schedule(ctx, g, new, machine, &free_deadlines(g, new, slack), opts)?;
     // Splice after the makespan of the old schedule we ACTUALLY use —
     // schedule_or_relax may have rescheduled `old` past the `t_old` the
     // relaxation rungs used, and splicing at that stale offset would
@@ -788,10 +799,12 @@ pub(crate) mod tests {
 
         /// The ceiling on demand probes the deltas the eager ceiling
         /// probes and settles on the same relaxation, in both rungs that
-        /// share one ceiling. Each seam of a random trace is relaxed
-        /// from two deadline sets on `old`: its `old`-alone completions
-        /// with some pinned up to two cycles earlier (often infeasible
-        /// up to the ceiling), and the plain completions.
+        /// share one ceiling, and the `new`-alone run it keeps for the
+        /// concatenation rung is the eager one. Each seam of a random
+        /// trace is relaxed from two deadline sets on `old`: its
+        /// `old`-alone completions with some pinned up to two cycles
+        /// earlier (often infeasible up to the ceiling), and the plain
+        /// completions.
         #[test]
         fn ceiling_on_demand_matches_the_eager_ceiling(
             nodes in 6usize..28,
@@ -817,8 +830,8 @@ pub(crate) mod tests {
                 let t_lower = run(&mut ctx, &cur).makespan() as i64;
                 let s_old = run(&mut ctx, &old);
                 let t_old = s_old.makespan() as i64;
-                let t_new = run(&mut ctx, &new).makespan() as i64;
-                let eager = t_old + g.max_latency() as i64 + t_new;
+                let s_new = run(&mut ctx, &new);
+                let eager = t_old + g.max_latency() as i64 + s_new.makespan() as i64;
 
                 let mut pinned = Deadlines::uniform(&g, &cur, t_lower);
                 let mut plain = pinned.clone();
@@ -843,7 +856,7 @@ pub(crate) mod tests {
                     prop_assert_eq!(lazy_rec.0.into_inner(), eager_rec.0.into_inner());
                     prop_assert_eq!(relaxed(lazy), relaxed(reference));
                     prop_assert_eq!(d_lazy, d_eager);
-                    prop_assert!(ceiling.known.is_none_or(|c| c == eager));
+                    prop_assert!(ceiling.new_alone.as_ref().is_none_or(|s| s.schedule == s_new));
                 }
             }
         }

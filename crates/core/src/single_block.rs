@@ -24,6 +24,15 @@ use asched_graph::{BlockId, DepGraph, MachineModel, NodeData, NodeId, SchedCtx, 
 use asched_rank::{delay_idle_slots, rank_schedule, Deadlines};
 use asched_sim::loop_completion;
 
+/// Window size at which Section 5.2.3 *evaluates* loop-schedule
+/// candidates ("select the best"): the paper compares candidates by
+/// their literal steady-state completion time, i.e. window 1.
+pub const LOOP_EVAL_WINDOW: usize = 1;
+
+/// Iterations used to warm up and measure a loop schedule's steady
+/// state.
+pub const LOOP_EVAL_ITERS: u32 = 16;
+
 /// Which transformation produced a candidate schedule.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CandidateKind {
@@ -146,9 +155,9 @@ fn candidate_order(
 /// transformation and keeping the best steady-state order.
 ///
 /// Candidate evaluation runs the window simulator with window
-/// `cfg.loop_eval_window` (default 1: the paper's literal-schedule
-/// semantics). If the loop has no loop-carried edges the loop-blind
-/// local schedule is returned directly.
+/// [`LOOP_EVAL_WINDOW`] (the paper's literal-schedule semantics) for
+/// [`LOOP_EVAL_ITERS`] iterations. If the loop has no loop-carried
+/// edges the loop-blind local schedule is returned directly.
 ///
 /// ```
 /// use asched_core::{schedule_single_block_loop, LookaheadConfig};
@@ -195,9 +204,9 @@ pub fn schedule_single_block_loop(
         release: None,
         ..*opts
     };
-    let eval_machine = machine.with_window(cfg.loop_eval_window.max(1));
+    let eval_machine = machine.with_window(LOOP_EVAL_WINDOW);
     let evaluate = |ctx: &mut SchedCtx, order: &[NodeId]| -> (u64, u64) {
-        asched_sim::steady_period_with(ctx, g, &eval_machine, order, cfg.loop_eval_iters)
+        asched_sim::steady_period_with(ctx, g, &eval_machine, order, LOOP_EVAL_ITERS)
     };
     let single =
         |ctx: &mut SchedCtx, order: &[NodeId]| loop_completion(ctx, g, &eval_machine, order, 1);

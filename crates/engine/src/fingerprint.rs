@@ -3,7 +3,8 @@
 //! The schedule cache keys on *what the scheduler sees*: the block DAG
 //! (execution times, classes, block membership, tie-break positions and
 //! every `<latency, distance>` edge), the machine model (unit classes
-//! and window size `W`) and the full [`LookaheadConfig`]. Node labels
+//! and window size `W`) and the [`LookaheadConfig`] switches that
+//! `schedule_trace` reads (`delay_idle_slots`, `protect_old`). Node labels
 //! are deliberately excluded — they never influence a scheduling
 //! decision, so `add r1,r2` and `add r5,r6` with identical dependence
 //! structure share one cache entry. The step budget is also excluded:
@@ -29,7 +30,7 @@ use std::fmt;
 /// Domain tag mixed into every fingerprint and stamped into cache-file
 /// headers. Bump it whenever the fingerprint scheme changes so stale
 /// on-disk caches are rejected instead of silently mis-keyed.
-pub const FINGERPRINT_DOMAIN: &str = "asched-engine-v2";
+pub const FINGERPRINT_DOMAIN: &str = "asched-engine-v3";
 
 /// A 128-bit content fingerprint of one scheduling task.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -111,8 +112,9 @@ pub fn fingerprint_task(
     cfg: &LookaheadConfig,
 ) -> Fingerprint {
     // Domain tag doubles as the persistence-format domain: bumping it
-    // (v1 → v2 when the step budget left the key) invalidates every
-    // on-disk cache file written under the old scheme.
+    // (v1 → v2 when the step budget left the key, v2 → v3 when the
+    // loop-scheduler and guard knobs did) invalidates every on-disk
+    // cache file written under the old scheme.
     let mut h = Hasher2::new();
     h.bytes(FINGERPRINT_DOMAIN.as_bytes());
 
@@ -145,14 +147,12 @@ pub fn fingerprint_task(
     }
     h.u64(machine.window as u64);
 
-    // Every config knob that can change a completed result is keyed.
-    // `step_budget` is deliberately absent — see the module docs.
+    // Every config knob that can change a completed `schedule_trace`
+    // result is keyed. `step_budget` is deliberately absent — see the
+    // module docs — and `filter_loop_candidates` only steers the loop
+    // schedulers, which the engine never runs.
     h.u8(cfg.delay_idle_slots as u8);
     h.u8(cfg.protect_old as u8);
-    h.u64(cfg.loop_eval_window as u64);
-    h.u32(cfg.loop_eval_iters);
-    h.u8(cfg.portfolio as u8);
-    h.u8(cfg.filter_loop_candidates as u8);
 
     h.finish()
 }

@@ -9,7 +9,7 @@
 
 use crate::kernel::{kernel_loop, KernelLoop};
 use crate::modulo::{modulo_schedule, PipelineError};
-use asched_core::{schedule_single_block_loop, CoreError, LookaheadConfig};
+use asched_core::{schedule_single_block_loop, CoreError, LookaheadConfig, LOOP_EVAL_WINDOW};
 use asched_graph::{DepGraph, MachineModel, NodeId, SchedCtx, SchedOpts};
 use asched_sim::steady_period_rational;
 
@@ -53,7 +53,7 @@ impl From<CoreError> for PostpassError {
 /// Steady-state periods are measured with the window simulator at the
 /// given machine's window size on the *kernel* graph (whose distance
 /// labels encode the pipelining), in the paper's literal-schedule
-/// semantics (`cfg.loop_eval_window`). The caller's [`SchedCtx`] is
+/// semantics ([`LOOP_EVAL_WINDOW`]). The caller's [`SchedCtx`] is
 /// threaded through both the loop scheduler and every simulator run.
 pub fn anticipatory_postpass(
     ctx: &mut SchedCtx,
@@ -64,7 +64,7 @@ pub fn anticipatory_postpass(
 ) -> Result<PostpassReport, PostpassError> {
     let ms = modulo_schedule(g, machine)?;
     let kernel = kernel_loop(g, &ms);
-    let eval = machine.with_window(cfg.loop_eval_window.max(1));
+    let eval = machine.with_window(LOOP_EVAL_WINDOW);
     let before = steady_period_rational(ctx, &kernel.graph, &eval, &kernel.order);
     let res = schedule_single_block_loop(ctx, &kernel.graph, machine, cfg, opts)?;
     let after = steady_period_rational(ctx, &kernel.graph, &eval, &res.order);

@@ -7,9 +7,12 @@
 //! is hermetic — while still being robust against hostile input: every
 //! malformed, oversized or timed-out request maps onto a structured
 //! [`ReadError`] the server turns into a 4xx, never a panic or a hang
-//! (the caller sets socket read/write timeouts before parsing).
+//! (the server reads through a `DeadlineReader`, which bounds the
+//! whole request by one deadline).
 
 use std::io::{self, Read, Write};
+use std::net::TcpStream;
+use std::time::Instant;
 
 /// Hard cap on the request line + headers, before any body.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -60,11 +63,45 @@ pub enum ReadError {
     Io(io::Error),
 }
 
+/// A socket reader whose reads share one deadline. Each read waits at
+/// most until the deadline, and once it has passed every read fails
+/// with [`io::ErrorKind::TimedOut`], so a peer that trickles one byte
+/// at a time holds the reader no longer than a silent one.
+pub(crate) struct DeadlineReader<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl<'a> DeadlineReader<'a> {
+    /// Read from `stream` until `deadline`.
+    pub(crate) fn new(stream: &'a TcpStream, deadline: Instant) -> Self {
+        DeadlineReader { stream, deadline }
+    }
+}
+
+impl Read for DeadlineReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        // std rejects a zero read timeout, so an expired deadline is
+        // reported here instead of reaching the socket.
+        if left.is_zero() {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "read deadline passed",
+            ));
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        let mut stream = self.stream;
+        stream.read(buf)
+    }
+}
+
 /// Read and parse one request from `stream`.
 ///
 /// `max_body` caps the `Content-Length`; the head is capped at
-/// [`MAX_HEAD_BYTES`]. The caller is responsible for having set socket
-/// timeouts — a stalled peer surfaces as [`ReadError::Io`].
+/// [`MAX_HEAD_BYTES`]. The caller bounds the time the read may take
+/// (the server reads through a `DeadlineReader`) — a stalled or
+/// trickling peer surfaces as [`ReadError::Io`].
 pub fn read_request(stream: &mut impl Read, max_body: usize) -> Result<Request, ReadError> {
     // Accumulate until the blank line that ends the head.
     let mut buf: Vec<u8> = Vec::with_capacity(1024);

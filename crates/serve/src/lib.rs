@@ -13,7 +13,7 @@
 //! |---|---|
 //! | `POST /v1/schedule` | schedule a manifest- or IR-format trace batch |
 //! | `GET /healthz` | liveness + drain state |
-//! | `GET /metrics` | counters, latency percentiles, engine profile (JSON; `?format=prometheus` for text exposition) |
+//! | `GET /metrics` | the service's event profile: counters, latency percentiles, pass timings (JSON; `?format=prometheus` for text exposition) |
 //! | `GET /admin/flight` | flight recorder: last N request summaries |
 //! | `POST /admin/drain` | begin graceful drain |
 //!
@@ -42,7 +42,7 @@ pub mod wire;
 pub use client::{http_request, ClientResponse};
 pub use flight::{FlightRecorder, RequestSummary};
 pub use loadgen::{run_closed_loop, synth_request_bodies, LoadReport};
-pub use metrics::{ServeMetrics, WorkerCacheStats};
+pub use metrics::ServeMetrics;
 pub use policy::{Admission, AdmissionPolicy, DeadlinePolicy};
 pub use prom::validate_exposition;
 pub use server::{Server, ServerConfig, ServerHandle};

@@ -1,16 +1,31 @@
 //! Prometheus text exposition (format version 0.0.4).
 //!
 //! A tiny hand-rolled renderer: `# HELP` / `# TYPE` comment pairs,
-//! `name{label="v"} value` sample lines, `\n` line endings. Histograms
-//! are rendered from [`Histogram`]'s fixed power-of-two buckets:
-//! a sample recorded in microseconds lands in bucket `[2^(i-1), 2^i-1]`
-//! µs, which the exposition publishes as a cumulative bucket with
-//! `le = (2^i - 1) / 1e6` seconds. The bucket *boundaries* are thus
-//! `1e-6 * (2^i - 1)` for `i = 0..=64` — documented here once and
-//! mirrored by `docs/observability.md`; only non-empty buckets are
-//! emitted (cumulative counts stay correct, scrape size stays small).
+//! `name value` sample lines (`name{le="b"} value` for histogram
+//! buckets), `\n` line endings. A profile
+//! counter `c` is exported as [`counter_name`]`(c)`, `asched_<c>_total`.
+//! Histograms are rendered from [`Histogram`]'s fixed power-of-two
+//! buckets: a sample recorded in nanoseconds lands in bucket
+//! `[2^(i-1), 2^i-1]` ns, which the exposition publishes as a
+//! cumulative bucket with `le = (2^i - 1) / 1e9` seconds. The bucket
+//! *boundaries* are thus `1e-9 * (2^i - 1)` for `i = 0..=64` —
+//! documented here once and mirrored by `docs/observability.md`; only
+//! non-empty buckets are emitted (cumulative counts stay correct,
+//! scrape size stays small).
 
 use asched_obs::Histogram;
+
+/// The exposition name of profile counter `counter`:
+/// `asched_<counter>_total`, with every character a Prometheus metric
+/// name may not contain (anything but ASCII letters, digits and `_`)
+/// mapped to `_`.
+pub fn counter_name(counter: &str) -> String {
+    let body: String = counter
+        .chars()
+        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
+        .collect();
+    format!("asched_{body}_total")
+}
 
 /// Accumulates one exposition document.
 #[derive(Debug, Default)]
@@ -41,29 +56,14 @@ impl Exposition {
         self.out.push('\n');
     }
 
-    fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
+    /// One sample line; `le` is a histogram bucket's bound, a number or
+    /// `+Inf`, which needs no escaping.
+    fn sample(&mut self, name: &str, le: Option<&str>, value: f64) {
         self.out.push_str(name);
-        if !labels.is_empty() {
-            self.out.push('{');
-            for (i, (k, v)) in labels.iter().enumerate() {
-                if i > 0 {
-                    self.out.push(',');
-                }
-                self.out.push_str(k);
-                self.out.push_str("=\"");
-                // Label values here are worker indices and bucket
-                // bounds; escape the reserved characters anyway.
-                for c in v.chars() {
-                    match c {
-                        '\\' => self.out.push_str("\\\\"),
-                        '"' => self.out.push_str("\\\""),
-                        '\n' => self.out.push_str("\\n"),
-                        c => self.out.push(c),
-                    }
-                }
-                self.out.push('"');
-            }
-            self.out.push('}');
+        if let Some(le) = le {
+            self.out.push_str("{le=\"");
+            self.out.push_str(le);
+            self.out.push_str("\"}");
         }
         self.out.push(' ');
         self.out.push_str(&format_value(value));
@@ -73,52 +73,32 @@ impl Exposition {
     /// A counter with one sample.
     pub fn counter(&mut self, name: &str, help: &str, value: u64) {
         self.header(name, help, "counter");
-        self.sample(name, &[], value as f64);
+        self.sample(name, None, value as f64);
     }
 
     /// A gauge with one sample.
     pub fn gauge(&mut self, name: &str, help: &str, value: f64) {
         self.header(name, help, "gauge");
-        self.sample(name, &[], value);
+        self.sample(name, None, value);
     }
 
-    /// A counter family: one sample per `(labels, value)` row.
-    pub fn counter_family(&mut self, name: &str, help: &str, rows: &[(Vec<(&str, String)>, u64)]) {
-        self.header(name, help, "counter");
-        for (labels, value) in rows {
-            let borrowed: Vec<(&str, &str)> =
-                labels.iter().map(|(k, v)| (*k, v.as_str())).collect();
-            self.sample(name, &borrowed, *value as f64);
-        }
-    }
-
-    /// A gauge family: one sample per `(labels, value)` row.
-    pub fn gauge_family(&mut self, name: &str, help: &str, rows: &[(Vec<(&str, String)>, f64)]) {
-        self.header(name, help, "gauge");
-        for (labels, value) in rows {
-            let borrowed: Vec<(&str, &str)> =
-                labels.iter().map(|(k, v)| (*k, v.as_str())).collect();
-            self.sample(name, &borrowed, *value);
-        }
-    }
-
-    /// A histogram whose samples were recorded in **microseconds**,
+    /// A histogram whose samples were recorded in **nanoseconds**,
     /// exposed in **seconds** per Prometheus convention. Bucket bounds
     /// come from [`Histogram`]'s fixed power-of-two boundaries (see the
     /// module docs); only non-empty buckets are emitted, plus the
     /// mandatory `+Inf` bucket, `_sum` and `_count`.
-    pub fn histogram_us(&mut self, name: &str, help: &str, h: &Histogram) {
+    pub fn histogram_ns(&mut self, name: &str, help: &str, h: &Histogram) {
         self.header(name, help, "histogram");
         let bucket = format!("{name}_bucket");
         let mut cumulative = 0u64;
         for (_lo, hi, n) in h.nonzero_buckets() {
             cumulative += n;
-            let le = format_value(hi as f64 / 1e6);
-            self.sample(&bucket, &[("le", le.as_str())], cumulative as f64);
+            let le = format_value(hi as f64 / 1e9);
+            self.sample(&bucket, Some(&le), cumulative as f64);
         }
-        self.sample(&bucket, &[("le", "+Inf")], h.count() as f64);
-        self.sample(&format!("{name}_sum"), &[], h.sum() as f64 / 1e6);
-        self.sample(&format!("{name}_count"), &[], h.count() as f64);
+        self.sample(&bucket, Some("+Inf"), h.count() as f64);
+        self.sample(&format!("{name}_sum"), None, h.sum() as f64 / 1e9);
+        self.sample(&format!("{name}_count"), None, h.count() as f64);
     }
 }
 
@@ -193,47 +173,42 @@ mod tests {
     #[test]
     fn renders_counters_and_gauges() {
         let mut e = Exposition::new();
-        e.counter("asched_requests_done_total", "Requests answered.", 42);
+        e.counter("asched_req_done_total", "Requests answered.", 42);
         e.gauge("asched_queue_depth", "Queued connections.", 3.0);
         let text = e.finish();
-        assert!(text.contains("# TYPE asched_requests_done_total counter\n"));
-        assert!(text.contains("asched_requests_done_total 42\n"));
+        assert!(text.contains("# TYPE asched_req_done_total counter\n"));
+        assert!(text.contains("asched_req_done_total 42\n"));
         assert!(text.contains("asched_queue_depth 3\n"));
         assert_eq!(validate_exposition(&text).unwrap(), 2);
     }
 
     #[test]
-    fn renders_labeled_families() {
-        let mut e = Exposition::new();
-        e.counter_family(
-            "asched_worker_cache_hits_total",
-            "Cache hits per worker.",
-            &[
-                (vec![("worker", "0".to_string())], 5),
-                (vec![("worker", "1".to_string())], 7),
-            ],
+    fn counter_names_are_mechanical_and_valid() {
+        assert_eq!(counter_name("req_done"), "asched_req_done_total");
+        assert_eq!(
+            counter_name("e15.gap_hist.3plus"),
+            "asched_e15_gap_hist_3plus_total"
         );
-        let text = e.finish();
-        assert!(text.contains("asched_worker_cache_hits_total{worker=\"0\"} 5\n"));
-        assert!(text.contains("asched_worker_cache_hits_total{worker=\"1\"} 7\n"));
-        assert_eq!(validate_exposition(&text).unwrap(), 2);
+        assert_eq!(counter_name("a:b-c d"), "asched_a_b_c_d_total");
+        let text = format!("{} 1\n", counter_name("0.weird-name"));
+        assert!(validate_exposition(&text).is_ok(), "{text}");
     }
 
     #[test]
     fn histogram_buckets_are_cumulative_seconds() {
         let mut h = Histogram::new();
-        h.record(1); // bucket [1,1] -> le 1e-6
-        h.record(3); // bucket [2,3] -> le 3e-6
+        h.record(1); // bucket [1,1] -> le 1e-9
+        h.record(3); // bucket [2,3] -> le 3e-9
         h.record(3);
         let mut e = Exposition::new();
-        e.histogram_us("asched_request_duration_seconds", "Latency.", &h);
+        e.histogram_ns("asched_request_duration_seconds", "Latency.", &h);
         let text = e.finish();
         assert!(
-            text.contains("asched_request_duration_seconds_bucket{le=\"0.000001\"} 1\n"),
+            text.contains("asched_request_duration_seconds_bucket{le=\"0.000000001\"} 1\n"),
             "{text}"
         );
         assert!(
-            text.contains("asched_request_duration_seconds_bucket{le=\"0.000003\"} 3\n"),
+            text.contains("asched_request_duration_seconds_bucket{le=\"0.000000003\"} 3\n"),
             "{text}"
         );
         assert!(
@@ -244,9 +219,9 @@ mod tests {
             text.contains("asched_request_duration_seconds_count 3\n"),
             "{text}"
         );
-        // sum = 7 µs = 7e-6 s
+        // sum = 7 ns = 7e-9 s
         assert!(
-            text.contains("asched_request_duration_seconds_sum 0.000007\n"),
+            text.contains("asched_request_duration_seconds_sum 0.000000007\n"),
             "{text}"
         );
         assert!(validate_exposition(&text).is_ok());

@@ -37,7 +37,7 @@ use asched_obs::json::JsonObject;
 use asched_obs::{Event, Recorder, Severity, SpanAlloc, SpanScope, TeeRecorder};
 
 use crate::flight::{FlightRecorder, RequestSummary};
-use crate::http::{read_request, ReadError, Request, Response};
+use crate::http::{read_request, DeadlineReader, ReadError, Request, Response};
 use crate::metrics::ServeMetrics;
 use crate::policy::{Admission, AdmissionPolicy, DeadlinePolicy};
 use crate::wire;
@@ -65,7 +65,8 @@ pub struct ServerConfig {
     /// step per node entering a block merge, so this bounds scheduling
     /// work per remaining millisecond of deadline.
     pub steps_per_ms: u64,
-    /// Socket read/write timeout per connection.
+    /// Time limit on reading one request, head and body together, and
+    /// the write timeout on its response.
     pub io_timeout_ms: u64,
     /// Cap on a request body (`Content-Length`).
     pub max_body_bytes: usize,
@@ -204,8 +205,8 @@ impl Shared {
     }
 }
 
-/// Best-effort 503 on a connection we will not serve. Short timeouts:
-/// a slow peer must not stall the accept thread.
+/// Best-effort 503 on a connection we will not serve. Short time
+/// limits: a slow peer must not stall the accept thread.
 fn shed(mut stream: TcpStream, queue_depth: usize, retry_after_secs: u64) {
     let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
     let mut o = JsonObject::new();
@@ -223,15 +224,16 @@ fn shed(mut stream: TcpStream, queue_depth: usize, retry_after_secs: u64) {
 /// socket with unread bytes in its receive buffer sends RST, which
 /// drops our freshly written response on the floor at the peer. So:
 /// send FIN, then drain whatever the peer had in flight until it
-/// closes, bounded by `timeout` and a byte budget.
-fn linger_close(mut stream: TcpStream, timeout: Duration) {
+/// closes, bounded by a byte budget and by `limit` of time in total,
+/// however the peer paces its bytes.
+fn linger_close(stream: TcpStream, limit: Duration) {
     use std::io::Read;
     let _ = stream.shutdown(Shutdown::Write);
-    let _ = stream.set_read_timeout(Some(timeout));
+    let mut reader = DeadlineReader::new(&stream, Instant::now() + limit);
     let mut sink = [0u8; 1024];
     let mut budget: usize = 64 * 1024;
     loop {
-        match stream.read(&mut sink) {
+        match reader.read(&mut sink) {
             Ok(0) | Err(_) => break,
             Ok(n) => {
                 budget = budget.saturating_sub(n);
@@ -422,7 +424,6 @@ fn handle_connection(sh: &Shared, engine: &Engine, ctx: &mut SchedCtx, worker: u
         accepted,
     } = job;
     let io_timeout = Duration::from_millis(sh.cfg.io_timeout_ms.max(1));
-    let _ = stream.set_read_timeout(Some(io_timeout));
     let _ = stream.set_write_timeout(Some(io_timeout));
     if sh.cfg.debug_delay_ms > 0 {
         thread::sleep(Duration::from_millis(sh.cfg.debug_delay_ms));
@@ -457,7 +458,10 @@ fn handle_connection(sh: &Shared, engine: &Engine, ctx: &mut SchedCtx, worker: u
         name: "read",
     });
     let read_start = Instant::now();
-    let read_result = read_request(&mut stream, sh.cfg.max_body_bytes);
+    let read_result = read_request(
+        &mut DeadlineReader::new(&stream, read_start + io_timeout),
+        sh.cfg.max_body_bytes,
+    );
     sh.emit(&Event::SpanEnd {
         span: read_span,
         nanos: read_start.elapsed().as_nanos() as u64,
@@ -474,16 +478,7 @@ fn handle_connection(sh: &Shared, engine: &Engine, ctx: &mut SchedCtx, worker: u
             });
             let handle_start = Instant::now();
             let resp = catch_unwind(AssertUnwindSafe(|| {
-                route(
-                    sh,
-                    engine,
-                    ctx,
-                    worker,
-                    &req,
-                    accepted,
-                    handle_span,
-                    &mut stats,
-                )
+                route(sh, engine, ctx, &req, accepted, handle_span, &mut stats)
             }))
             .unwrap_or_else(|_| {
                 // A handler panic is exactly what the flight recorder
@@ -563,12 +558,10 @@ fn handle_connection(sh: &Shared, engine: &Engine, ctx: &mut SchedCtx, worker: u
     });
 }
 
-#[allow(clippy::too_many_arguments)] // the request pipeline really has this much context
 fn route(
     sh: &Shared,
     engine: &Engine,
     ctx: &mut SchedCtx,
-    worker: usize,
     req: &Request,
     accepted: Instant,
     handle_span: u64,
@@ -597,9 +590,7 @@ fn route(
             o.str("status", "draining");
             Response::json(200, o.finish())
         }
-        ("POST", "/v1/schedule") => {
-            schedule(sh, engine, ctx, worker, req, accepted, handle_span, stats)
-        }
+        ("POST", "/v1/schedule") => schedule(sh, engine, ctx, req, accepted, handle_span, stats),
         ("GET" | "HEAD" | "PUT" | "DELETE", "/v1/schedule")
         | ("GET" | "POST", "/healthz" | "/metrics" | "/admin/drain" | "/admin/flight") => {
             Response::error(
@@ -612,12 +603,10 @@ fn route(
     }
 }
 
-#[allow(clippy::too_many_arguments)] // see route()
 fn schedule(
     sh: &Shared,
     engine: &Engine,
     ctx: &mut SchedCtx,
-    worker: usize,
     req: &Request,
     accepted: Instant,
     handle_span: u64,
@@ -656,14 +645,6 @@ fn schedule(
         };
         engine.run_batch_traced(Some(ctx), &tasks, &tee, Some(scope))
     };
-    sh.metrics
-        .note_tasks(report.tasks.len() as u64, report.degraded, report.failed);
-    sh.metrics.note_worker_cache(
-        worker,
-        report.cache_hits,
-        report.cache_misses,
-        report.cache_evictions,
-    );
     stats.tasks = report.tasks.len() as u64;
     stats.degraded = report.degraded;
 

@@ -54,11 +54,11 @@ fn schedules_healthz_and_metrics() {
     let metrics = http_request(addr, "GET", "/metrics", &[], b"", TIMEOUT).unwrap();
     assert_eq!(metrics.status, 200);
     let m = metrics.text();
-    assert!(m.contains(r#""schema":"asched-serve-metrics-v1""#), "{m}");
+    assert!(m.contains(r#""schema":"asched-serve-metrics-v2""#), "{m}");
     // The requests above are visible. (Exact counts race with the
     // accept thread's event emission, so parse and bound instead.)
     let accepted: u64 = m
-        .split(r#""accepted":"#)
+        .split(r#""req_accept":"#)
         .nth(1)
         .and_then(|s| s.split(&[',', '}'][..]).next())
         .and_then(|s| s.parse().ok())
@@ -170,7 +170,7 @@ fn queue_full_sheds_503_with_retry_after() {
         assert_eq!(r.header("retry-after"), Some("1"), "{}", r.text());
         assert!(r.text().contains(r#""error":"overloaded""#), "{}", r.text());
     }
-    assert_eq!(h.metrics().shed(), shed as u64);
+    assert_eq!(h.metrics().profile().counter("req_shed"), shed as u64);
 }
 
 #[test]
@@ -289,7 +289,7 @@ fn graceful_drain_finishes_in_flight_then_refuses() {
         Duration::from_millis(500),
     );
     assert!(refused.is_err() || refused.unwrap().status == 503);
-    assert!(metrics.done() >= 1);
+    assert!(metrics.profile().counter("req_done") >= 1);
 }
 
 #[test]
@@ -314,7 +314,7 @@ fn metrics_render_as_prometheus_exposition() {
         .unwrap_or_else(|e| panic!("invalid exposition: {e}\n{body}"));
     assert!(samples > 10, "suspiciously small exposition:\n{body}");
     assert!(
-        body.contains("# TYPE asched_requests_done_total counter"),
+        body.contains("# TYPE asched_req_done_total counter"),
         "{body}"
     );
     assert!(
@@ -325,20 +325,14 @@ fn metrics_render_as_prometheus_exposition() {
         body.contains("asched_request_duration_seconds_bucket{le=\"+Inf\"}"),
         "{body}"
     );
-    // Three schedules went through one engine's cache → per-worker rows.
-    assert!(
-        body.contains("asched_worker_cache_hits_total{worker="),
-        "{body}"
-    );
-    assert!(
-        body.contains("asched_worker_cache_hit_rate{worker="),
-        "{body}"
-    );
+    // Three schedules went through the shared cache.
+    assert!(body.contains("\nasched_cache_queries_total 3\n"), "{body}");
+    assert!(body.contains("\nasched_shared_cache_resident "), "{body}");
 
     // JSON stays the default; unknown formats are a client error.
     let json = http_request(addr, "GET", "/metrics", &[], b"", TIMEOUT).unwrap();
     assert!(json.text().starts_with('{'), "{}", json.text());
-    assert!(json.text().contains(r#""workers":["#), "{}", json.text());
+    assert!(json.text().contains(r#""profile":{"#), "{}", json.text());
     let bad = http_request(addr, "GET", "/metrics?format=xml", &[], b"", TIMEOUT).unwrap();
     assert_eq!(bad.status, 400);
     assert!(bad.text().contains("bad_format"), "{}", bad.text());
@@ -457,4 +451,221 @@ fn batch_cap_applies() {
     );
     assert_eq!(resp.status, 400);
     assert!(resp.text().contains("too_many_tasks"), "{}", resp.text());
+}
+
+/// After a mixed workload — a computed 200, a cache hit, a 400, a
+/// degraded task and 503 sheds — `/metrics` in both formats is a view
+/// of the server's one profile: every counter agrees across the
+/// profile, the JSON and the exposition, and `req_shed` is the number
+/// of 503s the clients saw.
+#[test]
+fn metrics_formats_render_one_profile() {
+    use asched_obs::json::{self, Json};
+    use asched_serve::prom::counter_name;
+
+    // A fresh server's exposition already carries the request
+    // counters and the latency histogram, at 0.
+    let fresh = start(ServerConfig::default());
+    let text = http_request(
+        fresh.addr(),
+        "GET",
+        "/metrics?format=prometheus",
+        &[],
+        b"",
+        TIMEOUT,
+    )
+    .unwrap()
+    .text();
+    asched_serve::validate_exposition(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+    assert!(text.contains("\nasched_req_done_total 0\n"), "{text}");
+    assert!(
+        text.contains("\nasched_request_duration_seconds_bucket{le=\"+Inf\"} 0\n"),
+        "{text}"
+    );
+    fresh.shutdown();
+
+    let h = start(ServerConfig {
+        workers: 1,
+        queue_capacity: 1,
+        debug_delay_ms: 200,
+        ..ServerConfig::default()
+    });
+    let addr = h.addr();
+    let body = "dag nodes=16 blocks=2 seed=7 w=4\n";
+    let mut answered = 0;
+    for (body, headers, status, outcome) in [
+        (body, &[][..], 200, r#""outcome":"scheduled""#),
+        (body, &[], 200, r#""outcome":"cached""#),
+        ("dag nodes=banana w=2\n", &[], 400, r#""error":"#),
+        (
+            "dag nodes=32 blocks=4 seed=3 w=4\n",
+            &[("X-Asched-Deadline-Ms", "0")],
+            200,
+            r#""outcome":"degraded""#,
+        ),
+    ] {
+        let resp = post_schedule(addr, body, headers);
+        assert_eq!(resp.status, status, "{}", resp.text());
+        assert!(resp.text().contains(outcome), "{}", resp.text());
+        answered += 1;
+    }
+    let burst: Vec<ClientResponse> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..6)
+            .map(|i| {
+                let body = format!("dag nodes=8 seed={i} w=2\n");
+                scope.spawn(move || post_schedule(addr, &body, &[]))
+            })
+            .collect();
+        handles.into_iter().map(|t| t.join().unwrap()).collect()
+    });
+    let shed = burst.iter().filter(|r| r.status == 503).count() as u64;
+    answered += burst.iter().filter(|r| r.status == 200).count() as u64;
+    assert_eq!(shed + answered, 10, "only 200s, a 400 and 503s expected");
+    assert!(shed >= 2, "expected shedding, got {shed}");
+
+    // `req_done` is recorded after the response is written; wait for
+    // the last one before reading a quiescent profile.
+    let m = h.metrics();
+    let start = std::time::Instant::now();
+    while m.profile().counter("req_done") < answered {
+        assert!(start.elapsed() < TIMEOUT, "requests never completed");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let profile = m.profile();
+    let doc = json::parse(&m.to_json()).unwrap();
+    let text = m.to_prometheus();
+    asched_serve::validate_exposition(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+
+    assert_eq!(profile.counter("req_shed"), shed);
+    assert_eq!(profile.counter("req_done"), answered);
+    assert_eq!(profile.counter("req_4xx"), 1);
+    assert!(profile.counter("engine_tasks_cached") >= 1);
+    assert_eq!(profile.counter("engine_tasks_degraded"), 1);
+    let Some(Json::Obj(counters)) = doc.get("profile").and_then(|p| p.get("counters")) else {
+        panic!("no profile counters in the JSON document");
+    };
+    assert_eq!(counters.len(), profile.counters.len());
+    for (name, &value) in &profile.counters {
+        assert_eq!(counters[name].as_f64(), Some(value as f64), "JSON {name}");
+        let prefix = format!("{} ", counter_name(name));
+        let sample = text
+            .lines()
+            .find_map(|l| l.strip_prefix(&prefix))
+            .unwrap_or_else(|| panic!("no sample for {name}:\n{text}"));
+        assert_eq!(sample, value.to_string(), "Prometheus {name}");
+    }
+}
+
+/// A client that trickles its head one byte per 100 ms holds the only
+/// worker for `io_timeout_ms` in total, not per byte: it gets a 408,
+/// and a well-formed request behind it is answered promptly.
+#[test]
+fn trickled_request_is_bounded_by_one_read_deadline() {
+    use std::io::{ErrorKind, Read, Write};
+    use std::time::Instant;
+
+    let h = start(ServerConfig {
+        workers: 1,
+        io_timeout_ms: 300,
+        ..ServerConfig::default()
+    });
+    let addr = h.addr();
+    let (connected, trickling) = std::sync::mpsc::channel();
+    let trickler = std::thread::spawn(move || {
+        let mut s = std::net::TcpStream::connect(addr).unwrap();
+        connected.send(()).unwrap();
+        // The read timeout paces the trickle: one head byte, then wait
+        // up to 100 ms for the answer.
+        s.set_read_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
+        let mut out = Vec::new();
+        let mut buf = [0u8; 1024];
+        for _ in 0..100 {
+            if s.write_all(b"G").is_err() {
+                break;
+            }
+            match s.read(&mut buf) {
+                Ok(0) => break,
+                Ok(n) => {
+                    out.extend_from_slice(&buf[..n]);
+                    break;
+                }
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+                Err(_) => break,
+            }
+        }
+        s.set_read_timeout(Some(TIMEOUT)).unwrap();
+        let _ = s.read_to_end(&mut out);
+        String::from_utf8_lossy(&out).into_owned()
+    });
+    // Connections are accepted and queued in connect order, so the
+    // worker takes the trickler first.
+    trickling.recv().unwrap();
+    let t0 = Instant::now();
+    let ok = post_schedule(addr, "dag nodes=8 seed=1 w=2\n", &[]);
+    let waited = t0.elapsed();
+    assert_eq!(ok.status, 200, "{}", ok.text());
+    assert!(
+        waited < Duration::from_secs(2),
+        "a trickling client held the worker for {waited:?}"
+    );
+    let answer = trickler.join().unwrap();
+    assert!(answer.starts_with("HTTP/1.1 408 "), "{answer:?}");
+}
+
+/// With the queue full, a shed client that keeps trickling bytes after
+/// its 503 holds the accept thread for the linger's total budget only:
+/// the next connection is shed within a second.
+#[test]
+fn trickling_shed_client_does_not_stall_the_accept_loop() {
+    use std::io::Write;
+    use std::time::Instant;
+
+    let h = start(ServerConfig {
+        workers: 1,
+        queue_capacity: 1,
+        debug_delay_ms: 1_500,
+        ..ServerConfig::default()
+    });
+    let addr = h.addr();
+    let m = h.metrics();
+    let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+        let start = Instant::now();
+        while !done() {
+            assert!(start.elapsed() < TIMEOUT, "never saw {what}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    };
+    let body = "dag nodes=8 seed=1 w=2\n";
+    // One request parks the worker, the next fills the queue.
+    let parked = std::thread::spawn(move || post_schedule(addr, body, &[]));
+    wait_for("the worker take a request", &|| {
+        m.profile().counter("req_accept") == 1 && m.queue_depth() == 0
+    });
+    let queued = std::thread::spawn(move || post_schedule(addr, body, &[]));
+    wait_for("a full queue", &|| m.profile().counter("req_accept") == 2);
+
+    let trickler = std::thread::spawn(move || {
+        let mut s = std::net::TcpStream::connect(addr).unwrap();
+        for _ in 0..40 {
+            if s.write_all(b"G").is_err() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(50));
+        }
+    });
+    wait_for("the trickler shed", &|| {
+        m.profile().counter("req_shed") == 1
+    });
+    let t0 = Instant::now();
+    let next = post_schedule(addr, body, &[]);
+    let waited = t0.elapsed();
+    assert_eq!(next.status, 503, "{}", next.text());
+    assert!(
+        waited < Duration::from_secs(1),
+        "a trickling shed client delayed the next 503 by {waited:?}"
+    );
+    trickler.join().unwrap();
+    assert_eq!(parked.join().unwrap().status, 200);
+    assert_eq!(queued.join().unwrap().status, 200);
 }

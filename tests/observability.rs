@@ -74,8 +74,8 @@ fn fig2_trace_is_schema_valid_and_covers_the_pipeline() {
     assert!(!tags.iter().any(|t| t == "stall"), "{tags:?}");
     // At W=1 nothing overtakes: `a` waits a cycle on b -> a and `q` on
     // z -> q (both latency 1), so the emitted code stalls twice. The
-    // portfolio guard runs here too, unrecorded: still one issue per
-    // instruction.
+    // portfolio guard runs here too, unrecorded; only the emitted code's
+    // simulation is: still one issue per instruction.
     let (_, narrow) = fig2_trace(1);
     assert_eq!(narrow.iter().filter(|t| *t == "stall").count(), 2);
     assert_eq!(narrow.iter().filter(|t| *t == "issue").count(), 11);

@@ -4,6 +4,7 @@
 
 use asched::core::{
     schedule_single_block_loop, CandidateKind, LookaheadConfig, SchedCtx, SchedOpts,
+    LOOP_EVAL_WINDOW,
 };
 use asched::graph::MachineModel;
 use asched::ir::{build_loop_graph, LatencyModel};
@@ -79,7 +80,7 @@ fn postpass_never_degrades_any_kernel() {
         );
         // Consistency: the reported period really is what the simulator
         // measures for the chosen order on the kernel graph.
-        let eval = machine.with_window(cfg.loop_eval_window);
+        let eval = machine.with_window(LOOP_EVAL_WINDOW);
         let measured = steady_period_rational(&mut sc, &r.kernel.graph, &eval, &r.order);
         assert_eq!(
             measured.0 * r.after.1,
