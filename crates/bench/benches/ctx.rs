@@ -105,14 +105,15 @@ fn bench_merge_cold_vs_warm(c: &mut Criterion) {
         let machine = MachineModel::single_unit(4);
         let old = g.block_nodes(BlockId(0));
         let new = g.block_nodes(BlockId(1));
-        let d0 = Deadlines::unbounded(&g, &g.all_nodes());
+        let all = g.all_nodes();
+        let d0 = Deadlines::unbounded(&g, &all);
         let mut saved = Vec::new();
-        d0.save_into(&mut saved);
+        d0.save_into(&all, &mut saved);
         group.bench_with_input(BenchmarkId::new("cold", n), &n, |b, _| {
             let mut d = d0.clone();
             b.iter(|| {
                 let mut sc = SchedCtx::new();
-                d.restore_from(&saved);
+                d.restore_from(&all, &saved);
                 merge(&mut sc, &g, &machine, &old, &new, &mut d, None, &cfg, &opts)
                     .unwrap()
                     .0
@@ -125,7 +126,7 @@ fn bench_merge_cold_vs_warm(c: &mut Criterion) {
             let mut d = d0.clone();
             merge(&mut sc, &g, &machine, &old, &new, &mut d, None, &cfg, &opts).unwrap();
             b.iter(|| {
-                d.restore_from(&saved);
+                d.restore_from(&all, &saved);
                 merge(&mut sc, &g, &machine, &old, &new, &mut d, None, &cfg, &opts)
                     .unwrap()
                     .0

@@ -20,8 +20,8 @@
 //!    window size; we bound it by the guaranteed-feasible
 //!    concatenation).
 //!
-//! Three Rank runs of the figure are skipped when their answer is
-//! already known, with the same schedules, deadlines, rungs and
+//! Four kinds of Rank run of the figure are skipped when their answer
+//! is already known, with the same schedules, deadlines, rungs and
 //! `merge_probe` events:
 //!
 //! * **The carried schedule.** When `chop` emitted nothing, the next
@@ -40,6 +40,10 @@
 //!   amount, so the priority list and the greedy schedule are step 1's,
 //!   and that schedule meets `T` by definition: probe(0) succeeds with
 //!   step 1's output, its ranks lowered.
+//! * **The refuted delta.** When the exponential search's last step was
+//!   clamped to the ceiling, the binary search can probe the delta the
+//!   exponential search refuted just before (0, 1, 2, 4 fail, 6 and 5
+//!   succeed, then 4). That probe is decided without a Rank run.
 
 use crate::config::LookaheadConfig;
 use crate::error::CoreError;
@@ -325,10 +329,13 @@ fn relax_loop(
         };
     // Exponential probe for a feasible relaxation.
     let mut hi = 0i64;
+    // The last relaxation the exponential phase refuted.
+    let mut refuted = -1i64;
     let mut hi_out = loop {
         match probe(ctx, hi, d) {
             Ok(out) => break out,
             Err(CoreError::MergeFailed) => {
+                refuted = hi;
                 let step = if hi == 0 { 1 } else { hi * 2 };
                 if step <= ceiling.floor - t_lower {
                     hi = step;
@@ -353,7 +360,23 @@ fn relax_loop(
     let (mut lo, mut hi) = (lo.min(hi), hi);
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        match probe(ctx, mid, d) {
+        // When the last exponential step was clamped to the ceiling,
+        // the search can come back to the delta refuted just before it;
+        // a Rank run there would replay the same problem to the same
+        // answer, so only its probe event is emitted.
+        let verdict = if mid == refuted {
+            record!(
+                opts.rec,
+                Event::MergeProbe {
+                    delta: mid,
+                    feasible: false
+                }
+            );
+            Err(CoreError::MergeFailed)
+        } else {
+            probe(ctx, mid, d)
+        };
+        match verdict {
             Ok(out) => {
                 hi_out = out;
                 hi = mid;
@@ -781,6 +804,89 @@ pub(crate) mod tests {
         }
         d.shift_all(new, hi);
         Ok((hi_out, hi))
+    }
+
+    /// A clamped relaxation search (a 14-node trace found by searching
+    /// seeds): deltas 0, 1, 2 and 4 fail, the step to 8 is clamped to the
+    /// ceiling's 6, and 6 and 5 succeed, so the binary search comes back
+    /// to 4. That probe keeps its `merge_probe` event but makes no Rank
+    /// run, and the search ends where the eager reference, which reruns
+    /// it, ends.
+    #[test]
+    fn refuted_delta_is_not_rerun() {
+        let (g, m, release) = random_case(14, 2, 876, false, 0);
+        let opts = SchedOpts::default().with_release(&release);
+        let slack = release.iter().copied().max().unwrap_or(0) as i64;
+        let mut ctx = SchedCtx::new();
+        let bl = g.blocks();
+        let (old, new) = (g.block_nodes(bl[0]), g.block_nodes(bl[1]));
+        let cur = old.union(&new);
+        let run = |ctx: &mut SchedCtx, mask: &NodeSet| {
+            let free = free_deadlines(&g, mask, slack);
+            rank_schedule(ctx, &g, mask, &m, &free, &opts)
+                .unwrap()
+                .schedule
+        };
+        let t_lower = run(&mut ctx, &cur).makespan() as i64;
+        let s_old = run(&mut ctx, &old);
+        let mut d0 = Deadlines::uniform(&g, &cur, t_lower);
+        for id in old.iter() {
+            d0.set(id, s_old.completion(id).unwrap() as i64);
+        }
+        let ceiling = || Ceiling::new(&g, &m, &new, s_old.makespan() as i64, slack);
+        let eager_ceiling = {
+            let mut c = ceiling();
+            c.exact(&mut ctx, &g, &m, &new, &opts).unwrap()
+        };
+
+        let (decisions, profile) = (Decisions::default(), asched_obs::ProfileRecorder::new());
+        let tee = asched_obs::TeeRecorder::new(&decisions, &profile);
+        let mut d = d0.clone();
+        let lazy = relax_loop(
+            &mut ctx,
+            &g,
+            &m,
+            &cur,
+            &new,
+            &mut d,
+            t_lower,
+            &mut ceiling(),
+            &opts.with_recorder(&tee),
+        );
+        let probes: Vec<String> = [
+            (0, false),
+            (1, false),
+            (2, false),
+            (4, false),
+            (6, true),
+            (5, true),
+            (4, false),
+        ]
+        .into_iter()
+        .map(|(delta, feasible)| format!("{:?}", Event::MergeProbe { delta, feasible }))
+        .collect();
+        assert_eq!(decisions.0.into_inner(), probes);
+        let profile = profile.into_profile();
+        assert_eq!(profile.counter("merge_probes"), 7);
+        // Six probes and the ceiling's `new`-alone run.
+        assert_eq!(profile.counter("rank_runs"), 7);
+
+        let mut d_eager = d0.clone();
+        let eager = eager_relax_loop(
+            &mut ctx,
+            &g,
+            &m,
+            &cur,
+            &new,
+            &mut d_eager,
+            t_lower,
+            eager_ceiling,
+            &opts,
+        );
+        let lazy = relaxed(lazy);
+        assert_eq!(lazy.as_ref().map(|r| r.3), Some(5));
+        assert_eq!(lazy, relaxed(eager));
+        assert_eq!(d, d_eager);
     }
 
     /// A relaxation result reduced to what the two loops must agree on.

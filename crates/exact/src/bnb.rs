@@ -89,22 +89,22 @@ pub(crate) fn solve(
 
     // Heights and ASAP times from the ctx-cached analysis (one
     // topological sort shared with every other pass on this mask).
+    // The analysis' local ids are the positions in `nodes`.
     let (height, asap) = {
         let analysis = ctx.cache.analysis(g, mask).map_err(ExactError::Cyclic)?;
-        let mut h_by_id = vec![0u64; g.len()];
-        for &id in analysis.order().iter().rev() {
+        let mut height = vec![0u64; n];
+        for &i in analysis.local_order().iter().rev() {
+            let i = i as usize;
             let mut tail = 0u64;
-            for &(s, lat) in analysis.succs(id) {
-                tail = tail.max(lat as u64 + h_by_id[s.index()]);
+            for &(s, lat) in analysis.local_succs(i) {
+                tail = tail.max(lat as u64 + height[s as usize]);
             }
-            h_by_id[id.index()] = g.exec_time(id) as u64 + tail;
+            height[i] = exec[i] + tail;
         }
-        let height: Vec<u64> = nodes.iter().map(|&id| h_by_id[id.index()]).collect();
         // ASAP: the shared forward sweep, floored at the static release
-        // times, re-indexed by position.
-        let mut est = Vec::new();
-        earliest_starts(analysis, g, opts.release, &mut est);
-        let asap: Vec<u64> = nodes.iter().map(|&id| est[id.index()]).collect();
+        // times.
+        let mut asap = Vec::new();
+        earliest_starts(analysis, opts.release, &mut asap);
         (height, asap)
     };
 

@@ -46,15 +46,17 @@ pub fn critical_path_bound(
 ) -> Result<u64, CycleError> {
     let analysis = ctx.cache.analysis(g, mask)?;
     let mut best = 0u64;
-    let mut h = vec![0u64; g.len()];
-    for &id in analysis.order().iter().rev() {
-        let mut tail = 0u64;
-        for &(s, lat) in analysis.succs(id) {
-            tail = tail.max(lat as u64 + h[s.index()]);
-        }
-        let height = g.exec_time(id) as u64 + tail;
-        h[id.index()] = height;
-        best = best.max(height);
+    let mut h = vec![0u64; analysis.len()];
+    for &i in analysis.local_order().iter().rev() {
+        let i = i as usize;
+        let tail = analysis
+            .local_succs(i)
+            .iter()
+            .map(|&(s, lat)| lat as u64 + h[s as usize])
+            .max()
+            .unwrap_or(0);
+        h[i] = analysis.exec()[i] as u64 + tail;
+        best = best.max(h[i]);
     }
     Ok(best)
 }
@@ -64,30 +66,22 @@ pub fn critical_path_bound(
 /// in-mask loop-independent predecessor — one forward sweep over the
 /// analysis's topological order and successor lists.
 ///
-/// Writes into `est` (a reusable buffer, resized to `g.len()` and
-/// indexed by `NodeId::index()`; 0 outside the mask), so a warm caller
-/// runs it without allocating. `release`, when given, is indexed by
-/// `NodeId::index()` like the scheduler's release times.
-pub fn earliest_starts(
-    analysis: &Analysis,
-    g: &DepGraph,
-    release: Option<&[u64]>,
-    est: &mut Vec<u64>,
-) {
+/// Writes into `est` (a reusable buffer, resized to the mask and indexed
+/// by local id, see [`Analysis`]), so a warm caller runs it without
+/// allocating. `release`, when given, is indexed by `NodeId::index()`
+/// like the scheduler's release times.
+pub fn earliest_starts(analysis: &Analysis, release: Option<&[u64]>, est: &mut Vec<u64>) {
     est.clear();
-    est.resize(g.len(), 0);
-    if let Some(rel) = release {
-        for &id in analysis.order() {
-            est[id.index()] = rel[id.index()];
-        }
+    match release {
+        Some(rel) => est.extend(analysis.nodes().iter().map(|x| rel[x.index()])),
+        None => est.resize(analysis.len(), 0),
     }
-    for &id in analysis.order() {
-        let done = est[id.index()] + g.exec_time(id) as u64;
-        for &(s, lat) in analysis.succs(id) {
-            let ready = done + lat as u64;
-            if ready > est[s.index()] {
-                est[s.index()] = ready;
-            }
+    for &i in analysis.local_order() {
+        let i = i as usize;
+        let done = est[i] + analysis.exec()[i] as u64;
+        for &(s, lat) in analysis.local_succs(i) {
+            let slot = &mut est[s as usize];
+            *slot = (*slot).max(done + lat as u64);
         }
     }
 }
@@ -222,7 +216,7 @@ mod tests {
         let mut ctx = SchedCtx::new();
         let mut est = Vec::new();
         let analysis = ctx.cache.analysis(&g, &mask).unwrap();
-        earliest_starts(analysis, &g, None, &mut est);
+        earliest_starts(analysis, None, &mut est);
         assert_eq!(&est[..3], &[0, 3, 7]);
         assert!(est[3..].iter().all(|&t| t == 0));
         // A late release on `a` pushes its whole chain; a release on
@@ -231,8 +225,15 @@ mod tests {
         rel[0] = 5;
         rel[2] = 4;
         rel[3] = 2;
-        earliest_starts(analysis, &g, Some(&rel), &mut est);
+        earliest_starts(analysis, Some(&rel), &mut est);
         assert_eq!(&est[..4], &[5, 8, 12, 2]);
+        // A mask without `a`: est is indexed by local id, and `b` is a
+        // source there.
+        let sub = NodeSet::from_iter_with_universe(g.len(), g.node_ids().skip(1));
+        let analysis = ctx.cache.analysis(&g, &sub).unwrap();
+        earliest_starts(analysis, Some(&rel), &mut est);
+        assert_eq!(est.len(), g.len() - 1);
+        assert_eq!(&est[..3], &[0, 4, 2]);
     }
 
     #[test]

@@ -28,8 +28,9 @@
 //! calls.
 
 use crate::graph::DepGraph;
+use crate::machine::{FuClass, UnitMasks};
 use crate::node::NodeId;
-use crate::set::{set_bits, NodeSet};
+use crate::set::NodeSet;
 use crate::topo::CycleError;
 use asched_obs::Recorder;
 use std::collections::HashMap;
@@ -115,12 +116,15 @@ impl<'a> SchedOpts<'a> {
 /// Derived analyses of one `(graph, mask)` pair, computed once and
 /// shared by every rank run on that pair.
 ///
-/// Stored flat over *local ids* `0..|mask|`, numbered in global-id order:
-/// one arena of descendant rows (`|mask|` rows of `⌈|mask|/64⌉` words)
-/// and CSR successor lists, so its size and the cost of building it
-/// follow the mask, not the graph. The accessors take and return global
-/// [`NodeId`]s; a node outside the mask has no descendants and no
-/// successors.
+/// Stored flat over *local ids* `0..|mask|`, numbered in global-id order,
+/// so its size and the cost of building it follow the mask, not the
+/// graph. Per local id it holds what a Rank run reads: the execution
+/// time, the FU class, the position of the node's [`DepGraph::stable_key`]
+/// among the mask's (the tie-break of every list), the count of distinct
+/// in-mask predecessors, the CSR successor list (max latency over
+/// parallel edges, the same list as [`DepGraph::succs_in`]) and the
+/// descendant row; plus the topological order. [`Analysis::nodes`] and
+/// [`Analysis::local`] translate between local and global ids.
 #[derive(Clone, Debug, Default)]
 pub struct Analysis {
     /// Stamp of the analysed graph.
@@ -132,8 +136,20 @@ pub struct Analysis {
     before: Vec<u32>,
     /// Mask members by local id (increasing global id).
     nodes: Vec<NodeId>,
-    /// Topological order of the masked subgraph (loop-independent edges).
-    order: Vec<NodeId>,
+    /// Execution time per local id.
+    exec: Vec<u32>,
+    /// Functional-unit class per local id.
+    class: Vec<FuClass>,
+    /// Stable-key position per local id: `key[i] < key[j]` iff node `i`'s
+    /// stable key is below node `j`'s.
+    key: Vec<u32>,
+    /// The local id at each stable-key position (the inverse of `key`).
+    by_key: Vec<u32>,
+    /// Distinct in-mask loop-independent predecessors per local id.
+    preds: Vec<u32>,
+    /// Topological order of the masked subgraph (loop-independent
+    /// edges), as local ids.
+    order: Vec<u32>,
     /// Words per descendant row.
     row_words: usize,
     /// Strict-descendant rows: bit `j` of row `i` is set iff local `j`
@@ -141,42 +157,89 @@ pub struct Analysis {
     desc_bits: Vec<u64>,
     /// Offsets of each local id's successors in `succ_list`, plus the end.
     succ_start: Vec<u32>,
-    /// Deduplicated max-latency successors restricted to the mask.
-    succ_list: Vec<(NodeId, u32)>,
+    /// Deduplicated max-latency successors restricted to the mask, as
+    /// `(local id, latency)`.
+    succ_list: Vec<(u32, u32)>,
 }
 
 impl Analysis {
-    /// Topological order of the masked subgraph (loop-independent edges).
+    /// Number of mask members.
     #[inline]
-    pub fn order(&self) -> &[NodeId] {
+    pub fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// True for an empty mask.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.nodes.is_empty()
+    }
+
+    /// Mask members by local id (increasing global id).
+    #[inline]
+    pub fn nodes(&self) -> &[NodeId] {
+        &self.nodes
+    }
+
+    /// Execution time per local id.
+    #[inline]
+    pub fn exec(&self) -> &[u32] {
+        &self.exec
+    }
+
+    /// Functional-unit class per local id.
+    #[inline]
+    pub fn class(&self) -> &[FuClass] {
+        &self.class
+    }
+
+    /// Stable-key position per local id.
+    #[inline]
+    pub fn key(&self) -> &[u32] {
+        &self.key
+    }
+
+    /// The local id at each stable-key position.
+    #[inline]
+    pub fn by_key(&self) -> &[u32] {
+        &self.by_key
+    }
+
+    /// Distinct in-mask loop-independent predecessors per local id.
+    #[inline]
+    pub fn preds(&self) -> &[u32] {
+        &self.preds
+    }
+
+    /// Topological order of the masked subgraph, as local ids.
+    #[inline]
+    pub fn local_order(&self) -> &[u32] {
         &self.order
     }
 
-    /// Strict descendants of `x` within the mask, in increasing id order.
-    pub fn desc(&self, x: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        let row: &[u64] = if self.mask.contains(x) {
-            let i = self.local(x) * self.row_words;
-            &self.desc_bits[i..i + self.row_words]
-        } else {
-            &[]
-        };
-        set_bits(row).map(|j| self.nodes[j])
+    /// Successors of local id `i` within the mask as `(local id, max
+    /// latency)`, in first-edge order.
+    #[inline]
+    pub fn local_succs(&self, i: usize) -> &[(u32, u32)] {
+        &self.succ_list[self.succ_start[i] as usize..self.succ_start[i + 1] as usize]
     }
 
-    /// Immediate loop-independent successors of `x` within the mask,
-    /// deduplicated with the max latency among parallel edges (the same
-    /// list as [`DepGraph::succs_in`]).
-    pub fn succs(&self, x: NodeId) -> &[(NodeId, u32)] {
-        if !self.mask.contains(x) {
-            return &[];
-        }
-        let i = self.local(x);
-        &self.succ_list[self.succ_start[i] as usize..self.succ_start[i + 1] as usize]
+    /// The strict descendants of local id `i` as a bitset over local ids
+    /// (bit `j % 64` of word `j / 64`; see [`crate::set_bits`]).
+    #[inline]
+    pub fn desc_row(&self, i: usize) -> &[u64] {
+        &self.desc_bits[i * self.row_words..(i + 1) * self.row_words]
+    }
+
+    /// The local id of `x`, or `None` outside the mask.
+    #[inline]
+    pub fn local(&self, x: NodeId) -> Option<usize> {
+        self.mask.contains(x).then(|| self.local_of_member(x))
     }
 
     /// The local id of mask member `x`.
     #[inline]
-    fn local(&self, x: NodeId) -> usize {
+    fn local_of_member(&self, x: NodeId) -> usize {
         let (w, b) = (x.index() / 64, x.index() % 64);
         let below = self.mask.words()[w] & ((1u64 << b) - 1);
         self.before[w] as usize + below.count_ones() as usize
@@ -201,21 +264,43 @@ impl Analysis {
         self.nodes.clear();
         self.nodes.extend(mask.iter());
         let m = self.nodes.len();
+        self.exec.clear();
+        self.exec.extend(self.nodes.iter().map(|&x| g.exec_time(x)));
+        self.class.clear();
+        self.class
+            .extend(self.nodes.iter().map(|&x| g.node(x).class));
+        // Stable keys are unique, so the unstable sort is deterministic
+        // and allocation-free.
+        self.by_key.clear();
+        self.by_key.extend(0..m as u32);
+        self.by_key
+            .sort_unstable_by_key(|&i| g.stable_key(self.nodes[i as usize]));
+        self.key.clear();
+        self.key.resize(m, 0);
+        for (p, &i) in self.by_key.iter().enumerate() {
+            self.key[i as usize] = p as u32;
+        }
 
         // Successor lists in first-edge order, parallel edges folded to
         // their max latency (as `DepGraph::succs_in`).
         self.succ_start.clear();
         self.succ_list.clear();
-        for &x in &self.nodes {
+        self.preds.clear();
+        self.preds.resize(m, 0);
+        for i in 0..m {
             let row = self.succ_list.len();
             self.succ_start.push(row as u32);
-            for e in g.out_edges_li(x) {
+            for e in g.out_edges_li(self.nodes[i]) {
                 if !mask.contains(e.dst) {
                     continue;
                 }
-                match self.succ_list[row..].iter_mut().find(|(d, _)| *d == e.dst) {
+                let j = self.local_of_member(e.dst) as u32;
+                match self.succ_list[row..].iter_mut().find(|(d, _)| *d == j) {
                     Some((_, lat)) => *lat = (*lat).max(e.latency),
-                    None => self.succ_list.push((e.dst, e.latency)),
+                    None => {
+                        self.succ_list.push((j, e.latency));
+                        self.preds[j as usize] += 1;
+                    }
                 }
             }
         }
@@ -223,35 +308,30 @@ impl Analysis {
 
         // Kahn's algorithm with `topo_order`'s choices: the ready queue
         // starts sorted by stable key and each pop appends its newly
-        // ready successors in stable-key order. Keys are unique, so the
-        // unstable sorts are deterministic and allocation-free.
+        // ready successors in stable-key order.
         let KahnScratch {
             indeg,
             queue,
             newly,
         } = kahn;
-        indeg.clear();
-        indeg.resize(m, 0);
-        for &(s, _) in &self.succ_list {
-            indeg[self.local(s)] += 1;
-        }
-        let key = |i: &u32| g.stable_key(self.nodes[*i as usize]);
+        indeg.clone_from(&self.preds);
+        let key = &self.key;
         queue.clear();
         queue.extend((0..m as u32).filter(|&i| indeg[i as usize] == 0));
-        queue.sort_unstable_by_key(key);
+        queue.sort_unstable_by_key(|&i| key[i as usize]);
         let mut cursor = 0;
         while cursor < queue.len() {
             let i = queue[cursor] as usize;
             cursor += 1;
             newly.clear();
             for k in self.succ_start[i]..self.succ_start[i + 1] {
-                let j = self.local(self.succ_list[k as usize].0);
-                indeg[j] -= 1;
-                if indeg[j] == 0 {
-                    newly.push(j as u32);
+                let j = self.succ_list[k as usize].0;
+                indeg[j as usize] -= 1;
+                if indeg[j as usize] == 0 {
+                    newly.push(j);
                 }
             }
-            newly.sort_unstable_by_key(key);
+            newly.sort_unstable_by_key(|&j| key[j as usize]);
             queue.extend_from_slice(newly);
         }
         if queue.len() != m {
@@ -263,19 +343,17 @@ impl Analysis {
                 witness: self.nodes[i],
             });
         }
-        self.order.clear();
-        self.order
-            .extend(queue.iter().map(|&i| self.nodes[i as usize]));
+        self.order.clone_from(queue);
 
         // Descendant rows by one reverse-topological sweep of row unions.
         let rw = m.div_ceil(64);
         self.row_words = rw;
         self.desc_bits.clear();
         self.desc_bits.resize(m * rw, 0);
-        for &i in queue.iter().rev() {
+        for &i in self.order.iter().rev() {
             let i = i as usize;
             for k in self.succ_start[i]..self.succ_start[i + 1] {
-                let j = self.local(self.succ_list[k as usize].0);
+                let j = self.succ_list[k as usize].0 as usize;
                 self.desc_bits[i * rw + j / 64] |= 1 << (j % 64);
                 for w in 0..rw {
                     self.desc_bits[i * rw + w] |= self.desc_bits[j * rw + w];
@@ -401,19 +479,43 @@ impl Default for AnalysisCache {
     }
 }
 
-/// Scratch state of the greedy list scheduler, indexed by *position*
-/// in the mask's priority list.
+/// Mask-sized working vectors of one rank computation, indexed by
+/// local id (see [`Analysis`]).
+#[derive(Debug, Default)]
+pub struct RankScratch {
+    /// The run's deadlines, read once from the caller's deadline vector.
+    pub deadline: Vec<i64>,
+    /// Ranks; final in reverse topological order.
+    pub rank: Vec<i64>,
+    /// Backward start times, reused per node.
+    pub back_start: Vec<i64>,
+    /// Per-descendant tie-break key (`u32::MAX` = not a successor).
+    pub urgency: Vec<u32>,
+    /// Packed integer sort keys (descendant sorts and priority lists).
+    pub keys: Vec<u128>,
+    /// Per-unit earliest-completion bound in backward packing.
+    pub unit_earliest: Vec<i64>,
+}
+
+/// Scratch state of the greedy list scheduler. `order`, `pos` and
+/// `release` are indexed by local id (see [`Analysis`]), the rest by
+/// *position* in the priority list.
 #[derive(Debug, Default)]
 pub struct ListScratch {
-    /// The mask's nodes in priority order; positions in it are the
-    /// pass's local ids. Callers load it before a pass.
-    pub order: Vec<NodeId>,
-    /// Position of each mask node in `order`, indexed by
-    /// `NodeId::index()` (stale outside the mask).
+    /// The mask's local ids in priority order; positions in it index the
+    /// pass's state. Callers load it before a pass.
+    pub order: Vec<u32>,
+    /// Position of each local id in `order`.
     pub pos: Vec<u32>,
+    /// Release time per local id. Callers load it before a pass.
+    pub release: Vec<u64>,
+    /// Per-class unit bitmasks of the machine.
+    pub units: UnitMasks,
+    /// Bitmask of the units free at the current cycle.
+    pub free: Vec<u64>,
     /// Next free cycle per functional unit.
     pub unit_free: Vec<u64>,
-    /// Unscheduled in-mask predecessor edges per position.
+    /// Unscheduled in-mask predecessors per position.
     pub preds_left: Vec<u32>,
     /// Earliest start per position (final once `preds_left` is 0).
     pub est: Vec<u64>,
@@ -449,22 +551,19 @@ pub struct SimScratch {
 /// between calls — any entry point may clobber any of them.
 #[derive(Debug, Default)]
 pub struct Scratch {
-    /// Per-node ranks (rank computation output buffer).
+    /// `compute_ranks`' output: ranks by `NodeId::index()`, `i64::MAX`
+    /// outside the mask.
     pub rank: Vec<i64>,
-    /// Per-node backward start times.
-    pub back_start: Vec<i64>,
-    /// Per-node urgency counters (`u32::MAX` = unvisited sentinel).
-    pub urgency: Vec<u32>,
-    /// Sorted-descendant arena for the backward-packing inner loop.
-    pub ds: Vec<NodeId>,
-    /// Per-unit earliest-completion bound in backward packing.
-    pub unit_earliest: Vec<i64>,
-    /// List-scheduler scratch; Rank builds its priority list in
+    /// Mask-sized rank-computation scratch.
+    pub ranks: RankScratch,
+    /// List-scheduler scratch; Rank builds its priority lists in
     /// `list.order`.
     pub list: ListScratch,
+    /// Earliest start per local id (idle-slot refutation).
+    pub asap: Vec<u64>,
     /// Per-block release-time buffer (trace scheduling).
     pub release: Vec<u64>,
-    /// Deadline snapshot buffer for save/restore in idle-slot moves.
+    /// The mask's deadlines, saved for restore in idle-slot moves.
     pub deadline_save: Vec<i64>,
     /// Simulator scratch.
     pub sim: SimScratch,
@@ -532,6 +631,30 @@ impl SchedCtx {
 mod tests {
     use super::*;
     use crate::node::BlockId;
+    use crate::set::set_bits;
+
+    /// The analysis' topological order in global ids.
+    fn order(a: &Analysis) -> Vec<NodeId> {
+        a.local_order()
+            .iter()
+            .map(|&i| a.nodes()[i as usize])
+            .collect()
+    }
+
+    /// The strict descendants of `x` in global ids (none outside the mask).
+    fn desc(a: &Analysis, x: NodeId) -> Vec<NodeId> {
+        a.local(x).map_or(Vec::new(), |i| {
+            set_bits(a.desc_row(i)).map(|j| a.nodes()[j]).collect()
+        })
+    }
+
+    /// The successors of `x` in global ids (none outside the mask).
+    fn succs(a: &Analysis, x: NodeId) -> Vec<(NodeId, u32)> {
+        a.local(x).map_or(Vec::new(), |i| {
+            let row = a.local_succs(i).iter();
+            row.map(|&(s, lat)| (a.nodes()[s as usize], lat)).collect()
+        })
+    }
 
     fn diamond() -> DepGraph {
         let mut g = DepGraph::new();
@@ -552,11 +675,14 @@ mod tests {
         let mask = g.all_nodes();
         let mut cache = AnalysisCache::new();
         let a = cache.analysis(&g, &mask).unwrap();
-        assert_eq!(a.order(), crate::topo::topo_order(&g, &mask).unwrap());
-        let desc = crate::reach::descendants(&g, &mask).unwrap();
+        assert_eq!(order(a), crate::topo::topo_order(&g, &mask).unwrap());
+        let desc_ref = crate::reach::descendants(&g, &mask).unwrap();
         for id in mask.iter() {
-            assert!(a.desc(id).eq(desc[id.index()].iter()));
-            assert_eq!(a.succs(id), g.succs_in(id, &mask));
+            assert!(desc(a, id).into_iter().eq(desc_ref[id.index()].iter()));
+            assert_eq!(succs(a, id), g.succs_in(id, &mask));
+            let i = a.local(id).unwrap();
+            assert_eq!(a.preds()[i] as usize, g.preds_in(id, &mask).len());
+            assert_eq!(a.exec()[i], g.exec_time(id));
         }
     }
 
@@ -586,9 +712,10 @@ mod tests {
         assert_eq!(cache.len(), 2);
         // Sub-mask analysis really is restricted.
         let a = cache.analysis(&g, &sub).unwrap();
-        assert_eq!(a.order().len(), 2);
-        assert!(a.desc(NodeId(2)).next().is_none(), "n2 is outside the mask");
-        assert!(a.succs(NodeId(2)).is_empty());
+        assert_eq!(order(a).len(), 2);
+        assert!(desc(a, NodeId(2)).is_empty(), "n2 is outside the mask");
+        assert!(succs(a, NodeId(2)).is_empty());
+        assert_eq!(a.local(NodeId(2)), None);
     }
 
     #[test]
@@ -596,7 +723,7 @@ mod tests {
         let mut g = diamond();
         let mask = g.all_nodes();
         let mut cache = AnalysisCache::new();
-        let before = cache.analysis(&g, &mask).unwrap().desc(NodeId(0)).count();
+        let before = desc(cache.analysis(&g, &mask).unwrap(), NodeId(0)).len();
         assert_eq!(before, 3);
         // New edge extends nobody's descendants (parallel), but the
         // stamp must still change and force a recompute.
@@ -646,9 +773,9 @@ mod tests {
         assert!(cache.analysis(&g, &all).is_err());
         let acyclic = NodeSet::from_iter_with_universe(g.len(), [NodeId(0), NodeId(1), NodeId(2)]);
         let a = cache.analysis(&g, &acyclic).unwrap();
-        assert_eq!(a.order(), [NodeId(0), NodeId(1), NodeId(2)]);
-        assert!(a.desc(NodeId(0)).eq([NodeId(1), NodeId(2)]));
-        assert_eq!(a.succs(NodeId(0)), [(NodeId(1), 1), (NodeId(2), 2)]);
+        assert_eq!(order(a), [NodeId(0), NodeId(1), NodeId(2)]);
+        assert_eq!(desc(a, NodeId(0)), [NodeId(1), NodeId(2)]);
+        assert_eq!(succs(a, NodeId(0)), [(NodeId(1), 1), (NodeId(2), 2)]);
         assert_eq!(cache.len(), 1);
     }
 

@@ -43,15 +43,15 @@ pub mod validate;
 pub use bound::{capacity_bound, critical_path_bound, earliest_starts, makespan_lower_bound};
 pub use critical::{critical_path_length, height_priority, heights};
 pub use ctx::{
-    Analysis, AnalysisCache, BackwardMode, ListScratch, SchedCtx, SchedOpts, Scratch, SimScratch,
-    DEFAULT_CACHE_CAPACITY,
+    Analysis, AnalysisCache, BackwardMode, ListScratch, RankScratch, SchedCtx, SchedOpts, Scratch,
+    SimScratch, DEFAULT_CACHE_CAPACITY,
 };
 pub use dot::to_dot;
 pub use edge::{DepEdge, DepKind};
 pub use graph::DepGraph;
-pub use machine::{FuClass, MachineModel};
+pub use machine::{FuClass, MachineModel, UnitMasks};
 pub use node::{BlockId, NodeData, NodeId};
 pub use reach::{ancestors, descendants};
 pub use schedule::Schedule;
-pub use set::NodeSet;
+pub use set::{set_bits, NodeSet};
 pub use topo::{topo_order, CycleError};

@@ -32,6 +32,15 @@ impl FuClass {
         FuClass::Memory,
         FuClass::Branch,
     ];
+
+    /// Every class, in declaration order (`class as usize` indexes it).
+    pub const ALL: [FuClass; 5] = [
+        FuClass::Any,
+        FuClass::Fixed,
+        FuClass::Float,
+        FuClass::Memory,
+        FuClass::Branch,
+    ];
 }
 
 impl fmt::Display for FuClass {
@@ -157,6 +166,41 @@ impl Default for MachineModel {
     }
 }
 
+/// The units of one machine that accept each instruction class, as
+/// bitmasks: unit `u` is bit `u % 64` of word `u / 64`. A greedy pass
+/// picks a unit by ANDing its class's mask with the free units, and the
+/// lowest common bit is the first compatible free unit
+/// ([`MachineModel::units_for`] order).
+#[derive(Clone, Debug, Default)]
+pub struct UnitMasks {
+    /// Words per class mask.
+    words: usize,
+    /// The class masks, in [`FuClass::ALL`] order.
+    bits: Vec<u64>,
+}
+
+impl UnitMasks {
+    /// Load `machine`'s masks into this buffer (no allocation once it
+    /// has held a machine as wide).
+    pub fn load(&mut self, machine: &MachineModel) {
+        self.words = machine.num_units().div_ceil(64);
+        self.bits.clear();
+        self.bits.resize(FuClass::ALL.len() * self.words, 0);
+        for (c, &class) in FuClass::ALL.iter().enumerate() {
+            for u in machine.units_for(class) {
+                self.bits[c * self.words + u / 64] |= 1 << (u % 64);
+            }
+        }
+    }
+
+    /// The units that accept `class`.
+    #[inline]
+    pub fn of(&self, class: FuClass) -> &[u64] {
+        let c = class as usize * self.words;
+        &self.bits[c..c + self.words]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,6 +237,22 @@ mod tests {
         assert_eq!(m.num_units(), 3);
         assert!(!m.is_single_unit());
         assert_eq!(m.capacity_for(FuClass::Memory), 3);
+    }
+
+    #[test]
+    fn unit_masks_follow_units_for() {
+        let mut masks = UnitMasks::default();
+        for m in [
+            MachineModel::single_unit(1),
+            MachineModel::rs6000_like(2),
+            MachineModel::uniform(70, 1),
+        ] {
+            masks.load(&m);
+            for class in FuClass::ALL {
+                let set: Vec<usize> = crate::set::set_bits(masks.of(class)).collect();
+                assert_eq!(set, m.units_for(class).collect::<Vec<_>>(), "{class}");
+            }
+        }
     }
 
     #[test]

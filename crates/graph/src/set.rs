@@ -161,6 +161,21 @@ impl NodeSet {
         true
     }
 
+    /// Number of members with an id below `id`: the local id of a member
+    /// when members are numbered `0..len` in increasing id order.
+    pub fn count_below(&self, id: NodeId) -> usize {
+        let (w, b) = (id.index() / 64, id.index() % 64);
+        let whole: usize = self.words[..w.min(self.words.len())]
+            .iter()
+            .map(|x| x.count_ones() as usize)
+            .sum();
+        let part = self
+            .words
+            .get(w)
+            .map_or(0, |x| (x & ((1u64 << b) - 1)).count_ones());
+        whole + part as usize
+    }
+
     /// Iterate members in increasing id order.
     pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
         set_bits(&self.words).map(|i| NodeId(i as u32))
@@ -169,7 +184,7 @@ impl NodeSet {
 
 /// The indices of the set bits of `words` in increasing order (bit `i`
 /// is bit `i % 64` of word `i / 64`).
-pub(crate) fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+pub fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
     words.iter().enumerate().flat_map(|(wi, &w)| {
         let mut bits = w;
         std::iter::from_fn(move || {
@@ -235,6 +250,17 @@ mod tests {
         assert!(s.remove(NodeId(0)));
         assert!(!s.remove(NodeId(0)));
         assert_eq!(s.len(), 1);
+    }
+
+    #[test]
+    fn count_below_numbers_members_in_id_order() {
+        let s = NodeSet::from_iter_with_universe(200, ids(&[3, 64, 65, 130, 199]));
+        for (local, id) in s.iter().enumerate() {
+            assert_eq!(s.count_below(id), local);
+        }
+        assert_eq!(s.count_below(NodeId(0)), 0);
+        assert_eq!(s.count_below(NodeId(100)), 3);
+        assert_eq!(s.count_below(NodeId(500)), 5);
     }
 
     #[test]

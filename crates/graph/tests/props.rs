@@ -1,8 +1,8 @@
 //! Property tests for the graph substrate.
 
 use asched_graph::{
-    ancestors, descendants, heights, topo_order, AnalysisCache, BlockId, DepGraph, DepKind, NodeId,
-    NodeSet,
+    ancestors, descendants, heights, set_bits, topo_order, AnalysisCache, BlockId, DepGraph,
+    DepKind, NodeId, NodeSet,
 };
 use proptest::prelude::*;
 
@@ -45,15 +45,16 @@ fn xorshift(seed: u64) -> impl FnMut() -> u64 {
 }
 
 /// Random DAG of up to `max_n` nodes, large enough for descendant rows
-/// of several words, with parallel edges of different latencies and
-/// loop-carried back edges (which analyses must ignore).
+/// of several words, with parallel edges of different latencies,
+/// loop-carried back edges (which analyses must ignore) and nodes in
+/// random blocks, so stable-key order differs from id order.
 fn arb_wide_dag(max_n: usize) -> impl Strategy<Value = DepGraph> {
     (2usize..max_n, any::<u64>(), 0.01f64..0.15).prop_map(|(n, seed, density)| {
         let mut g = DepGraph::new();
-        for i in 0..n {
-            g.add_simple(format!("n{i}"), BlockId((i / 8) as u32));
-        }
         let mut next = xorshift(seed);
+        for i in 0..n {
+            g.add_simple(format!("n{i}"), BlockId((next() % 4) as u32));
+        }
         for i in 0..n {
             for j in (i + 1)..n {
                 if (next() % 1000) as f64 / 1000.0 < density {
@@ -100,13 +101,34 @@ proptest! {
             // Revisit the previous mask too: a hit after a recycle.
             for mask in [mask, &masks[k.saturating_sub(1)]] {
                 let a = cache.analysis(&g, mask).unwrap();
-                prop_assert_eq!(a.order(), &topo_order(&g, mask).unwrap()[..]);
+                let global = |i: usize| a.nodes()[i];
+                prop_assert!(a
+                    .local_order()
+                    .iter()
+                    .map(|&i| global(i as usize))
+                    .eq(topo_order(&g, mask).unwrap()));
+                prop_assert!(a.nodes().iter().copied().eq(mask.iter()));
                 let desc = descendants(&g, mask).unwrap();
                 for id in g.node_ids() {
-                    prop_assert!(a.desc(id).eq(desc[id.index()].iter()), "desc({})", id);
-                    let succs = if mask.contains(id) { g.succs_in(id, mask) } else { Vec::new() };
-                    prop_assert_eq!(a.succs(id), &succs[..], "succs({})", id);
+                    let Some(i) = a.local(id) else {
+                        prop_assert!(!mask.contains(id));
+                        continue;
+                    };
+                    prop_assert!(set_bits(a.desc_row(i)).map(global).eq(desc[id.index()].iter()), "desc({})", id);
+                    let succs = a.local_succs(i).iter().map(|&(s, lat)| (global(s as usize), lat));
+                    prop_assert!(succs.eq(g.succs_in(id, mask)), "succs({})", id);
                 }
+                for (i, &id) in a.nodes().iter().enumerate() {
+                    prop_assert_eq!(a.local(id), Some(i));
+                    prop_assert_eq!(a.exec()[i], g.exec_time(id));
+                    prop_assert_eq!(a.class()[i], g.node(id).class);
+                    prop_assert_eq!(a.preds()[i] as usize, g.preds_in(id, mask).len());
+                    prop_assert_eq!(a.by_key()[a.key()[i] as usize] as usize, i);
+                }
+                prop_assert!(a
+                    .by_key()
+                    .windows(2)
+                    .all(|w| g.stable_key(a.nodes()[w[0] as usize]) < g.stable_key(a.nodes()[w[1] as usize])));
             }
         }
         prop_assert!(cache.len() <= 2);

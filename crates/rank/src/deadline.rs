@@ -112,27 +112,29 @@ impl Deadlines {
         &self.d
     }
 
-    /// Snapshot the per-node deadlines into `buf` (a reusable scratch
-    /// buffer) without allocating once `buf` has capacity.
+    /// Snapshot the deadlines of `mask`'s nodes into `buf` (a reusable
+    /// scratch buffer, one entry per member in id order) without
+    /// allocating once `buf` has capacity.
     ///
-    /// The horizon is *not* snapshotted: the idle-slot loops that use
-    /// this only edit values via [`set`](Self::set) /
-    /// [`tighten`](Self::tighten) between a save and its matching
-    /// [`restore_from`](Self::restore_from), so the vector alone
-    /// captures the whole mutable state.
+    /// The horizon and the other nodes are *not* snapshotted: the
+    /// idle-slot loops that use this only edit values of mask nodes via
+    /// [`set`](Self::set) / [`tighten`](Self::tighten) between a save and
+    /// its matching [`restore_from`](Self::restore_from), so the mask's
+    /// entries capture the whole mutable state.
     #[inline]
-    pub fn save_into(&self, buf: &mut Vec<i64>) {
+    pub fn save_into(&self, mask: &NodeSet, buf: &mut Vec<i64>) {
         buf.clear();
-        buf.extend_from_slice(&self.d);
+        buf.extend(mask.iter().map(|id| self.d[id.index()]));
     }
 
-    /// Restore deadlines previously saved with
-    /// [`save_into`](Self::save_into).
+    /// Restore the deadlines of `mask`'s nodes previously saved with
+    /// [`save_into`](Self::save_into) on the same mask.
     #[inline]
-    pub fn restore_from(&mut self, buf: &[i64]) {
-        debug_assert_eq!(buf.len(), self.d.len());
-        self.d.clear();
-        self.d.extend_from_slice(buf);
+    pub fn restore_from(&mut self, mask: &NodeSet, buf: &[i64]) {
+        debug_assert_eq!(buf.len(), mask.len());
+        for (id, &v) in mask.iter().zip(buf) {
+            self.d[id.index()] = v;
+        }
     }
 }
 
@@ -196,14 +198,22 @@ mod tests {
         let g = graph();
         let mut d = Deadlines::uniform(&g, &g.all_nodes(), 10);
         let mut buf = Vec::new();
-        d.save_into(&mut buf);
+        d.save_into(&g.all_nodes(), &mut buf);
         d.set(NodeId(0), 3);
         d.tighten(NodeId(1), 1);
         assert_eq!(d.get(NodeId(0)), 3);
-        d.restore_from(&buf);
+        d.restore_from(&g.all_nodes(), &buf);
         assert_eq!(d.get(NodeId(0)), 10);
         assert_eq!(d.get(NodeId(1)), 10);
         assert_eq!(d.horizon(), 10);
+        // A snapshot holds the mask's entries only.
+        let mut mask = NodeSet::new(g.len());
+        mask.insert(NodeId(1));
+        d.save_into(&mask, &mut buf);
+        assert_eq!(buf, [10]);
+        d.set(NodeId(1), 2);
+        d.restore_from(&mask, &buf);
+        assert_eq!(d.get(NodeId(1)), 10);
     }
 
     #[test]

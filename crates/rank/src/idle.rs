@@ -29,7 +29,8 @@
 //!   unit's list once per schedule.
 //! * **From the critical path.** No greedy schedule starts a node before
 //!   its earliest start (release time plus exec and latency chains,
-//!   [`asched_graph::earliest_starts`], computed once per call). When
+//!   [`asched_graph::earliest_starts`], computed once per call into
+//!   mask-sized scratch). When
 //!   that bound plus the tail node's execution time exceeds the deadline
 //!   `t_i − 1` the edit would impose, both greedy passes of the rerun
 //!   would miss it, so the attempt is stuck with its deadlines restored —
@@ -96,24 +97,30 @@ pub fn move_idle_slot(
 ) -> MoveOutcome {
     let asap = mask_earliest_starts(ctx, g, mask, opts);
     let idles = sched.idle_slots_unit(machine, unit);
-    attempt(
+    let outcome = attempt(
         ctx, g, mask, machine, sched, &idles, &asap, d, unit, slot_index, opts,
-    )
+    );
+    ctx.scratch.asap = asap;
+    outcome
 }
 
-/// The earliest start of every mask node, indexed by `NodeId::index()`.
-/// A cyclic mask refutes nothing here (all zeros); its rank run reports
-/// the cycle.
+/// The earliest start of every mask node, indexed by local id (the
+/// mask's members in id order), in the context's `asap` buffer, taken
+/// out of the context for the caller to hand back. A cyclic mask refutes
+/// nothing here (all zeros); its rank run reports the cycle.
 fn mask_earliest_starts(
     ctx: &mut SchedCtx,
     g: &DepGraph,
     mask: &NodeSet,
     opts: &SchedOpts,
 ) -> Vec<u64> {
-    let mut asap = Vec::new();
+    let mut asap = std::mem::take(&mut ctx.scratch.asap);
     match ctx.cache.analysis(g, mask) {
-        Ok(analysis) => earliest_starts(analysis, g, opts.release, &mut asap),
-        Err(_) => asap.resize(g.len(), 0),
+        Ok(analysis) => earliest_starts(analysis, opts.release, &mut asap),
+        Err(_) => {
+            asap.clear();
+            asap.resize(mask.len(), 0);
+        }
     }
     asap
 }
@@ -158,11 +165,13 @@ fn attempt(
 
 /// The tail node of the idle slot `idles[slot_index]` on `unit` (the
 /// node completing exactly at the slot), unless the deadline
-/// `t_i − 1` it would get is refuted by its earliest completion. `None`
+/// `t_i − 1` it would get is refuted by its earliest completion (`asap`
+/// holds the earliest starts of `mask`'s members, by local id). `None`
 /// means the attempt is stuck without a rerun.
 fn live_tail(
     asap: &[u64],
     g: &DepGraph,
+    mask: &NodeSet,
     sched: &Schedule,
     idles: &[u64],
     unit: usize,
@@ -174,10 +183,11 @@ fn live_tail(
     if t_i == 0 || (slot_index > 0 && idles[slot_index - 1] == t_i - 1) {
         return None;
     }
-    let a_i = sched.tail_node(unit, t_i)?;
+    // A tail outside the mask is no node the Rank runs can move.
+    let a_i = sched.tail_node(unit, t_i).filter(|&x| mask.contains(x))?;
     // d(a_i) = t_i - 1 is unmeetable when a_i cannot even complete by
     // then from its earliest start (this covers exec(a_i) > t_i - 1).
-    let earliest_completion = asap[a_i.index()] + g.exec_time(a_i) as u64;
+    let earliest_completion = asap[mask.count_below(a_i)] + g.exec_time(a_i) as u64;
     (earliest_completion < t_i).then_some(a_i)
 }
 
@@ -196,13 +206,14 @@ fn move_slot(
     opts: &SchedOpts,
 ) -> MoveOutcome {
     let t_i = idles[slot_index];
-    let Some(mut a_i) = live_tail(asap, g, sched, idles, unit, slot_index) else {
+    let Some(mut a_i) = live_tail(asap, g, mask, sched, idles, unit, slot_index) else {
         return MoveOutcome::Stuck;
     };
-    // Snapshot the deadlines into the context's save buffer instead of
-    // cloning: the loop below only set/tighten-edits values (the horizon
-    // is untouched), so restoring the vector restores the whole state.
-    d.save_into(&mut ctx.scratch.deadline_save);
+    // Snapshot the mask's deadlines into the context's save buffer
+    // instead of cloning: the loop below only set/tighten-edits values
+    // of mask nodes (the horizon is untouched), so restoring them
+    // restores the whole state.
+    d.save_into(mask, &mut ctx.scratch.deadline_save);
 
     // "If there is any node y scheduled before t_i with rank(y) > t_i,
     // set rank(y) = t_i" — clamp everything already completing by t_i so
@@ -244,7 +255,7 @@ fn move_slot(
             Some(&t_new) if t_new == t_i => {
                 // Same position: iterate with the new tail node, unless
                 // the new schedule refutes it as well.
-                match live_tail(asap, g, &out.schedule, &new_idles, unit, slot_index) {
+                match live_tail(asap, g, mask, &out.schedule, &new_idles, unit, slot_index) {
                     Some(next) => a_i = next,
                     None => break,
                 }
@@ -256,7 +267,7 @@ fn move_slot(
             }
         }
     }
-    d.restore_from(&ctx.scratch.deadline_save);
+    d.restore_from(mask, &ctx.scratch.deadline_save);
     MoveOutcome::Stuck
 }
 
@@ -354,6 +365,7 @@ fn delay_idle_slots_inner(
             }
         }
     }
+    ctx.scratch.asap = asap;
     cur
 }
 

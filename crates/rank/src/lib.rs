@@ -60,7 +60,5 @@ pub use asched_graph::{BackwardMode, SchedCtx, SchedOpts};
 pub use deadline::Deadlines;
 pub use idle::{delay_idle_slots, move_idle_slot, MoveOutcome};
 pub use list::list_schedule;
-pub use ranks::{
-    compute_ranks, rank_priority, rank_schedule, rank_schedule_default, RankError, RankOutput,
-};
+pub use ranks::{compute_ranks, rank_schedule, rank_schedule_default, RankError, RankOutput};
 pub use tardiness::{max_tardiness, min_max_tardiness};

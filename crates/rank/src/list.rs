@@ -8,15 +8,23 @@
 //! Constraint (Definition 2.3) refers to.
 //!
 //! The pass is event-driven and works in *positions* of the priority
-//! list (local ids `0..|mask|`): a bitset of ready positions is scanned
-//! in priority order, a node whose predecessors are done waits in a
-//! pending list until its earliest start arrives, and time jumps to the
-//! next unit-free cycle or pending start. The cycles it visits and the
-//! `(start, unit)` it gives each node are those of a scan over the whole
-//! list at every cycle; only the cost differs. Every working vector and
-//! the schedule under construction live in the context's
-//! [`ListScratch`], so on a warm context a pass allocates nothing until
-//! its result is packed into a [`Schedule`].
+//! list: a bitset of ready positions is scanned in priority order, a node
+//! whose predecessors are done waits in a pending list until its earliest
+//! start arrives, and time jumps to the next unit-free cycle or pending
+//! start. The cycles it visits and the `(start, unit)` it gives each node
+//! are those of a scan over the whole list at every cycle; only the cost
+//! differs.
+//!
+//! It reads only the cached [`Analysis`] of `(graph, mask)` — execution
+//! times, FU classes, predecessor counts and CSR successors per local id
+//! — and picks a unit by ANDing the node's class mask with the free-unit
+//! mask ([`UnitMasks`](asched_graph::UnitMasks)): the lowest common bit
+//! is the first compatible free unit. Every working vector and the
+//! schedule under construction live in the context's [`ListScratch`],
+//! sized by the mask, so on a warm context a pass allocates nothing
+//! until its result is packed into a [`Schedule`]. There is one pass:
+//! [`list_schedule`] maps its priority list onto it, and the Rank
+//! Algorithm runs it on its rank and earliest-deadline-first lists.
 //!
 //! Inside the Rank Algorithm the pass also receives the deadlines and
 //! stops at the first assignment that completes after its node's
@@ -27,9 +35,9 @@
 //! pass that finishes has met every deadline. The check is one
 //! comparison per assignment.
 
-use crate::deadline::Deadlines;
 use asched_graph::{
-    DepGraph, ListScratch, MachineModel, NodeId, NodeSet, SchedCtx, SchedOpts, Schedule,
+    Analysis, DepGraph, ListScratch, MachineModel, NodeId, NodeSet, SchedCtx, SchedOpts, Schedule,
+    Scratch,
 };
 
 /// Greedily schedule the nodes of `mask` following `priority`.
@@ -37,7 +45,7 @@ use asched_graph::{
 /// `priority` must contain every node of `mask` exactly once (extra nodes
 /// outside the mask are ignored). Readiness of `x` at time `t` requires
 /// every loop-independent predecessor of `x` inside the mask to satisfy
-/// `completion(pred) + latency <= t`.
+/// `completion(pred) + latency <= t`. The mask must be acyclic.
 ///
 /// `opts.release` supplies per-node *release times*: node `x` cannot
 /// start before `release[x.index()]`. Algorithm `Lookahead` uses this to
@@ -53,35 +61,57 @@ pub fn list_schedule(
     priority: &[NodeId],
     opts: &SchedOpts,
 ) -> Schedule {
-    let ls = &mut ctx.scratch.list;
+    let SchedCtx { cache, scratch } = ctx;
+    let a = cache
+        .analysis(g, mask)
+        .expect("list_schedule needs an acyclic mask");
+    let Scratch { list: ls, .. } = scratch;
+    ls.units.load(machine);
     ls.order.clear();
-    ls.order
-        .extend(priority.iter().copied().filter(|&id| mask.contains(id)));
-    match list_schedule_into(ls, g, mask, machine, opts.release, None) {
-        Ok(()) => built_schedule(ls, g),
+    ls.order.extend(
+        priority
+            .iter()
+            .filter_map(|&x| a.local(x))
+            .map(|i| i as u32),
+    );
+    load_release(a, opts.release, &mut ls.release);
+    match greedy_pass(a, machine, ls, None) {
+        Ok(()) => built_schedule(a, ls, g.len()),
         Err(_) => unreachable!("a pass without deadlines cannot miss one"),
     }
 }
 
-/// The greedy scheduler proper, working out of a [`ListScratch`] whose
-/// `order` the caller has loaded with the mask's nodes in priority
-/// order. The schedule is left in the scratch; [`built_schedule`] packs
-/// it.
+/// Read the release time of every mask node into `buf`, indexed by
+/// local id (all 0 without `release`).
+pub(crate) fn load_release(a: &Analysis, release: Option<&[u64]>, buf: &mut Vec<u64>) {
+    buf.clear();
+    match release {
+        Some(rel) => buf.extend(a.nodes().iter().map(|x| rel[x.index()])),
+        None => buf.resize(a.len(), 0),
+    }
+}
+
+/// The greedy scheduler proper, on `a`'s local ids: `ls.order` holds the
+/// mask's local ids in priority order, `ls.release` their release times
+/// and `ls.units` the machine's class masks. The schedule is left in the
+/// scratch; [`built_schedule`] packs it.
 ///
-/// With `deadlines`, the pass returns `Err(node)` as soon as it assigns
-/// a node that completes after its deadline; `Ok` then means every
-/// deadline was met. Without, it always returns `Ok`.
-pub(crate) fn list_schedule_into(
-    ls: &mut ListScratch,
-    g: &DepGraph,
-    mask: &NodeSet,
+/// With `deadline` (indexed by local id), the pass returns `Err(local
+/// id)` as soon as it assigns a node that completes after its deadline;
+/// `Ok` then means every deadline was met. Without, it always returns
+/// `Ok`.
+pub(crate) fn greedy_pass(
+    a: &Analysis,
     machine: &MachineModel,
-    release: Option<&[u64]>,
-    deadlines: Option<&Deadlines>,
-) -> Result<(), NodeId> {
+    ls: &mut ListScratch,
+    deadline: Option<&[i64]>,
+) -> Result<(), usize> {
     let ListScratch {
         order,
         pos,
+        release,
+        units,
+        free,
         unit_free,
         preds_left,
         est,
@@ -91,20 +121,16 @@ pub(crate) fn list_schedule_into(
         unit,
     } = ls;
     let m = order.len();
-    assert_eq!(m, mask.len(), "priority must cover the mask");
-    if pos.len() < g.len() {
-        pos.resize(g.len(), 0);
-    }
-    for (p, &x) in order.iter().enumerate() {
-        pos[x.index()] = p as u32;
-    }
+    assert_eq!(m, a.len(), "priority must cover the mask");
+    let (exec, class) = (a.exec(), a.class());
+    pos.clear();
+    pos.resize(m, 0);
     preds_left.clear();
     est.clear();
-    for &x in order.iter() {
-        // Raw edge count (parallel edges counted separately): issuing a
-        // node decrements once per raw edge.
-        preds_left.push(g.in_edges_li(x).filter(|e| mask.contains(e.src)).count() as u32);
-        est.push(release.map_or(0, |rel| rel[x.index()]));
+    for (p, &x) in order.iter().enumerate() {
+        pos[x as usize] = p as u32;
+        preds_left.push(a.preds()[x as usize]);
+        est.push(release[x as usize]);
     }
     ready.clear();
     ready.resize(m.div_ceil(64), 0);
@@ -143,35 +169,31 @@ pub(crate) fn list_schedule_into(
         // Issue ready nodes in priority order while some unit is free.
         // A node issued now completes after `t`, so its successors
         // become pending, never ready at this cycle.
-        let mut free = unit_free.iter().filter(|&&f| f <= t).count();
+        let mut idle = load_free(free, unit_free, t);
         for (wi, word) in ready.iter_mut().enumerate() {
             let mut bits = *word;
-            while bits != 0 && free > 0 {
+            while bits != 0 && idle > 0 {
                 let b = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 let p = wi * 64 + b;
-                let x = order[p];
-                let class = g.node(x).class;
-                let Some(u) = machine.units_for(class).find(|&u| unit_free[u] <= t) else {
+                let x = order[p] as usize;
+                let Some(u) = first_common(units.of(class[x]), free) else {
                     continue;
                 };
-                let exec = g.exec_time(x);
-                let completion = t + exec as u64;
-                if deadlines.is_some_and(|d| completion as i64 > d.get(x)) {
+                let completion = t + exec[x] as u64;
+                if deadline.is_some_and(|d| completion as i64 > d[x]) {
                     return Err(x);
                 }
                 *word &= !(1 << b);
                 start[p] = t;
                 unit[p] = u as u32;
                 unit_free[u] = completion;
-                free -= 1;
+                free[u / 64] &= !(1 << (u % 64));
+                idle -= 1;
                 remaining -= 1;
-                for e in g.out_edges_li(x) {
-                    if !mask.contains(e.dst) {
-                        continue;
-                    }
-                    let q = pos[e.dst.index()] as usize;
-                    est[q] = est[q].max(completion + e.latency as u64);
+                for &(s, lat) in a.local_succs(x) {
+                    let q = pos[s as usize] as usize;
+                    est[q] = est[q].max(completion + lat as u64);
                     preds_left[q] -= 1;
                     if preds_left[q] == 0 {
                         pending.push(q as u32);
@@ -196,13 +218,14 @@ pub(crate) fn list_schedule_into(
             // rather than spin forever.
             let stuck = (0..m)
                 .filter(|&p| ready[p / 64] & (1 << (p % 64)) != 0)
-                .map(|p| order[p])
+                .map(|p| order[p] as usize)
                 .min()
                 .expect("a DAG always has a source pending");
             panic!(
-                "no functional unit on this machine can run node {stuck} \
+                "no functional unit on this machine can run node {} \
                  (class {:?})",
-                g.node(stuck).class
+                a.nodes()[stuck],
+                class[stuck]
             );
         }
         t = next;
@@ -210,11 +233,41 @@ pub(crate) fn list_schedule_into(
     Ok(())
 }
 
-/// The schedule a finished [`list_schedule_into`] pass built.
-pub(crate) fn built_schedule(ls: &ListScratch, g: &DepGraph) -> Schedule {
-    let mut sched = Schedule::new(g.len());
+/// Mark in `free` the units whose next free cycle is at most `t`;
+/// returns how many there are.
+fn load_free(free: &mut Vec<u64>, unit_free: &[u64], t: u64) -> usize {
+    free.clear();
+    free.resize(unit_free.len().div_ceil(64), 0);
+    let mut count = 0;
+    for (u, &f) in unit_free.iter().enumerate() {
+        if f <= t {
+            free[u / 64] |= 1 << (u % 64);
+            count += 1;
+        }
+    }
+    count
+}
+
+/// The lowest unit set in both masks.
+#[inline]
+fn first_common(class_units: &[u64], free: &[u64]) -> Option<usize> {
+    class_units
+        .iter()
+        .zip(free)
+        .enumerate()
+        .find_map(|(w, (&c, &f))| {
+            let both = c & f;
+            (both != 0).then(|| w * 64 + both.trailing_zeros() as usize)
+        })
+}
+
+/// The schedule a finished [`greedy_pass`] built, over a graph of `n`
+/// nodes.
+pub(crate) fn built_schedule(a: &Analysis, ls: &ListScratch, n: usize) -> Schedule {
+    let mut sched = Schedule::new(n);
     for (p, &x) in ls.order.iter().enumerate() {
-        sched.assign(x, ls.start[p], ls.unit[p] as usize, g.exec_time(x));
+        let x = x as usize;
+        sched.assign(a.nodes()[x], ls.start[p], ls.unit[p] as usize, a.exec()[x]);
     }
     sched
 }

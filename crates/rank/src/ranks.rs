@@ -22,16 +22,23 @@
 //! backward schedule packs each descendant onto the compatible unit that
 //! allows the latest completion — the Section 4.2 heuristic.
 //!
-//! Every entry point takes a [`SchedCtx`]: the topological order, the
-//! descendant bitsets and the successor lists are served from its
-//! analysis cache (the deadline-manipulation loops re-rank the same
-//! `(graph, mask)` dozens of times), and all working vectors live in its
-//! scratch so a warmed-up context computes ranks without allocating.
+//! Every entry point takes a [`SchedCtx`]. The rank computation and the
+//! greedy passes run on the flat arrays of the context's cached
+//! [`Analysis`] of `(graph, mask)` (the deadline-manipulation loops
+//! re-rank the same pair dozens of times): per local id `0..|mask|` the
+//! execution time, FU class, stable-key position, topological order,
+//! successors and descendant row. A run reads the deadlines and release
+//! times once into mask-sized scratch, sorts descendants and lists by
+//! packed integer keys, and writes `g.len()`-indexed output only for
+//! results a caller keeps: [`compute_ranks`]' slice and a feasible
+//! run's [`RankOutput`]. A warmed-up context computes ranks, and runs
+//! an infeasible Rank Algorithm, without allocating.
 
 use crate::deadline::Deadlines;
-use crate::list::{built_schedule, list_schedule_into};
-use asched_graph::{AnalysisCache, BackwardMode, CycleError, SchedCtx, SchedOpts, Scratch};
-use asched_graph::{DepGraph, MachineModel, NodeId, NodeSet, Schedule};
+use crate::list::{built_schedule, greedy_pass, load_release};
+use asched_graph::{set_bits, Analysis, BackwardMode, CycleError, RankScratch, SchedCtx};
+use asched_graph::{DepGraph, MachineModel, NodeId, NodeSet, SchedOpts, Schedule, Scratch};
+use asched_graph::{ListScratch, UnitMasks};
 use std::fmt;
 
 /// Failure modes of the rank computation / Rank Algorithm.
@@ -39,10 +46,11 @@ use std::fmt;
 pub enum RankError {
     /// The loop-independent subgraph is cyclic.
     Cyclic(CycleError),
-    /// The deadlines cannot all be met: both greedy passes (the rank
-    /// list and the earliest-deadline-first retry) miss a deadline.
+    /// The deadlines cannot all be met: the greedy pass over the rank
+    /// list misses a deadline, and so does the earliest-deadline-first
+    /// retry (skipped when it is the same list).
     Infeasible {
-        /// The node whose deadline the retry missed first.
+        /// The node whose deadline the last pass missed first.
         node: NodeId,
     },
 }
@@ -85,7 +93,8 @@ pub struct RankOutput {
 
 /// Compute the rank of every node in `mask` under deadlines `d`,
 /// returning a slice borrowed from the context's scratch (valid until
-/// the context is used again).
+/// the context is used again), indexed by `NodeId::index()` with
+/// `i64::MAX` outside the mask.
 ///
 /// Ranks may drop below a node's execution time (or below zero) when the
 /// deadlines are unachievable — or merely when the backward schedule's
@@ -105,55 +114,53 @@ pub fn compute_ranks<'c>(
     d: &Deadlines,
     opts: &SchedOpts,
 ) -> Result<&'c [i64], RankError> {
-    compute_ranks_into(
-        &mut ctx.cache,
-        &mut ctx.scratch,
-        g,
-        mask,
-        machine,
-        d,
-        opts.backward,
-    )?;
-    Ok(&ctx.scratch.rank)
+    let SchedCtx { cache, scratch } = ctx;
+    let a = cache.analysis(g, mask)?;
+    let Scratch {
+        rank, ranks, list, ..
+    } = scratch;
+    list.units.load(machine);
+    local_ranks(a, machine, &list.units, d, opts.backward, ranks);
+    scatter_ranks(a, &ranks.rank, g.len(), rank);
+    Ok(rank)
 }
 
-/// The rank computation proper, leaving the ranks in `scratch.rank`
-/// (indexed by `NodeId::index()`). Split from [`SchedCtx`] so callers
-/// can hold other scratch fields across the call.
-pub(crate) fn compute_ranks_into(
-    cache: &mut AnalysisCache,
-    scratch: &mut Scratch,
-    g: &DepGraph,
-    mask: &NodeSet,
+/// The rank computation proper, on `a`'s local ids: the deadlines land
+/// in `rs.deadline` and the ranks in `rs.rank`, both indexed by local
+/// id. `units` holds `machine`'s class masks.
+fn local_ranks(
+    a: &Analysis,
     machine: &MachineModel,
+    units: &UnitMasks,
     d: &Deadlines,
     mode: BackwardMode,
-) -> Result<(), RankError> {
-    // Topo order, descendant bitsets and successor lists depend only on
-    // (g, mask): the analysis cache serves them across the repeated
-    // calls the deadline-manipulation loops make.
-    let analysis = cache.analysis(g, mask)?;
-    let n = g.len();
-    let Scratch {
+    rs: &mut RankScratch,
+) {
+    let m = a.len();
+    let RankScratch {
+        deadline,
         rank,
         back_start,
         urgency,
-        ds,
+        keys,
         unit_earliest,
-        ..
-    } = scratch;
+    } = rs;
+    deadline.clear();
+    deadline.extend(a.nodes().iter().map(|&x| d.get(x)));
     rank.clear();
-    rank.resize(n, i64::MAX);
+    rank.resize(m, i64::MAX);
     // Backward-schedule start times, reused per node.
     back_start.clear();
-    back_start.resize(n, 0);
+    back_start.resize(m, 0);
     // Per-descendant tie-break key: the latency x must leave before the
     // descendant starts (u32::MAX for non-successors, which impose no
     // edge constraint on x at all).
     urgency.clear();
-    urgency.resize(n, u32::MAX);
+    urgency.resize(m, u32::MAX);
+    let (exec, class, key, by_key) = (a.exec(), a.class(), a.key(), a.by_key());
 
-    for &x in analysis.order().iter().rev() {
+    for &x in a.local_order().iter().rev() {
+        let x = x as usize;
         // Gather descendants sorted by decreasing rank (ranks are already
         // final: reverse topological order). Among equal ranks, fill the
         // *latest* slots with the descendants whose placement constrains
@@ -162,30 +169,33 @@ pub(crate) fn compute_ranks_into(
         // the pack and keeps the rank a tight-but-sound upper bound
         // (without it, a latency-0 successor parked late would slacken
         // while a latency-1 successor gets squeezed early). Remaining
-        // ties break on the stable source key for determinism — the key
-        // is unique per node, so the comparator is a total order and the
-        // (allocation-free) unstable sort is deterministic.
-        let succs = analysis.succs(x);
+        // ties break on the stable source key for determinism. The key
+        // packs (rank, urgency, stable-key position) into one integer,
+        // unique per node, so the (allocation-free) unstable sort is
+        // deterministic; the position decodes back to the node.
+        let succs = a.local_succs(x);
         for &(s, lat) in succs {
-            urgency[s.index()] = lat;
+            urgency[s as usize] = lat;
         }
-        ds.clear();
-        ds.extend(analysis.desc(x));
-        ds.sort_unstable_by(|&a, &b| {
-            rank[b.index()]
-                .cmp(&rank[a.index()])
-                .then_with(|| urgency[b.index()].cmp(&urgency[a.index()]))
-                .then_with(|| g.stable_key(b).cmp(&g.stable_key(a)))
-        });
+        keys.clear();
+        keys.extend(set_bits(a.desc_row(x)).map(|y| {
+            (u128::from(biased(rank[y])) << 64)
+                | (u128::from(urgency[y]) << 32)
+                | u128::from(key[y])
+        }));
+        keys.sort_unstable();
+        let descending = keys
+            .iter()
+            .rev()
+            .map(|&k| by_key[k as u32 as usize] as usize);
 
-        let mut bound = d.get(x);
+        let mut bound = deadline[x];
         if machine.is_single_unit() {
             // Pack descendants backward on the single unit.
             let mut earliest = i64::MAX;
-            for &y in ds.iter() {
-                let completion = rank[y.index()].min(earliest);
-                let start = completion - g.exec_time(y) as i64;
-                back_start[y.index()] = start;
+            for y in descending {
+                let start = rank[y].min(earliest) - exec[y] as i64;
+                back_start[y] = start;
                 earliest = start;
             }
             // x must run before all of its descendants.
@@ -196,22 +206,13 @@ pub(crate) fn compute_ranks_into(
             // completion.
             unit_earliest.clear();
             unit_earliest.resize(machine.num_units(), i64::MAX);
-            for &y in ds.iter() {
-                let class = g.node(y).class;
-                let exec = g.exec_time(y) as i64;
+            for y in descending {
+                let fits = units.of(class[y]);
                 match mode {
                     BackwardMode::Whole => {
-                        let mut best: Option<(i64, usize)> = None;
-                        for u in machine.units_for(class) {
-                            let completion = rank[y.index()].min(unit_earliest[u]);
-                            if best.is_none_or(|(c, _)| completion > c) {
-                                best = Some((completion, u));
-                            }
-                        }
-                        let (completion, u) =
-                            best.expect("machine must have a unit for every class");
-                        let start = completion - exec;
-                        back_start[y.index()] = start;
+                        let (completion, u) = latest_unit(fits, unit_earliest, rank[y]);
+                        let start = completion - exec[y] as i64;
+                        back_start[y] = start;
                         unit_earliest[u] = start;
                     }
                     BackwardMode::Piecewise => {
@@ -219,58 +220,55 @@ pub(crate) fn compute_ranks_into(
                         // each at the latest possible slot; the earliest
                         // piece start is the instruction's start.
                         let mut earliest_piece = i64::MAX;
-                        for _ in 0..exec {
-                            let mut best: Option<(i64, usize)> = None;
-                            for u in machine.units_for(class) {
-                                let completion = rank[y.index()].min(unit_earliest[u]);
-                                if best.is_none_or(|(c, _)| completion > c) {
-                                    best = Some((completion, u));
-                                }
-                            }
-                            let (completion, u) =
-                                best.expect("machine must have a unit for every class");
+                        for _ in 0..exec[y] {
+                            let (completion, u) = latest_unit(fits, unit_earliest, rank[y]);
                             unit_earliest[u] = completion - 1;
                             earliest_piece = earliest_piece.min(completion - 1);
                         }
-                        back_start[y.index()] = earliest_piece;
+                        back_start[y] = earliest_piece;
                     }
                 }
             }
         }
         // Immediate-successor constraints: start(s) - latency(x, s).
         for &(s, lat) in succs {
-            bound = bound.min(back_start[s.index()] - lat as i64);
-            urgency[s.index()] = u32::MAX; // reset for the next node
+            bound = bound.min(back_start[s as usize] - lat as i64);
+            urgency[s as usize] = u32::MAX; // reset for the next node
         }
-        rank[x.index()] = bound;
+        rank[x] = bound;
     }
-    Ok(())
 }
 
-/// The priority list of the Rank Algorithm: nodes of `mask` in
-/// nondecreasing rank order, ties broken by (block, source position, id).
-pub fn rank_priority(g: &DepGraph, mask: &NodeSet, ranks: &[i64]) -> Vec<NodeId> {
-    let mut v = Vec::new();
-    rank_priority_into(&mut v, g, mask, ranks);
-    v
+/// The first unit of `fits` (in unit order) allowing the latest
+/// completion `min(rank, unit_earliest[u])`, with that completion.
+fn latest_unit(fits: &[u64], unit_earliest: &[i64], rank: i64) -> (i64, usize) {
+    let mut best: Option<(i64, usize)> = None;
+    for u in set_bits(fits) {
+        let completion = rank.min(unit_earliest[u]);
+        if best.is_none_or(|(c, _)| completion > c) {
+            best = Some((completion, u));
+            if completion == rank {
+                break; // no unit completes later than the rank
+            }
+        }
+    }
+    best.expect("machine must have a unit for every class")
 }
 
-/// [`rank_priority`] into a reusable buffer. The comparator's final
-/// stable-key component is unique per node, so the unstable sort is a
-/// deterministic total order.
-pub(crate) fn rank_priority_into(
-    prio: &mut Vec<NodeId>,
-    g: &DepGraph,
-    mask: &NodeSet,
-    ranks: &[i64],
-) {
-    prio.clear();
-    prio.extend(mask.iter());
-    prio.sort_unstable_by(|&a, &b| {
-        ranks[a.index()]
-            .cmp(&ranks[b.index()])
-            .then_with(|| g.stable_key(a).cmp(&g.stable_key(b)))
-    });
+/// `v` mapped to `u64` preserving order.
+#[inline]
+fn biased(v: i64) -> u64 {
+    (v as u64) ^ (1 << 63)
+}
+
+/// Local ranks `local` written into `out`, indexed by `NodeId::index()`
+/// over a graph of `n` nodes, `i64::MAX` outside the mask.
+fn scatter_ranks(a: &Analysis, local: &[i64], n: usize, out: &mut Vec<i64>) {
+    out.clear();
+    out.resize(n, i64::MAX);
+    for (&x, &r) in a.nodes().iter().zip(local) {
+        out[x.index()] = r;
+    }
 }
 
 /// The full Rank Algorithm: ranks, nondecreasing-rank list, and a greedy
@@ -282,8 +280,10 @@ pub(crate) fn rank_priority_into(
 /// (Palem–Simons). In the general case this is the Section 4.2 heuristic
 /// and the check guards callers such as `merge` that probe feasibility.
 /// A pass stops at its first missed deadline, so an infeasible probe
-/// costs only the schedule prefix up to the miss (twice: once for the
-/// rank list, once for the earliest-deadline-first retry).
+/// costs only the schedule prefix up to the miss: once for the rank
+/// list, and once more for the earliest-deadline-first retry unless that
+/// list is the rank list itself (then the retry would replay the failed
+/// pass to the same witness, and is skipped).
 ///
 /// All variants are expressed through `opts`: per-node release times
 /// (which only delay the greedy scheduler; ranks remain valid upper
@@ -323,47 +323,87 @@ fn rank_schedule_inner(
     d: &Deadlines,
     opts: &SchedOpts,
 ) -> Result<RankOutput, RankError> {
-    compute_ranks_into(
-        &mut ctx.cache,
-        &mut ctx.scratch,
-        g,
-        mask,
-        machine,
-        d,
-        opts.backward,
-    )?;
+    let SchedCtx { cache, scratch } = ctx;
+    let a = cache.analysis(g, mask)?;
     let Scratch {
-        rank: ranks, list, ..
-    } = &mut ctx.scratch;
+        ranks: rs, list, ..
+    } = scratch;
+    list.units.load(machine);
+    local_ranks(a, machine, &list.units, d, opts.backward, rs);
     // Both greedy passes get the deadlines and stop at the first miss,
     // so an infeasible run pays only for the prefix up to it, and both
     // lists live in the list scratch: an infeasible run on a warm
     // context allocates nothing.
-    rank_priority_into(&mut list.order, g, mask, ranks);
-    if list_schedule_into(list, g, mask, machine, opts.release, Some(d)).is_err() {
+    rank_list(a, rs, list);
+    load_release(a, opts.release, &mut list.release);
+    if let Err(miss) = greedy_pass(a, machine, list, Some(&rs.deadline)) {
         // The rank list missed a deadline. Backward-schedule
         // tie-breaking makes our rank computation slightly pessimistic
         // in rare cases; before declaring infeasibility, try the
         // earliest-deadline-first list (ties by rank, then source
         // order), which meets deadlines in some of the instances the
-        // rank list does not. The comparator is a total order, so
-        // re-sorting the rank list in place gives the same list as
-        // sorting the mask.
-        list.order.sort_unstable_by(|&a, &b| {
-            d.get(a)
-                .cmp(&d.get(b))
-                .then_with(|| ranks[a.index()].cmp(&ranks[b.index()]))
-                .then_with(|| g.stable_key(a).cmp(&g.stable_key(b)))
-        });
-        if let Err(node) = list_schedule_into(list, g, mask, machine, opts.release, Some(d)) {
-            return Err(RankError::Infeasible { node });
+        // rank list does not — unless it is the rank list itself.
+        if !edf_list(rs, list) {
+            return Err(RankError::Infeasible {
+                node: a.nodes()[miss],
+            });
+        }
+        if let Err(miss) = greedy_pass(a, machine, list, Some(&rs.deadline)) {
+            return Err(RankError::Infeasible {
+                node: a.nodes()[miss],
+            });
         }
     }
+    let mut ranks = Vec::new();
+    scatter_ranks(a, &rs.rank, g.len(), &mut ranks);
     Ok(RankOutput {
-        schedule: built_schedule(list, g),
-        ranks: ranks.clone(),
-        priority: list.order.clone(),
+        schedule: built_schedule(a, list, g.len()),
+        ranks,
+        priority: list.order.iter().map(|&x| a.nodes()[x as usize]).collect(),
     })
+}
+
+/// Load `list.order` with the rank list: local ids by nondecreasing
+/// rank, ties by stable key. The packed key (rank, stable-key position,
+/// local id) is unique, so the unstable sort is deterministic.
+fn rank_list(a: &Analysis, rs: &mut RankScratch, list: &mut ListScratch) {
+    let RankScratch { rank, keys, .. } = rs;
+    keys.clear();
+    keys.extend(
+        a.key()
+            .iter()
+            .zip(rank.iter())
+            .enumerate()
+            .map(|(x, (&k, &r))| (u128::from(biased(r)) << 64) | (u128::from(k) << 32) | x as u128),
+    );
+    keys.sort_unstable();
+    list.order.clear();
+    list.order.extend(keys.iter().map(|&k| k as u32));
+}
+
+/// Turn the rank list in `list.order` into the earliest-deadline-first
+/// list — nondecreasing deadline, ties by rank, then stable key — and
+/// return true, or return false, leaving the list alone, when the two
+/// lists are equal. The rank list is ordered by (rank, stable key), so
+/// sorting it by (deadline, position) is the EDF order, and that order
+/// is the rank list exactly when the deadlines never fall along it.
+fn edf_list(rs: &mut RankScratch, list: &mut ListScratch) -> bool {
+    let RankScratch { deadline, keys, .. } = rs;
+    let order = &mut list.order;
+    if order
+        .windows(2)
+        .all(|w| deadline[w[0] as usize] <= deadline[w[1] as usize])
+    {
+        return false;
+    }
+    keys.clear();
+    keys.extend(order.iter().enumerate().map(|(p, &x)| {
+        (u128::from(biased(deadline[x as usize])) << 64) | ((p as u128) << 32) | u128::from(x)
+    }));
+    keys.sort_unstable();
+    order.clear();
+    order.extend(keys.iter().map(|&k| k as u32));
+    true
 }
 
 /// [`rank_schedule`] with unconstrained deadlines and default options: a

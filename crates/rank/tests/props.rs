@@ -1,13 +1,13 @@
 //! Property tests for the Rank Algorithm.
 
 use asched_graph::{
-    earliest_starts, BlockId, DepGraph, FuClass, MachineModel, NodeId, NodeSet, SchedCtx,
-    SchedOpts, Schedule,
+    descendants, earliest_starts, topo_order, BackwardMode, BlockId, DepGraph, FuClass,
+    MachineModel, NodeId, NodeSet, SchedCtx, SchedOpts, Schedule,
 };
 use asched_obs::{Event, Recorder};
 use asched_rank::{
     brute, compute_ranks, delay_idle_slots, list_schedule, max_tardiness, min_max_tardiness,
-    rank_priority, rank_schedule, rank_schedule_default, Deadlines, RankError,
+    rank_schedule, rank_schedule_default, Deadlines, RankError,
 };
 use proptest::prelude::*;
 use std::cell::RefCell;
@@ -45,43 +45,51 @@ fn arb_dag01(max_n: usize) -> impl Strategy<Value = DepGraph> {
 /// Random Section 4.2 instance: a DAG with latencies 0-3 and execution
 /// times 1-2, about 70% of its nodes bound to a concrete unit class, on
 /// `rs6000_like(2)` or `uniform(2, 2)`, with per-node release times
-/// (0-3 on about a third of the nodes).
+/// (0-3 on about a third of the nodes). Nodes sit in random blocks, so
+/// the stable-key tie-break differs from id order.
 fn arb_multi_unit(max_n: usize) -> impl Strategy<Value = (DepGraph, MachineModel, Vec<u64>)> {
-    (2usize..max_n, any::<u64>(), 0.1f64..0.5, any::<bool>()).prop_map(
-        |(n, seed, density, rs6000)| {
-            let mut next = xorshift(seed);
-            let mut g = DepGraph::new();
-            for i in 0..n {
-                let id = g.add_simple(format!("n{i}"), BlockId((i / 8) as u32));
-                g.node_mut(id).exec_time = 1 + (next() % 2) as u32;
-                if next() % 10 < 7 {
-                    g.node_mut(id).class = FuClass::CONCRETE[(next() % 4) as usize];
-                }
+    (2usize..max_n, any::<u64>(), 0.1f64..0.5, any::<bool>())
+        .prop_map(|(n, seed, density, rs6000)| multi_unit_case(n, seed, density, rs6000))
+}
+
+/// One [`arb_multi_unit`] instance of `n` nodes.
+fn multi_unit_case(
+    n: usize,
+    seed: u64,
+    density: f64,
+    rs6000: bool,
+) -> (DepGraph, MachineModel, Vec<u64>) {
+    let mut next = xorshift(seed);
+    let mut g = DepGraph::new();
+    for i in 0..n {
+        let id = g.add_simple(format!("n{i}"), BlockId((next() % 4) as u32));
+        g.node_mut(id).exec_time = 1 + (next() % 2) as u32;
+        if next() % 10 < 7 {
+            g.node_mut(id).class = FuClass::CONCRETE[(next() % 4) as usize];
+        }
+    }
+    for i in 0..n {
+        for j in (i + 1)..n {
+            if (next() % 1000) as f64 / 1000.0 < density {
+                g.add_dep(NodeId(i as u32), NodeId(j as u32), (next() % 4) as u32);
             }
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    if (next() % 1000) as f64 / 1000.0 < density {
-                        g.add_dep(NodeId(i as u32), NodeId(j as u32), (next() % 4) as u32);
-                    }
-                }
-            }
-            let release = (0..n)
-                .map(|_| {
-                    if next().is_multiple_of(3) {
-                        next() % 4
-                    } else {
-                        0
-                    }
-                })
-                .collect();
-            let machine = if rs6000 {
-                MachineModel::rs6000_like(2)
+        }
+    }
+    let release = (0..n)
+        .map(|_| {
+            if next().is_multiple_of(3) {
+                next() % 4
             } else {
-                MachineModel::uniform(2, 2)
-            };
-            (g, machine, release)
-        },
-    )
+                0
+            }
+        })
+        .collect();
+    let machine = if rs6000 {
+        MachineModel::rs6000_like(2)
+    } else {
+        MachineModel::uniform(2, 2)
+    };
+    (g, machine, release)
 }
 
 /// Deadlines that constrain nothing even under release times: the
@@ -115,6 +123,102 @@ fn reference_rank_schedule(
     if meets(&s) {
         return Some((s, ranks, prio));
     }
+    let edf = edf_priority(g, mask, d, &ranks);
+    let s = list_schedule(&mut ctx, g, mask, machine, &edf, opts);
+    meets(&s).then_some((s, ranks, edf))
+}
+
+/// The rank computation over global ids: every vector indexed by
+/// `NodeId::index()` and sized by the graph, descendants from
+/// [`descendants`], successors from [`DepGraph::succs_in`] and node data
+/// read from the graph on every use. The reference the mask-local
+/// kernel must reproduce: ranks by `NodeId::index()`, `i64::MAX` outside
+/// the mask.
+fn reference_ranks(
+    g: &DepGraph,
+    mask: &NodeSet,
+    machine: &MachineModel,
+    d: &Deadlines,
+    mode: BackwardMode,
+) -> Vec<i64> {
+    let n = g.len();
+    let desc = descendants(g, mask).unwrap();
+    let mut rank = vec![i64::MAX; n];
+    let mut back_start = vec![0i64; n];
+    let mut urgency = vec![u32::MAX; n];
+    for x in topo_order(g, mask).unwrap().into_iter().rev() {
+        let succs = g.succs_in(x, mask);
+        for &(s, lat) in &succs {
+            urgency[s.index()] = lat;
+        }
+        let mut ds: Vec<NodeId> = desc[x.index()].iter().collect();
+        ds.sort_by(|&a, &b| {
+            rank[b.index()]
+                .cmp(&rank[a.index()])
+                .then_with(|| urgency[b.index()].cmp(&urgency[a.index()]))
+                .then_with(|| g.stable_key(b).cmp(&g.stable_key(a)))
+        });
+        let mut bound = d.get(x);
+        if machine.is_single_unit() {
+            let mut earliest = i64::MAX;
+            for &y in &ds {
+                let start = rank[y.index()].min(earliest) - g.exec_time(y) as i64;
+                back_start[y.index()] = start;
+                earliest = start;
+            }
+            bound = bound.min(earliest);
+        } else {
+            let mut unit_earliest = vec![i64::MAX; machine.num_units()];
+            for &y in &ds {
+                let class = g.node(y).class;
+                let latest = |unit_earliest: &[i64]| {
+                    let mut best: Option<(i64, usize)> = None;
+                    for u in machine.units_for(class) {
+                        let completion = rank[y.index()].min(unit_earliest[u]);
+                        if best.is_none_or(|(c, _)| completion > c) {
+                            best = Some((completion, u));
+                        }
+                    }
+                    best.unwrap()
+                };
+                match mode {
+                    BackwardMode::Whole => {
+                        let (completion, u) = latest(&unit_earliest);
+                        let start = completion - g.exec_time(y) as i64;
+                        back_start[y.index()] = start;
+                        unit_earliest[u] = start;
+                    }
+                    BackwardMode::Piecewise => {
+                        let mut earliest_piece = i64::MAX;
+                        for _ in 0..g.exec_time(y) {
+                            let (completion, u) = latest(&unit_earliest);
+                            unit_earliest[u] = completion - 1;
+                            earliest_piece = earliest_piece.min(completion - 1);
+                        }
+                        back_start[y.index()] = earliest_piece;
+                    }
+                }
+            }
+        }
+        for &(s, lat) in &succs {
+            bound = bound.min(back_start[s.index()] - lat as i64);
+            urgency[s.index()] = u32::MAX;
+        }
+        rank[x.index()] = bound;
+    }
+    rank
+}
+
+/// The rank list: nondecreasing rank, ties by stable key.
+fn rank_priority(g: &DepGraph, mask: &NodeSet, ranks: &[i64]) -> Vec<NodeId> {
+    let mut v: Vec<NodeId> = mask.iter().collect();
+    v.sort_by_key(|&x| (ranks[x.index()], g.stable_key(x)));
+    v
+}
+
+/// The earliest-deadline-first list: nondecreasing deadline, ties by
+/// rank, then stable key.
+fn edf_priority(g: &DepGraph, mask: &NodeSet, d: &Deadlines, ranks: &[i64]) -> Vec<NodeId> {
     let mut edf: Vec<NodeId> = mask.iter().collect();
     edf.sort_by(|&a, &b| {
         d.get(a)
@@ -122,8 +226,7 @@ fn reference_rank_schedule(
             .then_with(|| ranks[a.index()].cmp(&ranks[b.index()]))
             .then_with(|| g.stable_key(a).cmp(&g.stable_key(b)))
     });
-    let s = list_schedule(&mut ctx, g, mask, machine, &edf, opts);
-    meets(&s).then_some((s, ranks, edf))
+    edf
 }
 
 /// The greedy list pass as a scan over the whole priority list at every
@@ -198,15 +301,41 @@ fn priority_and_mask(g: &DepGraph, seed: u64) -> (Vec<NodeId>, NodeSet) {
     (prio, mask)
 }
 
-/// `list_schedule` from a priority list with outside nodes, and
-/// `rank_schedule` under deadline sets around the unconstrained makespan
-/// `T` (some with nodes pinned tighter), against [`scan_list_pass`]: the
-/// same `(start, unit)` per node and makespan, the same priority list
-/// when the deadlines are met and the same witness node when they are
-/// not.
-fn assert_list_pass_matches_scan(g: &DepGraph, machine: &MachineModel, release: &[u64], seed: u64) {
+/// The three machines of the kernel tests: one unit, two universal
+/// units, and the four assigned units of `rs6000_like`.
+fn kernel_machine(k: usize) -> MachineModel {
+    match k % 3 {
+        0 => MachineModel::single_unit(2),
+        1 => MachineModel::uniform(2, 2),
+        _ => MachineModel::rs6000_like(2),
+    }
+}
+
+/// The mask-local kernel against the global-id references, on a random
+/// mask that leaves about a quarter of the nodes outside (so local ids
+/// differ from global ones). `list_schedule` from a priority list with
+/// outside nodes gives [`scan_list_pass`]'s `(start, unit)` per node and
+/// makespan. Under deadline sets around the unconstrained makespan `T`
+/// (uniform, some with nodes pinned tighter, and random per node),
+/// `compute_ranks` gives [`reference_ranks`]' ranks, and `rank_schedule`
+/// gives what [`scan_list_pass`] gives on the reference's rank list and
+/// then on its earliest-deadline-first list: the same schedule, ranks
+/// and priority list when a pass meets every deadline, else the last
+/// pass's witness. When the two lists are equal the kernel skips the
+/// retry, and must name the rank list's witness. Returns the infeasible
+/// runs with equal lists (retry skipped) and with different lists
+/// (retry run).
+fn assert_kernel_matches_references(
+    g: &DepGraph,
+    machine: &MachineModel,
+    release: &[u64],
+    mode: BackwardMode,
+    seed: u64,
+) -> (usize, usize) {
     let (prio, mask) = priority_and_mask(g, seed);
-    let opts = SchedOpts::default().with_release(release);
+    let opts = SchedOpts::default()
+        .with_release(release)
+        .with_backward(mode);
     let mut ctx = SchedCtx::new();
     let got = list_schedule(&mut ctx, g, &mask, machine, &prio, &opts);
     let want = scan_list_pass(g, &mask, machine, &prio, Some(release), None).unwrap();
@@ -215,43 +344,52 @@ fn assert_list_pass_matches_scan(g: &DepGraph, machine: &MachineModel, release: 
 
     let t = want.makespan() as i64 + release.iter().copied().max().unwrap_or(0) as i64;
     let mut next = xorshift(seed ^ 0x9E37);
-    for variant in 0..8 {
+    let (mut skipped, mut retried) = (0, 0);
+    for variant in 0..9 {
         let mut d = Deadlines::uniform(g, &mask, t + variant % 3 - 1);
+        if variant == 8 {
+            for id in mask.iter() {
+                d.set(id, t - 2 + (next() % 5) as i64);
+            }
+        }
         for _ in 0..variant / 2 {
             let victim = NodeId((next() % g.len() as u64) as u32);
             d.set(victim, 1 + (next() % t.max(1) as u64) as i64);
         }
-        let ranks = compute_ranks(&mut ctx, g, &mask, machine, &d, &opts)
-            .unwrap()
-            .to_vec();
+        let ranks = reference_ranks(g, &mask, machine, &d, mode);
+        let got = compute_ranks(&mut ctx, g, &mask, machine, &d, &opts).unwrap();
+        assert_eq!(got, &ranks[..], "variant {variant}: ranks");
+
         let rank_list = rank_priority(g, &mask, &ranks);
-        let mut edf: Vec<NodeId> = mask.iter().collect();
-        edf.sort_by(|&a, &b| {
-            d.get(a)
-                .cmp(&d.get(b))
-                .then_with(|| ranks[a.index()].cmp(&ranks[b.index()]))
-                .then_with(|| g.stable_key(a).cmp(&g.stable_key(b)))
-        });
-        let want = scan_list_pass(g, &mask, machine, &rank_list, Some(release), Some(&d))
-            .map(|s| (s, rank_list))
-            .or_else(|_| {
+        let edf = edf_priority(g, &mask, &d, &ranks);
+        let want = match scan_list_pass(g, &mask, machine, &rank_list, Some(release), Some(&d)) {
+            Ok(s) => Ok((s, rank_list)),
+            Err(witness) if edf == rank_list => {
+                skipped += 1;
+                Err(witness)
+            }
+            Err(_) => {
+                retried += 1;
                 scan_list_pass(g, &mask, machine, &edf, Some(release), Some(&d)).map(|s| (s, edf))
-            });
+            }
+        };
         match (rank_schedule(&mut ctx, g, &mask, machine, &d, &opts), want) {
             (Ok(out), Ok((schedule, priority))) => {
-                assert_eq!(out.schedule, schedule);
-                assert_eq!(out.priority, priority);
+                assert_eq!(out.schedule, schedule, "variant {variant}");
+                assert_eq!(out.ranks, ranks, "variant {variant}");
+                assert_eq!(out.priority, priority, "variant {variant}");
             }
             (Err(RankError::Infeasible { node }), Err(witness)) => {
-                assert_eq!(node, witness, "variant {}", variant);
+                assert_eq!(node, witness, "variant {variant}: witness");
             }
             (got, want) => panic!(
-                "variant {variant}: rank_schedule feasible {} vs scan feasible {}",
+                "variant {variant}: rank_schedule feasible {} vs reference feasible {}",
                 got.is_ok(),
                 want.is_ok()
             ),
         }
     }
+    (skipped, retried)
 }
 
 /// An `idle_move` event's fields: unit, slot, new start, moved.
@@ -357,13 +495,16 @@ fn naive_delay_idle_slots(
     events: &IdleMoves,
 ) -> Schedule {
     let mut ctx = SchedCtx::new();
-    let mut est = Vec::new();
+    let mut local_est = Vec::new();
     earliest_starts(
         ctx.cache.analysis(g, mask).unwrap(),
-        g,
         opts.release,
-        &mut est,
+        &mut local_est,
     );
+    let mut est = vec![0; g.len()];
+    for (id, t) in mask.iter().zip(local_est) {
+        est[id.index()] = t;
+    }
     let demand = |u: usize| -> u64 {
         mask.iter()
             .filter(|&id| machine.unit_accepts(u, g.node(id).class))
@@ -468,22 +609,28 @@ proptest! {
         }
     }
 
-    /// The event-driven list pass reproduces the per-cycle scan (see
-    /// [`assert_list_pass_matches_scan`]) on the multi-unit instances
-    /// with release times.
+    /// The mask-local kernel (ranks and the event-driven list pass)
+    /// reproduces the global-id rank computation and the per-cycle scan
+    /// (see [`assert_kernel_matches_references`]) on the multi-unit
+    /// instances with release times, on each kernel machine in both
+    /// backward modes.
     #[test]
     fn list_pass_matches_per_cycle_scan(
-        (g, m, release) in arb_multi_unit(24),
+        (g, _, release) in arb_multi_unit(28),
+        machine in 0usize..3,
+        piecewise in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        assert_list_pass_matches_scan(&g, &m, &release, seed);
+        let mode = if piecewise { BackwardMode::Piecewise } else { BackwardMode::Whole };
+        assert_kernel_matches_references(&g, &kernel_machine(machine), &release, mode, seed);
     }
 
     /// The same on one unit with 0/1 latencies and no release times.
     #[test]
     fn list_pass_matches_per_cycle_scan_on_one_unit(g in arb_dag01(24), seed in any::<u64>()) {
         let release = vec![0; g.len()];
-        assert_list_pass_matches_scan(&g, &MachineModel::single_unit(2), &release, seed);
+        let m = MachineModel::single_unit(2);
+        assert_kernel_matches_references(&g, &m, &release, BackwardMode::Whole, seed);
     }
 
     /// `delay_idle_slots` with its cheap refutations reproduces the
@@ -497,6 +644,30 @@ proptest! {
         assert_delay_matches_naive(&g, &m, &release, slack);
         assert_delay_matches_naive(&g, &MachineModel::single_unit(2), &release, slack);
     }
+}
+
+/// Both infeasible paths of the kernel meet the reference on a fixed
+/// sweep of instances, machines and backward modes: runs whose
+/// earliest-deadline-first list is the rank list (retry skipped, the
+/// rank list's witness) and runs whose lists differ (retry run).
+#[test]
+fn kernel_skips_only_retries_that_replay_the_rank_list() {
+    let (mut skipped, mut retried) = (0, 0);
+    for seed in 0..48u64 {
+        let (g, _, release) = multi_unit_case(6 + seed as usize % 20, seed, 0.3, false);
+        for k in 0..3 {
+            for mode in [BackwardMode::Whole, BackwardMode::Piecewise] {
+                let (s, r) =
+                    assert_kernel_matches_references(&g, &kernel_machine(k), &release, mode, seed);
+                skipped += s;
+                retried += r;
+            }
+        }
+    }
+    assert!(
+        skipped > 0 && retried > 0,
+        "skipped {skipped}, retried {retried}"
+    );
 }
 
 proptest! {

@@ -1,16 +1,18 @@
 //! The warm-path contract: once a [`SchedCtx`] has served one call for
 //! a given (graph, mask), repeated `compute_ranks` calls run without a
-//! single heap allocation — the analysis cache holds the topo order,
-//! descendant bitsets and successor lists, and every scratch buffer is
-//! recycled at its high-water size. An analysis miss on a new mask of a
-//! shape the context has seen computes into the buffers of the entry it
-//! evicts, and an infeasible `rank_schedule` run keeps both greedy
-//! passes in the list scratch, so neither allocates either. Verified
-//! with a counting global allocator, the same technique as
-//! `asched-obs`'s null-recorder test.
+//! single heap allocation — the analysis cache holds the per-local-id
+//! arrays, topo order, descendant bitsets and successor lists, and every
+//! scratch buffer is recycled at its high-water size. An analysis miss
+//! on a new mask of a shape the context has seen computes into the
+//! buffers of the entry it evicts, and an infeasible `rank_schedule` run
+//! keeps its greedy passes in the list scratch, whether the
+//! earliest-deadline-first retry is skipped or run, so neither allocates
+//! either. Verified with a counting global allocator, the same
+//! technique as `asched-obs`'s null-recorder test.
 
 use asched_graph::{
-    BlockId, DepGraph, MachineModel, NodeId, NodeSet, SchedCtx, SchedOpts, DEFAULT_CACHE_CAPACITY,
+    BackwardMode, BlockId, DepGraph, MachineModel, NodeId, NodeSet, SchedCtx, SchedOpts,
+    DEFAULT_CACHE_CAPACITY,
 };
 use asched_rank::{compute_ranks, rank_schedule, Deadlines, RankError};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -140,6 +142,34 @@ fn warm_compute_ranks_is_alloc_free_on_multi_unit_machines() {
 }
 
 #[test]
+fn warm_piecewise_compute_ranks_does_not_allocate() {
+    // Piecewise backward packing places one piece per execution cycle
+    // on a multi-unit machine; give some nodes several.
+    let mut g = trace(128, 8);
+    for i in (0..g.len()).step_by(3) {
+        g.node_mut(NodeId(i as u32)).exec_time = 1 + (i % 4) as u32;
+    }
+    let mask = g.all_nodes();
+    let machine = MachineModel::uniform(3, 4);
+    let d = Deadlines::uniform(&g, &mask, g.len() as i64 * 4);
+    let opts = SchedOpts::default().with_backward(BackwardMode::Piecewise);
+
+    let mut ctx = SchedCtx::new();
+    let cold = compute_ranks(&mut ctx, &g, &mask, &machine, &d, &opts)
+        .unwrap()
+        .to_vec();
+    let (n, same) = allocations(|| {
+        let mut same = true;
+        for _ in 0..50 {
+            same &= compute_ranks(&mut ctx, &g, &mask, &machine, &d, &opts).unwrap() == cold;
+        }
+        same
+    });
+    assert!(same, "warm piecewise ranks must match cold ranks");
+    assert_eq!(n, 0, "warm piecewise compute_ranks allocated {n} times");
+}
+
+#[test]
 fn tightened_deadlines_stay_on_the_warm_path() {
     // Deadline manipulation (the merge/idle-delay loops' pattern) does
     // not invalidate the (graph, mask) analyses: calls after a deadline
@@ -209,30 +239,72 @@ fn warm_analysis_miss_does_not_allocate() {
     assert_eq!(n, 0, "warm analysis misses allocated {n} times");
 }
 
-#[test]
-fn infeasible_rank_run_does_not_allocate() {
-    // Deadlines no schedule meets: the rank-list pass and the
-    // earliest-deadline-first retry both miss.
-    let g = trace(256, 8);
-    let mask = NodeSet::from_iter_with_universe(g.len(), (40..64).map(NodeId));
-    let machine = MachineModel::rs6000_like(4);
-    let d = Deadlines::uniform(&g, &mask, 2);
+/// Whether `d`'s earliest-deadline-first list for `mask` differs from
+/// its rank list, i.e. whether an infeasible run makes the retry.
+fn retry_runs(g: &DepGraph, mask: &NodeSet, machine: &MachineModel, d: &Deadlines) -> bool {
+    let mut ctx = SchedCtx::new();
     let opts = SchedOpts::default();
+    let ranks = compute_ranks(&mut ctx, g, mask, machine, d, &opts).unwrap();
+    let mut rank_list: Vec<NodeId> = mask.iter().collect();
+    rank_list.sort_by_key(|&x| (ranks[x.index()], g.stable_key(x)));
+    !rank_list.windows(2).all(|w| d.get(w[0]) <= d.get(w[1]))
+}
 
+/// Rerun an infeasible `rank_schedule` warm 20 times: it must allocate
+/// nothing and report the cold run's witness every time.
+fn assert_warm_infeasible_runs_do_not_allocate(
+    g: &DepGraph,
+    mask: &NodeSet,
+    machine: &MachineModel,
+    d: &Deadlines,
+) {
+    let opts = SchedOpts::default();
     let mut ctx = SchedCtx::new();
     let Err(RankError::Infeasible { node: witness }) =
-        rank_schedule(&mut ctx, &g, &mask, &machine, &d, &opts)
+        rank_schedule(&mut ctx, g, mask, machine, d, &opts)
     else {
-        panic!("deadline 2 on a 24-node mask must be infeasible");
+        panic!("the deadlines must be infeasible");
     };
     let (n, witnesses) = allocations(|| {
         let mut same = true;
         for _ in 0..20 {
-            let again = rank_schedule(&mut ctx, &g, &mask, &machine, &d, &opts);
+            let again = rank_schedule(&mut ctx, g, mask, machine, d, &opts);
             same &= matches!(again, Err(RankError::Infeasible { node }) if node == witness);
         }
         same
     });
     assert!(witnesses, "every rerun must report the same witness");
     assert_eq!(n, 0, "infeasible rank runs allocated {n} times");
+}
+
+#[test]
+fn infeasible_rank_run_does_not_allocate() {
+    // Deadlines no schedule meets. They are uniform, so the
+    // earliest-deadline-first list is the rank list and the run skips
+    // the retry.
+    let g = trace(256, 8);
+    let mask = NodeSet::from_iter_with_universe(g.len(), (40..64).map(NodeId));
+    let machine = MachineModel::rs6000_like(4);
+    let d = Deadlines::uniform(&g, &mask, 2);
+    assert!(!retry_runs(&g, &mask, &machine, &d));
+    assert_warm_infeasible_runs_do_not_allocate(&g, &mask, &machine, &d);
+}
+
+#[test]
+fn infeasible_run_with_the_retry_does_not_allocate() {
+    // The same deadlines, except a node with an in-mask successor gets
+    // a late one. Its rank stays below the successor's deadline, so it
+    // precedes nodes with earlier deadlines in the rank list, and the
+    // earliest-deadline-first retry runs (and misses too).
+    let g = trace(256, 8);
+    let mask = NodeSet::from_iter_with_universe(g.len(), (40..64).map(NodeId));
+    let machine = MachineModel::rs6000_like(4);
+    let mut d = Deadlines::uniform(&g, &mask, 2);
+    let late = mask
+        .iter()
+        .find(|&x| !g.succs_in(x, &mask).is_empty())
+        .expect("the mask has an edge");
+    d.set(late, 1000);
+    assert!(retry_runs(&g, &mask, &machine, &d));
+    assert_warm_infeasible_runs_do_not_allocate(&g, &mask, &machine, &d);
 }

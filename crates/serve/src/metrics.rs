@@ -5,7 +5,8 @@
 //! the `req_accept` / `req_shed` / `req_done` service events plus
 //! everything the engine emits per batch (`cache_query`, `task_done`,
 //! timed passes) — and it folds them into one [`RunProfile`] under a
-//! mutex. That profile is the only tally of those events; both
+//! mutex (span events excepted: they go to the trace recorder alone).
+//! That profile is the only tally of those events; both
 //! renderings of `/metrics` read it, so the JSON document, the
 //! Prometheus exposition and a `BENCH_*.json` snapshot's `profile`
 //! report the same counters under the same names. Beside it the
@@ -201,7 +202,14 @@ impl Recorder for ServeMetrics {
         true
     }
 
+    /// Fold `event` into the profile. Span events are left to the trace
+    /// recorder, which sees every one: `req_nanos` already times the
+    /// requests, and one tally of every span's duration would mix
+    /// request, queue, read, handle, write, engine and task spans.
     fn record(&self, event: &Event<'_>) {
+        if matches!(event, Event::SpanStart { .. } | Event::SpanEnd { .. }) {
+            return;
+        }
         self.profile
             .lock()
             .unwrap_or_else(|e| e.into_inner())

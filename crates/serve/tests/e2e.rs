@@ -71,6 +71,39 @@ fn schedules_healthz_and_metrics() {
     assert_eq!(wrong.status, 405);
 }
 
+/// A server without a trace recorder keeps no span tally: after a
+/// dozen requests (each one a request, queue, read, handle and write
+/// span, schedules adding engine and task spans) `/metrics` has no
+/// `spans` counter and no `span_nanos` histogram in either format, and
+/// still times every request in `req_nanos`.
+#[test]
+fn untraced_server_tallies_no_spans() {
+    let h = start(ServerConfig::default());
+    let addr = h.addr();
+    for i in 0..6 {
+        let ok = post_schedule(addr, &format!("dag nodes=16 blocks=2 seed={i} w=4\n"), &[]);
+        assert_eq!(ok.status, 200, "{}", ok.text());
+        let health = http_request(addr, "GET", "/healthz", &[], b"", TIMEOUT).unwrap();
+        assert_eq!(health.status, 200);
+    }
+    let json = http_request(addr, "GET", "/metrics", &[], b"", TIMEOUT)
+        .unwrap()
+        .text();
+    assert!(json.contains(r#""req_nanos""#), "{json}");
+    assert!(!json.contains(r#""spans""#), "{json}");
+    assert!(!json.contains("span_nanos"), "{json}");
+    let prom = http_request(addr, "GET", "/metrics?format=prometheus", &[], b"", TIMEOUT)
+        .unwrap()
+        .text();
+    assert!(
+        prom.contains("asched_request_duration_seconds_count"),
+        "{prom}"
+    );
+    assert!(!prom.contains("asched_spans_total"), "{prom}");
+    assert!(!prom.contains("span_nanos"), "{prom}");
+    assert_eq!(h.metrics().profile().counter("spans"), 0);
+}
+
 #[test]
 fn malformed_bodies_get_400() {
     let h = start(ServerConfig::default());
