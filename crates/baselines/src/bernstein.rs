@@ -74,8 +74,8 @@ pub fn bernstein_gertner(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asched_graph::BlockId;
-    use asched_rank::brute::optimal_makespan;
+    use asched_exact::{optimal_makespan, ExactConfig};
+    use asched_graph::{BlockId, SchedCtx, SchedOpts};
 
     fn m1() -> MachineModel {
         MachineModel::single_unit(1)
@@ -130,7 +130,15 @@ mod tests {
             let g = mk();
             let orders = bernstein_gertner(&g, &m1()).unwrap();
             let s = crate::simple::greedy(&g, &g.all_nodes(), &m1(), &orders[0]);
-            let opt = optimal_makespan(&g, &g.all_nodes(), &m1()).expect("within brute cap");
+            let opt = optimal_makespan(
+                &mut SchedCtx::new(),
+                &g,
+                &g.all_nodes(),
+                &m1(),
+                &ExactConfig::default(),
+                &SchedOpts::default(),
+            )
+            .unwrap();
             assert_eq!(s.makespan(), opt, "BG should match optimum");
         }
     }

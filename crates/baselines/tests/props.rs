@@ -1,11 +1,12 @@
 //! Property tests for the baseline schedulers.
 
 use asched_baselines::{all_baselines, global_oracle};
+use asched_exact::ExactConfig;
 use asched_graph::validate::validate_schedule;
 use asched_graph::{
     BlockId, DepGraph, MachineModel, NodeId, NodeSet, SchedCtx, SchedOpts, Schedule,
 };
-use asched_rank::{brute, list_schedule};
+use asched_rank::list_schedule;
 use proptest::prelude::*;
 
 /// Greedy list schedule with a throwaway context (baselines are one-shot
@@ -19,6 +20,15 @@ fn greedy(g: &DepGraph, mask: &NodeSet, machine: &MachineModel, prio: &[NodeId])
         prio,
         &SchedOpts::default(),
     )
+}
+
+/// The exact optimum of the whole graph, from the workspace's one exact
+/// oracle (the instances here are far inside its default budget).
+fn optimal_makespan(g: &DepGraph, machine: &MachineModel) -> u64 {
+    let (mut ctx, all) = (SchedCtx::new(), g.all_nodes());
+    let (cfg, opts) = (ExactConfig::default(), SchedOpts::default());
+    asched_exact::optimal_makespan(&mut ctx, g, &all, machine, &cfg, &opts)
+        .expect("solved within budget")
 }
 
 fn arb_block(max_n: usize, max_lat: u32) -> impl Strategy<Value = DepGraph> {
@@ -57,7 +67,7 @@ proptest! {
     #[test]
     fn baselines_are_valid_and_bounded(g in arb_block(10, 3), units in 1usize..3) {
         let machine = MachineModel::uniform(units, 4);
-        let opt = brute::optimal_makespan(&g, &g.all_nodes(), &machine).expect("within brute cap");
+        let opt = optimal_makespan(&g, &machine);
         for b in all_baselines() {
             let orders = (b.run)(&g, &machine).unwrap();
             let s = greedy(&g, &g.all_nodes(), &machine, &orders[0]);
@@ -77,7 +87,7 @@ proptest! {
         let machine = MachineModel::uniform(2, 1);
         let orders = asched_baselines::coffman_graham(&g, &machine).unwrap();
         let s = greedy(&g, &g.all_nodes(), &machine, &orders[0]);
-        let opt = brute::optimal_makespan(&g, &g.all_nodes(), &machine).expect("within brute cap");
+        let opt = optimal_makespan(&g, &machine);
         prop_assert_eq!(s.makespan(), opt);
     }
 
@@ -91,7 +101,7 @@ proptest! {
         let machine = MachineModel::single_unit(1);
         let orders = asched_baselines::bernstein_gertner(&g, &machine).unwrap();
         let s = greedy(&g, &g.all_nodes(), &machine, &orders[0]);
-        let opt = brute::optimal_makespan(&g, &g.all_nodes(), &machine).expect("within brute cap");
+        let opt = optimal_makespan(&g, &machine);
         prop_assert!(s.makespan() >= opt);
         prop_assert!(
             s.makespan() <= opt + 1,

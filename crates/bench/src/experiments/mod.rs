@@ -181,7 +181,7 @@ pub fn all() -> Vec<Experiment> {
         },
         Experiment {
             id: "e7",
-            title: "E7: optimality check against brute force (restricted case)",
+            title: "E7: optimality check against the exact optimum (restricted case)",
             run: e7::run,
             default: true,
         },

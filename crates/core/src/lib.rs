@@ -53,4 +53,4 @@ pub use single_block::{
     dummy_sink_transform, dummy_source_transform, schedule_single_block_loop, CandidateKind,
     CandidateReport, SingleBlockLoopResult, LOOP_EVAL_ITERS, LOOP_EVAL_WINDOW,
 };
-pub use trace::schedule_blocks_independent;
+pub use trace::{per_block_fallback, schedule_blocks_independent};

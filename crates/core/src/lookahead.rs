@@ -21,6 +21,7 @@ use crate::chop::chop;
 use crate::config::LookaheadConfig;
 use crate::error::CoreError;
 use crate::merge::merge;
+use crate::trace::per_block_fallback;
 use asched_graph::{
     capacity_bound, BlockId, DepGraph, MachineModel, NodeId, NodeSet, SchedCtx, SchedOpts, Schedule,
 };
@@ -123,22 +124,10 @@ pub fn schedule_trace(
         // The guard: code that meets the lower bound cannot be beaten.
         let mut guard_won = None;
         if result.makespan > trace_lower_bound(g, machine, &result.block_orders) {
-            let local =
-                crate::trace::schedule_blocks_independent(ctx, g, machine, cfg.delay_idle_slots)?;
-            let stream = InstStream::from_blocks(&local);
-            let sim = simulate(ctx, g, machine, &stream, &NULL);
-            let won = sim.completion < result.makespan;
+            let local = per_block_fallback(ctx, g, machine, cfg.delay_idle_slots)?;
+            let won = local.makespan < result.makespan;
             if won {
-                // Rebuild the prediction from the hardware's own
-                // behaviour so every field stays mutually consistent.
-                let predicted = asched_sim::schedule_of(g, machine, &stream, &sim);
-                result = TraceResult {
-                    makespan: sim.completion,
-                    permutation: predicted.order(),
-                    predicted,
-                    block_orders: local,
-                    blocks: result.blocks,
-                };
+                result = local;
             }
             guard_won = Some(won);
         }

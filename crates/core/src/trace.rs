@@ -7,8 +7,10 @@
 //! scheduling — the classic baseline the experiments compare against.
 
 use crate::error::CoreError;
+use crate::lookahead::TraceResult;
 use asched_graph::{DepGraph, MachineModel, NodeId, SchedCtx, SchedOpts};
 use asched_rank::{delay_idle_slots, rank_schedule, Deadlines};
+use asched_sim::{schedule_of, simulate, InstStream, IssuePolicy};
 
 /// Schedule every block of `g` independently; returns one emitted order
 /// per block (ascending block id).
@@ -38,6 +40,33 @@ pub fn schedule_blocks_independent(
         orders.push(sched.order());
     }
     Ok(orders)
+}
+
+/// The per-block fallback as a whole [`TraceResult`]: the orders of
+/// [`schedule_blocks_independent`], measured on the Section 2.3 window
+/// model, with the prediction rebuilt from the simulator's own issue
+/// times so every field stays mutually consistent. Unrecorded.
+///
+/// The portfolio guard of [`crate::schedule_trace`] and the batch
+/// engine's degraded path both emit this result.
+pub fn per_block_fallback(
+    ctx: &mut SchedCtx,
+    g: &DepGraph,
+    machine: &MachineModel,
+    delay: bool,
+) -> Result<TraceResult, CoreError> {
+    let orders = schedule_blocks_independent(ctx, g, machine, delay)?;
+    let stream = InstStream::from_blocks(&orders);
+    let opts = SchedOpts::default();
+    let sim = simulate(ctx, g, machine, &stream, IssuePolicy::Strict, &opts);
+    let predicted = schedule_of(g, machine, &stream, &sim);
+    Ok(TraceResult {
+        permutation: predicted.order(),
+        makespan: sim.completion,
+        predicted,
+        block_orders: orders,
+        blocks: g.blocks(),
+    })
 }
 
 #[cfg(test)]

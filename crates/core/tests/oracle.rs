@@ -8,9 +8,8 @@
 //!   and no block boundaries — every legal trace execution is a legal
 //!   schedule of that relaxation, so its proven `lower_bound` is a
 //!   true floor for any machine. Because the solver certifies an
-//!   interval even when its node budget runs out, the sandwich runs at
-//!   3–4× the node cap the old `asched_rank::brute` reference allowed
-//!   (traces up to 40 nodes instead of 12);
+//!   interval even when its node budget runs out, the sandwich runs on
+//!   traces of up to 40 nodes;
 //! - **above** by the independent per-block Rank baseline measured on
 //!   the same Section 2.3 window simulator — the default config's
 //!   portfolio guard promises "anticipatory never loses to local" *by
@@ -19,9 +18,9 @@
 //! A third property pins the restricted case (single universal unit,
 //! 0/1 latencies, one block) to the paper's optimality neighbourhood:
 //! within one cycle of the exact optimum (the residue is the known
-//! tie-breaking gap documented in `asched-rank`'s fidelity note). At
-//! these sizes `brute` still runs, so it stays on as a differential
-//! cross-check of the exact solver itself.
+//! tie-breaking gap documented in `asched-rank`'s fidelity note). The
+//! solver itself is checked against a naive enumerator in
+//! `asched-exact`'s differential tests.
 //!
 //! A fourth property starves the solver's budget and asserts the
 //! certification contract: the returned interval still brackets the
@@ -30,14 +29,12 @@
 use asched_core::{schedule_blocks_independent, schedule_trace, LookaheadConfig};
 use asched_exact::{certified_gap, certify, optimal_makespan, ExactConfig};
 use asched_graph::{BlockId, DepGraph, MachineModel, NodeId, SchedCtx, SchedOpts};
-use asched_rank::brute;
 use asched_sim::{simulate, InstStream, IssuePolicy};
 use proptest::prelude::*;
 
 /// Random multi-block trace: `blocks` blocks of 2..=`max_per_block`
 /// unit-exec nodes, forward edges within blocks and across block seams,
-/// latencies 0..=2. Sized for the budgeted exact solver (well past the
-/// brute-force cap).
+/// latencies 0..=2. Sized for the budgeted exact solver.
 fn arb_trace(max_blocks: usize, max_per_block: usize) -> impl Strategy<Value = DepGraph> {
     (
         1usize..=max_blocks,
@@ -119,9 +116,9 @@ proptest! {
     /// Lookahead's measured completion never beats the certified
     /// no-window whole-trace lower bound and never loses to the
     /// per-block baseline, for every window the service exposes.
-    /// Traces go up to 40 nodes — 3.3× the old brute-force cap —
-    /// because the lower sandwich only needs the certificate's proven
-    /// `lower_bound`, which is valid even when the budget runs out.
+    /// Traces go up to 40 nodes because the lower sandwich only needs
+    /// the certificate's proven `lower_bound`, which is valid even when
+    /// the budget runs out.
     #[test]
     fn lookahead_between_oracle_bounds(g in arb_trace(4, 10), wi in 0usize..3) {
         let w = [2usize, 4, 8][wi];
@@ -149,8 +146,6 @@ proptest! {
 
     /// Restricted case (paper Section 2): single universal unit, 0/1
     /// latencies, one block — within one cycle of the exact optimum.
-    /// Instances stay within brute's cap, so brute doubles as a
-    /// differential cross-check of the exact solver.
     #[test]
     fn restricted_single_block_near_optimal(g in arb_dag01(12), wi in 0usize..3) {
         let w = [2usize, 4, 8][wi];
@@ -163,10 +158,6 @@ proptest! {
             &mut ctx, &g, &g.all_nodes(), &m,
             &ExactConfig::default(), &SchedOpts::default(),
         ).unwrap();
-        prop_assert_eq!(
-            brute::optimal_makespan(&g, &g.all_nodes(), &m), Ok(opt),
-            "exact and brute disagree on a restricted instance",
-        );
         prop_assert!(res.makespan >= opt);
         prop_assert!(
             res.makespan <= opt + 1,

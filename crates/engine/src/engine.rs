@@ -29,7 +29,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use asched_core::{
-    schedule_blocks_independent, schedule_trace, CoreError, LookaheadConfig, SchedCtx, SchedOpts,
+    per_block_fallback, schedule_trace, CoreError, LookaheadConfig, SchedCtx, SchedOpts,
     TraceResult,
 };
 use asched_graph::{DepGraph, MachineModel};
@@ -37,7 +37,6 @@ use asched_obs::{
     record, timed, timed_span, BufferRecorder, Event, OwnedEvent, Pass, Recorder, Severity,
     SpanAlloc, SpanId, SpanScope, TaskOutcome, NULL,
 };
-use asched_sim::{schedule_of, simulate, InstStream, IssuePolicy};
 
 use crate::fingerprint::{fingerprint_task, Fingerprint};
 use crate::shared_cache::{SharedProbe, SharedScheduleCache};
@@ -744,10 +743,14 @@ fn solve_one(
 }
 
 /// The degradation path: the guaranteed-cheap per-block Rank schedule,
-/// measured on the window model. Itself panic-isolated — if even this
-/// fails the task is reported `Failed`, never the whole batch.
+/// measured on the window model ([`per_block_fallback`]). Itself
+/// panic-isolated — if even this fails the task is reported `Failed`,
+/// never the whole batch.
 fn degrade(ctx: &mut SchedCtx, task: &TraceTask, why: String) -> TaskValue {
-    let attempt = catch_unwind(AssertUnwindSafe(|| rank_fallback(&mut *ctx, task)));
+    let delay = task.config.delay_idle_slots;
+    let attempt = catch_unwind(AssertUnwindSafe(|| {
+        per_block_fallback(&mut *ctx, &task.graph, &task.machine, delay)
+    }));
     match attempt {
         Ok(Ok(result)) => TaskValue {
             result: Some(result),
@@ -768,32 +771,6 @@ fn degrade(ctx: &mut SchedCtx, task: &TraceTask, why: String) -> TaskValue {
             )),
         },
     }
-}
-
-fn rank_fallback(ctx: &mut SchedCtx, task: &TraceTask) -> Result<TraceResult, CoreError> {
-    let orders = schedule_blocks_independent(
-        ctx,
-        &task.graph,
-        &task.machine,
-        task.config.delay_idle_slots,
-    )?;
-    let stream = InstStream::from_blocks(&orders);
-    let sim = simulate(
-        ctx,
-        &task.graph,
-        &task.machine,
-        &stream,
-        IssuePolicy::Strict,
-        &SchedOpts::default(),
-    );
-    let predicted = schedule_of(&task.graph, &task.machine, &stream, &sim);
-    Ok(TraceResult {
-        permutation: predicted.order(),
-        makespan: sim.completion,
-        predicted,
-        block_orders: orders,
-        blocks: task.graph.blocks(),
-    })
 }
 
 fn panic_text(panic: &(dyn std::any::Any + Send)) -> String {

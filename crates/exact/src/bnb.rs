@@ -6,9 +6,10 @@
 //! proven *relative* cost-to-go lower bounds. A refuted threshold
 //! raises the certified lower bound; the first admitted threshold is
 //! the exact optimum. The state space and timing model are exactly
-//! those of `asched_rank::brute` (start a ready node on a free unit
-//! now, or advance the clock to the next event), so the two agree
-//! everywhere brute can run — enforced by differential property tests.
+//! those of naive enumeration (start a ready node on a free unit now,
+//! or advance the clock to the next event), so the two agree everywhere
+//! the enumerator can run — enforced by the differential property tests
+//! against the test-only reference in `tests/naive/mod.rs`.
 
 use crate::{Certificate, ExactConfig, ExactError};
 use asched_graph::{
@@ -480,7 +481,8 @@ mod tests {
     #[test]
     fn deliberate_idle_can_win() {
         // Greedy source order s2-first is worse; the search must find
-        // s1 first (same instance as brute's known-answer test).
+        // s1 first (same instance as the naive reference's known-answer
+        // test).
         let mut g = DepGraph::new();
         let s1 = g.add_simple("s1", BlockId(0));
         let _s2 = g.add_simple("s2", BlockId(0));

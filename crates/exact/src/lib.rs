@@ -1,18 +1,20 @@
 //! Exact branch-and-bound scheduling with certified optimality intervals.
 //!
-//! This crate is the workspace's optimality oracle for instances beyond
-//! the reach of naive enumeration (`asched_rank::brute`, capped at 24
-//! nodes). It answers the question *"how far from optimal is this
-//! schedule?"* with a **certificate** — either the exact optimum, or a
-//! proven interval `[lower_bound, best_found]` that brackets it — never
-//! with an unbounded search.
+//! This crate is the workspace's one exact-makespan oracle: experiment
+//! E7 and every optimality property test ask it. It answers the
+//! question *"how far from optimal is this schedule?"* with a
+//! **certificate** — either the exact optimum, or a proven interval
+//! `[lower_bound, best_found]` that brackets it — never with an
+//! unbounded search. Its differential tests hold it to a naive memoized
+//! enumerator that lives only under `tests/`.
 //!
 //! # Search design
 //!
 //! [`certify`] runs an iterative-deepening branch-and-bound over issue
-//! slots (the same state space as `brute`: at each decision point either
-//! start a ready instruction on a free unit *now*, or advance time to
-//! the next event). Three ingredients make it scale well past `brute`:
+//! slots (the same state space as naive enumeration: at each decision
+//! point either start a ready instruction on a free unit *now*, or
+//! advance time to the next event). Three ingredients make it scale well
+//! past naive enumeration:
 //!
 //! * **Admissible analytic bounds.** Every state is bounded below by
 //!   `max(dependence bound, capacity bound)`: the dependence bound is
@@ -73,9 +75,9 @@ use std::fmt;
 
 /// Hard cap on instance size: the done-set is a `u64` bitmask.
 ///
-/// This is 2.7× `asched_rank::brute::MAX_NODES` (24); beyond 64 nodes a
-/// slot-exact search is hopeless regardless of pruning, and the
-/// analytic bounds of `asched-graph` are the only certification tool.
+/// Beyond 64 nodes a slot-exact search is hopeless regardless of
+/// pruning, and the analytic bounds of `asched-graph` are the only
+/// certification tool.
 pub const MAX_NODES: usize = 64;
 
 /// Budget and limits for one exact search.

@@ -3,12 +3,13 @@
 //! Two ground truths hold it to account:
 //!
 //! 1. **Agreement with brute force.** On every instance small enough
-//!    for `asched_rank::brute` (the naive memoized enumeration), the
-//!    certified optimum must match it byte for byte — arbitrary
+//!    for the naive memoized enumeration in `naive/mod.rs` (this
+//!    suite's test-only reference, sharing no code with the solver),
+//!    the certified optimum must match it byte for byte — arbitrary
 //!    latencies `0..=2`, execution times `1..=3`, one to four
 //!    functional units, with and without assigned unit classes.
-//! 2. **The bound ladder.** On larger random traces (past brute's
-//!    reach) the proven quantities must order themselves:
+//! 2. **The bound ladder.** On larger random traces (past the
+//!    enumerator's reach) the proven quantities must order themselves:
 //!    `analytic lower bound ≤ certified lower bound ≤ certified best
 //!    ≤ per-block baseline`, and the certified lower bound must floor
 //!    Lookahead's measured completion (whose own ceiling is the same
@@ -23,9 +24,10 @@ use asched_exact::{certify, optimal_makespan, ExactConfig};
 use asched_graph::{
     makespan_lower_bound, BlockId, DepGraph, FuClass, MachineModel, NodeId, SchedCtx, SchedOpts,
 };
-use asched_rank::brute;
 use asched_sim::{simulate, InstStream, IssuePolicy};
 use proptest::prelude::*;
+
+mod naive;
 
 /// Random DAG with arbitrary latencies `0..=2`, execution times
 /// `1..=max_exec`, and (when `classed`) concrete unit classes on half
@@ -108,8 +110,8 @@ fn machines() -> [MachineModel; 4] {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Exact ≡ brute everywhere brute can run: uniform machines,
-    /// arbitrary latencies and execution times.
+    /// Exact ≡ the naive reference everywhere it can run: uniform
+    /// machines, arbitrary latencies and execution times.
     #[test]
     fn agrees_with_brute(g in arb_dag(12, 3, false), mi in 0usize..4) {
         let m = &machines()[mi];
@@ -118,8 +120,8 @@ proptest! {
             &mut ctx, &g, &g.all_nodes(), m,
             &ExactConfig::default(), &SchedOpts::default(),
         ).unwrap();
-        let reference = brute::optimal_makespan(&g, &g.all_nodes(), m).unwrap();
-        prop_assert_eq!(exact, reference, "exact and brute disagree");
+        let reference = naive::optimal_makespan(&g, &g.all_nodes(), m);
+        prop_assert_eq!(exact, reference, "exact and the naive reference disagree");
     }
 
     /// Same, with assigned unit classes (the multi-FU regime the
@@ -132,13 +134,13 @@ proptest! {
             &mut ctx, &g, &g.all_nodes(), m,
             &ExactConfig::default(), &SchedOpts::default(),
         ).unwrap();
-        let reference = brute::optimal_makespan(&g, &g.all_nodes(), m).unwrap();
-        prop_assert_eq!(exact, reference, "exact and brute disagree (classed)");
+        let reference = naive::optimal_makespan(&g, &g.all_nodes(), m);
+        prop_assert_eq!(exact, reference, "exact and the naive reference disagree (classed)");
     }
 
-    /// The bound ladder on traces past brute's reach: analytic ≤
-    /// certified lower ≤ certified best, certified lower ≤ Lookahead ≤
-    /// per-block baseline.
+    /// The bound ladder on traces past the naive reference's reach:
+    /// analytic ≤ certified lower ≤ certified best, certified lower ≤
+    /// Lookahead ≤ per-block baseline.
     #[test]
     fn bound_ladder_on_large_traces(g in arb_trace(4, 10), wi in 0usize..2) {
         let m = MachineModel::single_unit([2, 4][wi]);
@@ -207,11 +209,12 @@ proptest! {
 }
 
 /// Deterministic stress sweep, broader than the proptest run: 2 000
-/// seeded instances per machine against brute force (up to 10 nodes —
-/// brute's cost, not exact's, is the runtime ceiling here). Ignored by
-/// default; CI's exact-smoke job runs it. This sweep is what caught
-/// the absolute-vs-relative memo bug in `asched_rank::brute` (seed 29,
-/// single-unit machine: brute reported 24 for a 23-optimal instance).
+/// seeded instances per machine against the naive reference (up to 10
+/// nodes — the reference's cost, not exact's, is the runtime ceiling
+/// here). Ignored by default; CI's exact-smoke job runs it. This sweep
+/// is what caught the absolute-vs-relative memo bug in the enumerator,
+/// then a library module (seed 29, single-unit machine: it reported 24
+/// for a 23-optimal instance).
 #[test]
 #[ignore = "broad sweep; run explicitly (CI exact-smoke does)"]
 fn stress_agrees_with_brute() {
@@ -254,17 +257,17 @@ fn stress_agrees_with_brute() {
                 &SchedOpts::default(),
             )
             .unwrap();
-            let reference = brute::optimal_makespan(&g, &g.all_nodes(), m).unwrap();
+            let reference = naive::optimal_makespan(&g, &g.all_nodes(), m);
             assert_eq!(
                 exact, reference,
-                "disagreement at machine {mi}, seed {seed}: exact {exact} vs brute {reference}"
+                "disagreement at machine {mi}, seed {seed}: exact {exact} vs naive {reference}"
             );
         }
     }
 }
 
 /// Pinned regression: the instance (stress-sweep seed 29, single-unit
-/// machine) on which `asched_rank::brute` historically reported 24 for
+/// machine) on which the naive enumerator historically reported 24 for
 /// a 23-optimal schedule. Its memo stored *absolute* makespans under a
 /// *time-relative* canonical key, so a tail configuration reached again
 /// at a different clock returned a stale value. Both solvers must now
@@ -310,5 +313,5 @@ fn brute_relative_memo_regression() {
     )
     .unwrap();
     assert_eq!(exact, 23);
-    assert_eq!(brute::optimal_makespan(&g, &g.all_nodes(), &m), Ok(23));
+    assert_eq!(naive::optimal_makespan(&g, &g.all_nodes(), &m), 23);
 }

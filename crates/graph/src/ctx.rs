@@ -567,29 +567,6 @@ pub struct Scratch {
     pub deadline_save: Vec<i64>,
     /// Simulator scratch.
     pub sim: SimScratch,
-    /// Pool of recyclable node sets (see [`Scratch::acquire_set`]).
-    sets: Vec<NodeSet>,
-}
-
-impl Scratch {
-    /// An empty node set over `universe` ids, recycled from the pool
-    /// when one is available. Return it with [`Scratch::release_set`]
-    /// when done to keep the pool warm.
-    pub fn acquire_set(&mut self, universe: usize) -> NodeSet {
-        match self.sets.pop() {
-            Some(mut s) => {
-                s.reset(universe);
-                s
-            }
-            None => NodeSet::new(universe),
-        }
-    }
-
-    /// Recycle a node set obtained from [`Scratch::acquire_set`] (or
-    /// anywhere else — contents are discarded on reuse).
-    pub fn release_set(&mut self, set: NodeSet) {
-        self.sets.push(set);
-    }
 }
 
 /// A per-thread scheduling context: the analysis cache plus the scratch
@@ -615,15 +592,6 @@ impl SchedCtx {
     /// A fresh, empty context.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A fresh context whose analysis cache holds at most `capacity`
-    /// entries.
-    pub fn with_cache_capacity(capacity: usize) -> Self {
-        SchedCtx {
-            cache: AnalysisCache::with_capacity(capacity),
-            scratch: Scratch::default(),
-        }
     }
 }
 
@@ -777,17 +745,6 @@ mod tests {
         assert_eq!(desc(a, NodeId(0)), [NodeId(1), NodeId(2)]);
         assert_eq!(succs(a, NodeId(0)), [(NodeId(1), 1), (NodeId(2), 2)]);
         assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn set_pool_recycles() {
-        let mut scratch = Scratch::default();
-        let mut s = scratch.acquire_set(100);
-        s.insert(NodeId(7));
-        scratch.release_set(s);
-        let s2 = scratch.acquire_set(50);
-        assert!(s2.is_empty(), "recycled set must come back empty");
-        assert_eq!(s2.universe(), 50);
     }
 
     #[test]

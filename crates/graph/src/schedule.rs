@@ -13,11 +13,19 @@ use std::fmt;
 /// cycles starting at 0 (paper convention: the *completion time* of a node
 /// starting at `t` with execution time `e` is `t + e`; makespan is the
 /// completion time of the last instruction).
+///
+/// The scheduled ids are also kept as a [`NodeSet`], so every query
+/// below visits the scheduled nodes (plus a scan of the set's words),
+/// not all `n` slots: a Rank run's schedule of a ~25-node mask inside a
+/// much longer trace is queried once per idle-slot attempt. The set is
+/// a function of the start times, so equality still means "same
+/// assignments".
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct Schedule {
     start: Vec<Option<u64>>,
     end: Vec<Option<u64>>,
     unit: Vec<Option<u32>>,
+    scheduled: NodeSet,
     makespan: u64,
 }
 
@@ -28,6 +36,7 @@ impl Schedule {
             start: vec![None; n],
             end: vec![None; n],
             unit: vec![None; n],
+            scheduled: NodeSet::new(n),
             makespan: 0,
         }
     }
@@ -44,6 +53,7 @@ impl Schedule {
         self.start[id.index()] = Some(start);
         self.end[id.index()] = Some(end);
         self.unit[id.index()] = Some(unit as u32);
+        self.scheduled.insert(id);
         self.makespan = self.makespan.max(end);
     }
 
@@ -77,18 +87,14 @@ impl Schedule {
         self.start.len()
     }
 
-    /// Ids of all scheduled nodes.
+    /// Ids of all scheduled nodes, in increasing id order.
     pub fn scheduled(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.start
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_some())
-            .map(|(i, _)| NodeId(i as u32))
+        self.scheduled.iter()
     }
 
     /// Number of scheduled nodes.
     pub fn num_scheduled(&self) -> usize {
-        self.start.iter().filter(|s| s.is_some()).count()
+        self.scheduled.len()
     }
 
     /// Scheduled nodes ordered by (start time, unit).
@@ -180,14 +186,14 @@ impl Schedule {
     /// node would start before 0.
     pub fn rebase(&mut self, delta: u64) {
         let mut makespan = 0;
-        for i in 0..self.start.len() {
-            if let Some(s) = self.start[i] {
-                assert!(s >= delta, "rebase would move a node before time 0");
-                self.start[i] = Some(s - delta);
-                let e = self.end[i].unwrap() - delta;
-                self.end[i] = Some(e);
-                makespan = makespan.max(e);
-            }
+        for id in self.scheduled.iter() {
+            let i = id.index();
+            let s = self.start[i].unwrap();
+            assert!(s >= delta, "rebase would move a node before time 0");
+            self.start[i] = Some(s - delta);
+            let e = self.end[i].unwrap() - delta;
+            self.end[i] = Some(e);
+            makespan = makespan.max(e);
         }
         self.makespan = makespan;
     }

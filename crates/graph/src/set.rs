@@ -58,15 +58,6 @@ impl NodeSet {
         &self.words
     }
 
-    /// Empty the set and re-target it at `universe` ids, keeping the
-    /// word buffer's capacity (used by the scratch-pool recycling in
-    /// [`crate::Scratch`]): no allocation when the new universe fits.
-    pub fn reset(&mut self, universe: usize) {
-        self.words.clear();
-        self.words.resize(universe.div_ceil(64), 0);
-        self.universe = universe;
-    }
-
     /// Insert a node; returns `true` if it was newly inserted.
     #[inline]
     pub fn insert(&mut self, id: NodeId) -> bool {

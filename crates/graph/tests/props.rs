@@ -2,7 +2,7 @@
 
 use asched_graph::{
     ancestors, descendants, heights, set_bits, topo_order, AnalysisCache, BlockId, DepGraph,
-    DepKind, NodeId, NodeSet,
+    DepKind, MachineModel, NodeId, NodeSet, Schedule,
 };
 use proptest::prelude::*;
 
@@ -73,8 +73,95 @@ fn arb_wide_dag(max_n: usize) -> impl Strategy<Value = DepGraph> {
     })
 }
 
+/// A random partial schedule of a graph of `n` nodes on `units` units:
+/// about one node in six (the mask) is placed, each on a random unit
+/// after 0-2 idle cycles behind that unit's previous node, with
+/// execution times 1-3. Node ids are shuffled into place order so start
+/// times do not follow ids.
+fn arb_partial_schedule() -> impl Strategy<Value = (Schedule, usize)> {
+    (2usize..300, 1usize..=4, any::<u64>()).prop_map(|(n, units, seed)| {
+        let mut next = xorshift(seed);
+        let mut ids: Vec<u32> = (0..n as u32).filter(|_| next().is_multiple_of(6)).collect();
+        for i in (1..ids.len()).rev() {
+            ids.swap(i, (next() % (i as u64 + 1)) as usize);
+        }
+        let mut free = vec![0u64; units];
+        let mut s = Schedule::new(n);
+        for id in ids {
+            let u = (next() % units as u64) as usize;
+            let start = free[u] + next() % 3;
+            let exec = (next() % 3 + 1) as u32;
+            s.assign(NodeId(id), start, u, exec);
+            free[u] = start + exec as u64;
+        }
+        (s, units)
+    })
+}
+
+/// The node on `unit` whose `[start, completion)` satisfies `covers`,
+/// by a scan of every slot of `s` (scheduled or not).
+fn scan_for(s: &Schedule, unit: usize, covers: impl Fn(u64, u64) -> bool) -> Option<NodeId> {
+    (0..s.capacity() as u32).map(NodeId).find(|&id| {
+        s.unit(id) == Some(unit) && covers(s.start(id).unwrap(), s.completion(id).unwrap())
+    })
+}
+
+/// `s`'s idle-slot, tail-node, occupant, busy-map and order queries
+/// against a per-cycle scan of every slot.
+fn assert_queries_match_scan(s: &Schedule, units: usize) {
+    let m = MachineModel::uniform(units, 2);
+    let placed: Vec<NodeId> = (0..s.capacity() as u32)
+        .map(NodeId)
+        .filter(|&id| s.start(id).is_some())
+        .collect();
+    assert_eq!(s.scheduled().collect::<Vec<_>>(), placed.clone());
+    assert_eq!(s.num_scheduled(), placed.len());
+    let mut order = placed;
+    order.sort_by_key(|&id| (s.start(id), s.unit(id)));
+    assert_eq!(s.order(), order);
+    let busy = s.busy_map(&m);
+    for (u, row) in busy.iter().enumerate() {
+        assert_eq!(row.len() as u64, s.makespan());
+        let mut idle = Vec::new();
+        for t in 0..=s.makespan() + 1 {
+            let occupant = scan_for(s, u, |st, e| st <= t && t < e);
+            assert_eq!(s.occupant(u, t), occupant);
+            assert_eq!(s.tail_node(u, t), scan_for(s, u, |_, e| e == t));
+            if t < s.makespan() {
+                assert_eq!(row[t as usize], occupant.is_some());
+                if occupant.is_none() {
+                    idle.push(t);
+                }
+            }
+        }
+        assert_eq!(s.idle_slots_unit(&m, u), idle);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A partial schedule's queries visit only its scheduled nodes; they
+    /// must agree with a per-cycle scan of every slot, before and after
+    /// a rebase and a restriction to half the scheduled nodes. Equality
+    /// is "same assignments", whatever order they were made in.
+    #[test]
+    fn schedule_queries_match_a_slot_scan((s, units) in arb_partial_schedule()) {
+        assert_queries_match_scan(&s, units);
+        let mut rebuilt = Schedule::new(s.capacity());
+        for id in s.order().into_iter().rev() {
+            let st = s.start(id).unwrap();
+            let exec = (s.completion(id).unwrap() - st) as u32;
+            rebuilt.assign(id, st, s.unit(id).unwrap(), exec);
+        }
+        prop_assert_eq!(&rebuilt, &s);
+        let first = s.scheduled().filter_map(|id| s.start(id)).min().unwrap_or(0);
+        let mut rebased = s.clone();
+        rebased.rebase(first);
+        assert_queries_match_scan(&rebased, units);
+        let half = NodeSet::from_iter_with_universe(s.capacity(), s.scheduled().step_by(2));
+        assert_queries_match_scan(&s.restrict(&half), units);
+    }
 
     /// The cached analysis, stored flat over mask-local ids, reads back
     /// as the plain reference forms for random non-contiguous masks:

@@ -253,22 +253,6 @@ impl RunProfile {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Fold another profile into this one.
-    pub fn merge_from(&mut self, other: &RunProfile) {
-        for (k, v) in &other.counters {
-            self.bump(k, *v);
-        }
-        for (k, h) in &other.histograms {
-            self.histograms.entry(k.clone()).or_default().merge(h);
-        }
-        for (k, v) in &other.pass_nanos {
-            *self.pass_nanos.entry(k).or_insert(0) += v;
-        }
-        for (k, v) in &other.pass_calls {
-            *self.pass_calls.entry(k).or_insert(0) += v;
-        }
-    }
-
     /// Fold one event into the profile. This is the single place that
     /// defines how raw events aggregate, shared by [`ProfileRecorder`].
     pub fn absorb(&mut self, event: &Event<'_>) {
@@ -688,23 +672,6 @@ mod tests {
         assert_eq!(p.counter("spans"), 2);
         assert_eq!(p.histograms["span_nanos"].count(), 2);
         assert_eq!(p.histograms["span_nanos"].sum(), 130);
-    }
-
-    #[test]
-    fn merge_from_folds() {
-        let mut a = RunProfile::new();
-        a.bump("issues", 2);
-        a.observe("window_occupancy", 4);
-        a.add_pass(Pass::Simulate, 10);
-        let mut b = RunProfile::new();
-        b.bump("issues", 3);
-        b.observe("window_occupancy", 8);
-        b.add_pass(Pass::Simulate, 5);
-        a.merge_from(&b);
-        assert_eq!(a.counter("issues"), 5);
-        assert_eq!(a.histograms["window_occupancy"].count(), 2);
-        assert_eq!(a.pass_nanos["simulate"], 15);
-        assert_eq!(a.pass_calls["simulate"], 2);
     }
 
     #[test]

@@ -85,15 +85,6 @@ impl Deadlines {
         }
     }
 
-    /// Lower every node of `mask` to at most `val` (used after the first
-    /// rank run: "decrement every deadline by `D - T`", which for
-    /// uniform-`D` deadlines is the same as clamping to the makespan `T`).
-    pub fn tighten_all(&mut self, mask: &NodeSet, val: i64) {
-        for id in mask.iter() {
-            self.tighten(id, val);
-        }
-    }
-
     /// Add `delta` to every node of `mask` (used by `merge` when deadlines
     /// must be uniformly relaxed, and by `chop` with a negative delta when
     /// re-basing a suffix to time zero).

@@ -16,10 +16,10 @@
 //!   extension that pushes idle slots as late as possible by tightening
 //!   deadlines (Figure 4 / Figure 6), the key enabler of anticipatory
 //!   scheduling.
-//! * [`brute`] — naive exact enumeration used as ground truth at small
-//!   sizes (≤ [`brute::MAX_NODES`] nodes; the `asched-exact` crate is
-//!   the certified oracle beyond that)
-//!   in tests and in the E7 optimality experiment.
+//!
+//! The exact optimum these algorithms are checked against lives in the
+//! `asched-exact` crate, the workspace's one exact-makespan oracle (the
+//! property tests here and experiment E7 ask it).
 //!
 //! Every algorithm here takes a `&mut` [`SchedCtx`] (re-exported from
 //! `asched-graph`) carrying the memoized graph analyses and reusable
@@ -38,18 +38,17 @@
 //! not reproduced verbatim). The reconstruction is *sound* — every rank
 //! is a valid upper bound, verified by property tests — and empirically
 //! **makespan-optimal** in the restricted case (hundreds of instances
-//! against exhaustive search, experiment E7). Deadline-*feasibility*
-//! probing is near-exact: on rare tie patterns the greedy pass misses a
-//! feasible deadline assignment by one cycle, so [`rank_schedule`] backs
-//! the rank list with an earliest-deadline-first retry, and callers
-//! (`merge` in `asched-core`, [`min_max_tardiness`]) treat infeasibility
-//! as a probe answer with guaranteed-feasible fallbacks, never as a hard
-//! fact.
+//! against the exact branch-and-bound optimum, experiment E7).
+//! Deadline-*feasibility* probing is near-exact: on rare tie patterns
+//! the greedy pass misses a feasible deadline assignment by one cycle,
+//! so [`rank_schedule`] backs the rank list with an
+//! earliest-deadline-first retry, and callers (`merge` in
+//! `asched-core`, [`min_max_tardiness`]) treat infeasibility as a probe
+//! answer with guaranteed-feasible fallbacks, never as a hard fact.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod brute;
 mod deadline;
 mod idle;
 mod list;

@@ -1,12 +1,13 @@
 //! Property tests for the Rank Algorithm.
 
+use asched_exact::ExactConfig;
 use asched_graph::{
     descendants, earliest_starts, topo_order, BackwardMode, BlockId, DepGraph, FuClass,
     MachineModel, NodeId, NodeSet, SchedCtx, SchedOpts, Schedule,
 };
 use asched_obs::{Event, Recorder};
 use asched_rank::{
-    brute, compute_ranks, delay_idle_slots, list_schedule, max_tardiness, min_max_tardiness,
+    compute_ranks, delay_idle_slots, list_schedule, max_tardiness, min_max_tardiness,
     rank_schedule, rank_schedule_default, Deadlines, RankError,
 };
 use proptest::prelude::*;
@@ -40,6 +41,13 @@ fn arb_dag01(max_n: usize) -> impl Strategy<Value = DepGraph> {
         }
         g
     })
+}
+
+/// The exact optimum of `mask`, from the workspace's one exact oracle
+/// (the instances here are far inside its default budget).
+fn optimal_makespan(ctx: &mut SchedCtx, g: &DepGraph, mask: &NodeSet, m: &MachineModel) -> u64 {
+    let (cfg, opts) = (ExactConfig::default(), SchedOpts::default());
+    asched_exact::optimal_makespan(ctx, g, mask, m, &cfg, &opts).expect("solved within budget")
 }
 
 /// Random Section 4.2 instance: a DAG with latencies 0-3 and execution
@@ -684,7 +692,7 @@ proptest! {
         let m = MachineModel::single_unit(2);
         let mut ctx = SchedCtx::new();
         let s = rank_schedule_default(&mut ctx, &g, &g.all_nodes(), &m).unwrap();
-        let opt = brute::optimal_makespan(&g, &g.all_nodes(), &m).expect("within brute cap");
+        let opt = optimal_makespan(&mut ctx, &g, &g.all_nodes(), &m);
         prop_assert!(s.makespan() >= opt);
         prop_assert!(s.makespan() <= opt + 1, "{} vs {}", s.makespan(), opt);
     }
@@ -748,23 +756,23 @@ proptest! {
         // the reported delta is achievable (checked above) so it can
         // never undercut it, and the near-exact feasibility probe keeps
         // it within one cycle of the truth.
-        let opt = brute::optimal_makespan(&g, &mask, &m).expect("within brute cap") as i64;
+        let opt = optimal_makespan(&mut ctx, &g, &mask, &m) as i64;
         let truth = (opt - dl).max(0);
         prop_assert!(delta >= truth);
         prop_assert!(delta <= truth + 1, "delta {} vs true {}", delta, truth);
     }
 
-    /// The brute-force optimum lower-bounds greedy scheduling from any
+    /// The exact optimum lower-bounds greedy scheduling from any
     /// priority list (here: source order and reverse source order).
     #[test]
-    fn brute_is_a_lower_bound(g in arb_dag01(9)) {
+    fn exact_optimum_is_a_lower_bound(g in arb_dag01(9)) {
         let m = MachineModel::single_unit(2);
         let mask = g.all_nodes();
-        let opt = brute::optimal_makespan(&g, &mask, &m).expect("within brute cap");
+        let mut ctx = SchedCtx::new();
+        let opt = optimal_makespan(&mut ctx, &g, &mask, &m);
         let fwd: Vec<NodeId> = g.node_ids().collect();
         let mut rev = fwd.clone();
         rev.reverse();
-        let mut ctx = SchedCtx::new();
         for prio in [fwd, rev] {
             let s = list_schedule(&mut ctx, &g, &mask, &m, &prio, &SchedOpts::default());
             prop_assert!(s.makespan() >= opt);

@@ -27,6 +27,8 @@ pub use asched_baselines as baselines;
 pub use asched_core as core;
 /// Parallel, cache-backed batch scheduling engine (`asched-batch`).
 pub use asched_engine as engine;
+/// Exact branch-and-bound scheduling: the one exact-makespan oracle.
+pub use asched_exact as exact;
 /// Dependence graphs, machine models, schedules and validation.
 pub use asched_graph as graph;
 /// Mini RISC IR with dependence analysis (paper Section 2.4 substrate).

@@ -5,9 +5,9 @@ use asched::baselines::all_baselines;
 use asched::core::{
     legal, schedule_blocks_independent, schedule_trace, LookaheadConfig, SchedCtx, SchedOpts,
 };
+use asched::exact::{optimal_makespan, ExactConfig};
 use asched::graph::validate::validate_schedule;
 use asched::graph::MachineModel;
-use asched::rank::brute::optimal_makespan;
 use asched::rank::{delay_idle_slots, rank_schedule_default, Deadlines};
 use asched::sim::{simulate, InstStream, IssuePolicy};
 use asched::workloads::{random_trace_dag, DagParams};
@@ -139,7 +139,7 @@ proptest! {
     }
 
     /// On single blocks in the restricted case, rank + idle-delay is
-    /// optimal (cross-checked against exhaustive search).
+    /// optimal (cross-checked against the exact solver).
     #[test]
     fn restricted_case_optimality(seed in any::<u64>(), n in 4usize..10) {
         let g = random_trace_dag(&DagParams {
@@ -153,8 +153,12 @@ proptest! {
         });
         let machine = MachineModel::single_unit(2);
         let mask = g.all_nodes();
-        let s = rank_schedule_default(&mut SchedCtx::new(), &g, &mask, &machine).unwrap();
-        prop_assert_eq!(s.makespan(), optimal_makespan(&g, &mask, &machine).expect("within brute cap"));
+        let mut ctx = SchedCtx::new();
+        let s = rank_schedule_default(&mut ctx, &g, &mask, &machine).unwrap();
+        let opt = optimal_makespan(
+            &mut ctx, &g, &mask, &machine, &ExactConfig::default(), &SchedOpts::default(),
+        ).unwrap();
+        prop_assert_eq!(s.makespan(), opt);
     }
 
     /// Every baseline emits dependence-respecting per-block orders, and
