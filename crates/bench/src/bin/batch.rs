@@ -40,10 +40,6 @@ use std::io::{self, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-/// Shard count for `--cache-file` runs — matches the serving tier so
-/// traces from both attribute the same shard ids to the same keys.
-const CACHE_SHARDS: usize = 16;
-
 fn usage() -> ! {
     eprintln!(
         "usage: asched-batch [--corpus FILE | --synth N] [--seed S] [--jobs N]\n\
@@ -136,7 +132,7 @@ fn build_engine(
     let Some(path) = cache_file else {
         return Ok((Engine::new(cfg), None));
     };
-    let cache = Arc::new(SharedScheduleCache::new(cfg.cache_capacity, CACHE_SHARDS));
+    let cache = Arc::new(SharedScheduleCache::new(cfg.cache_capacity));
     cache.warm_start(path.as_ref())?;
     Ok((
         Engine::with_shared_cache(cfg, Arc::clone(&cache)),

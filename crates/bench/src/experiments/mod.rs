@@ -69,7 +69,8 @@ impl<'a> RunCtx<'a> {
         }
     }
 
-    /// The active recorder, for passing into `*_rec` entry points.
+    /// The active recorder, for experiment code that calls a scheduler
+    /// directly (pass it on with `SchedOpts::with_recorder`).
     pub fn recorder(&self) -> &'a dyn Recorder {
         self.rec
     }

@@ -118,9 +118,9 @@ pub fn schedule_trace(
     cfg: &LookaheadConfig,
     opts: &SchedOpts,
 ) -> Result<TraceResult, CoreError> {
-    asched_obs::timed_span(opts.rec, Pass::ScheduleTrace, opts.span, || {
+    asched_obs::timed(opts.rec, Pass::ScheduleTrace, || {
         let rec = opts.rec;
-        let mut result = lookahead(ctx, g, machine, cfg, rec, opts.span)?;
+        let mut result = lookahead(ctx, g, machine, cfg, rec)?;
         // The guard: code that meets the lower bound cannot be beaten.
         let mut guard_won = None;
         if result.makespan > trace_lower_bound(g, machine, &result.block_orders) {
@@ -164,7 +164,6 @@ pub(crate) fn lookahead(
     machine: &MachineModel,
     cfg: &LookaheadConfig,
     rec: &dyn Recorder,
-    span: Option<asched_obs::SpanId>,
 ) -> Result<TraceResult, CoreError> {
     let blocks = g.blocks();
     let n = g.len();
@@ -227,10 +226,9 @@ pub(crate) fn lookahead(
             );
             release.clear();
             release.extend((0..n).map(|i| rel_global[i].saturating_sub(offset)));
-            let mut block_opts = SchedOpts::default()
+            let block_opts = SchedOpts::default()
                 .with_release(&release)
                 .with_recorder(rec);
-            block_opts.span = span;
             let carried = suffix_is_rank_run.then_some(&suffix_sched);
             let (out, rung) = merge(
                 ctx,
@@ -253,7 +251,7 @@ pub(crate) fn lookahead(
                 s = delay_idle_slots(ctx, g, &cur, machine, s, &mut d, &block_opts);
                 is_rank_run |= splice.is_some_and(|splice| splice != s);
             }
-            let chopped = asched_obs::timed_span(rec, Pass::Chop, span, || {
+            let chopped = asched_obs::timed(rec, Pass::Chop, || {
                 chop(g, machine, &s, &cur, &mut d, machine.window)
             });
             record!(
@@ -668,7 +666,7 @@ mod tests {
     fn assert_carrying_changes_nothing(g: &DepGraph, m: &MachineModel) {
         let cfg = LookaheadConfig::default();
         let (got, want) = (Decisions::default(), Decisions::default());
-        let res = lookahead(&mut SchedCtx::new(), g, m, &cfg, &got, None).unwrap();
+        let res = lookahead(&mut SchedCtx::new(), g, m, &cfg, &got).unwrap();
         let predicted = reference_lookahead(g, m, &cfg, &want);
         assert_eq!(res.predicted, predicted);
         assert_eq!(got.0.into_inner(), want.0.into_inner());

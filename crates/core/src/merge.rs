@@ -88,7 +88,7 @@ pub fn merge(
     cfg: &LookaheadConfig,
     opts: &SchedOpts,
 ) -> Result<(RankOutput, MergeRung), CoreError> {
-    let result = asched_obs::timed_span(opts.rec, Pass::Merge, opts.span, || {
+    let result = asched_obs::timed(opts.rec, Pass::Merge, || {
         merge_inner(ctx, g, machine, old, new, d, carried, cfg, opts)
     });
     if let Ok((out, rung, relaxed)) = &result {

@@ -6,7 +6,7 @@
 //!    input order and resolve it against the schedule cache. All cache
 //!    decisions — hit, miss, eviction — are made here, so they cannot
 //!    depend on worker timing.
-//! 2. **Compute** (parallel): the planned-compute tasks are sharded
+//! 2. **Compute** (parallel): the planned-compute tasks are spread
 //!    across a `std::thread::scope` worker pool. Each worker owns a
 //!    [`SchedCtx`] reused across every task it computes, so analysis
 //!    caches and scratch buffers stay warm. Each task runs under
@@ -158,8 +158,7 @@ pub struct BatchReport {
     /// Entries resident in the cache after this batch published (the
     /// whole cache, whichever engines share it). 0 with caching off.
     pub cache_resident: u64,
-    /// Cache capacity in entries (total across shards). 0 with caching
-    /// off.
+    /// Cache capacity in entries. 0 with caching off.
     pub cache_capacity: u64,
     /// Wall-clock nanoseconds for the whole batch (plan + compute +
     /// emit). Nondeterministic by nature; excluded from [`Self::metrics`].
@@ -262,9 +261,6 @@ struct TaskPlan {
     hit: Option<bool>,
     /// Eviction triggered by this task's insert: `(key, resident_after)`.
     evicted: Option<(u128, u64)>,
-    /// Shard the fingerprint maps to. Attributes both the query and any
-    /// eviction — an insert only ever evicts within its own shard.
-    shard: Option<u32>,
     /// Whether a hit was served by an entry loaded from a cache file
     /// (warm-start) rather than computed by this process.
     warm: bool,
@@ -287,12 +283,11 @@ impl Default for Engine {
 
 impl Engine {
     /// Build an engine that owns its cache when `cfg.cache` is set: a
-    /// one-shard [`SharedScheduleCache`] of `cfg.cache_capacity`
-    /// entries.
+    /// [`SharedScheduleCache`] of `cfg.cache_capacity` entries.
     pub fn new(cfg: EngineConfig) -> Self {
         let cache = cfg
             .cache
-            .then(|| Arc::new(SharedScheduleCache::new(cfg.cache_capacity, 1)));
+            .then(|| Arc::new(SharedScheduleCache::new(cfg.cache_capacity)));
         Engine { cfg, cache }
     }
 
@@ -428,13 +423,11 @@ impl Engine {
                 let mut pending: HashMap<u128, usize> = HashMap::new();
                 for (i, task) in tasks.iter().enumerate() {
                     let fp = fingerprint_task(&task.graph, &task.machine, &task.config);
-                    let shard = Some(cache.shard_of(fp));
                     let plan = if let Some(&slot) = pending.get(&fp.0) {
                         TaskPlan {
                             kind: PlanKind::Alias(slot),
                             hit: Some(true),
                             evicted: None,
-                            shard,
                             warm: false,
                         }
                     } else {
@@ -443,7 +436,6 @@ impl Engine {
                                 kind: PlanKind::Ready(value),
                                 hit: Some(true),
                                 evicted: None,
-                                shard,
                                 warm,
                             },
                             SharedProbe::Miss { evicted } => {
@@ -457,7 +449,6 @@ impl Engine {
                                     kind: PlanKind::Compute(compute.len()),
                                     hit: Some(false),
                                     evicted,
-                                    shard,
                                     warm: false,
                                 }
                             }
@@ -477,7 +468,6 @@ impl Engine {
                         kind: PlanKind::Compute(compute.len()),
                         hit: None,
                         evicted: None,
-                        shard: None,
                         warm: false,
                     });
                     compute.push(i);
@@ -524,7 +514,6 @@ impl Engine {
                     Event::CacheQuery {
                         key: fp.0,
                         hit,
-                        shard: plan.shard,
                         warm: plan.warm,
                         span: task_span,
                     }
@@ -536,7 +525,6 @@ impl Engine {
                     Event::CacheEvict {
                         key,
                         resident,
-                        shard: plan.shard,
                         span: task_span,
                     }
                 );

@@ -3,7 +3,7 @@
 //! The paper's Algorithm `Lookahead` schedules one trace at a time;
 //! this crate turns it into a corpus service. A batch of
 //! [`TraceTask`]s (program × trace × window `W` × machine model) is
-//! sharded across a `std::thread::scope` worker pool and resolved
+//! spread across a `std::thread::scope` worker pool and resolved
 //! against a content-addressed schedule cache keyed on what the
 //! scheduler actually sees (block DAG + latencies + machine + config —
 //! see [`fingerprint_task`]).

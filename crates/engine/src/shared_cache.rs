@@ -1,16 +1,15 @@
-//! The engine's content-addressed, sharded schedule cache.
+//! The engine's content-addressed schedule cache.
 //!
-//! It is the only schedule cache. [`Engine::new`] owns a one-shard
-//! instance; one instance can also back any number of [`Engine`]s —
-//! every serve worker, say — so N workers stop paying N cold misses
-//! for the same hot fingerprint. The key design points:
+//! It is the only schedule cache. [`Engine::new`] owns an instance;
+//! one instance can also back any number of [`Engine`]s — every serve
+//! worker, say — so N workers stop paying N cold misses for the same
+//! hot fingerprint. The key design points:
 //!
-//! - **Sharded.** Entries live in `2^k` shards selected by the *high*
-//!   bits of the 128-bit fingerprint (FNV output is well-mixed, and
-//!   the high bits are independent of any HashMap bucketing of the low
-//!   bits). Each shard has its own mutex and its own FIFO, so
-//!   concurrent engines mostly touch disjoint locks and an eviction
-//!   never scans other shards.
+//! - **One lock, one FIFO.** Entries live in one mutex-guarded map
+//!   whose FIFO holds exactly `capacity` keys, so the cache evicts
+//!   only when it is full. Each planned task takes the lock for one
+//!   map probe and at most one insert; each computed task, for one
+//!   publish.
 //! - **Deterministic per engine.** An engine still makes every cache
 //!   decision in its sequential plan phase, in input order; the shared
 //!   cache is only probed/inserted from there, never from worker
@@ -33,10 +32,14 @@
 //!   budget-truncated fallback must never satisfy a later, more
 //!   generous request.
 //! - **Warm-startable.** [`SharedScheduleCache::warm_start`] replays a
-//!   [`persist`](crate::persist) cache file into the shards (marking
+//!   [`persist`](crate::persist) cache file into the cache (marking
 //!   entries *warm*, which cache events report) and attaches an
 //!   appender: every subsequent first publish of a fingerprint is
 //!   appended to the file, so the next process restart starts hot.
+//!
+//! Hits, misses and evictions are counted by the engines, per task
+//! (`BatchReport`, and the `cache_*` profile counters their events
+//! feed); the cache counts only what no event carries.
 //!
 //! [`Engine`]: crate::Engine
 //! [`Engine::new`]: crate::Engine::new
@@ -46,32 +49,41 @@ use std::fs::OpenOptions;
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::engine::TaskValue;
 use crate::fingerprint::Fingerprint;
 use crate::persist;
 
-/// One shard slot: a finished value, or residency held for an
+/// One cache slot: a finished value, or residency held for an
 /// in-flight compute planned by some batch.
 enum Slot {
     Placeholder,
     Ready { value: Arc<TaskValue>, warm: bool },
 }
 
-struct Shard {
+struct Entries {
     map: HashMap<u128, Slot>,
     /// Exactly the map's keys, oldest first.
     fifo: VecDeque<u128>,
-    capacity: usize,
 }
 
-impl Shard {
-    /// Evict the oldest entry. Returns `(evicted_key, resident_after)`.
-    fn evict_one(&mut self) -> Option<(u128, u64)> {
+impl Entries {
+    /// Make room for one insert into a cache of `capacity` entries:
+    /// evict the oldest entry when full. Returns
+    /// `(evicted_key, resident_after)`.
+    fn make_room(&mut self, capacity: usize) -> Option<(u128, u64)> {
+        if self.map.len() < capacity {
+            return None;
+        }
         let old = self.fifo.pop_front()?;
         self.map.remove(&old);
         Some((old, self.map.len() as u64))
+    }
+
+    fn push(&mut self, key: u128, slot: Slot) {
+        self.map.insert(key, slot);
+        self.fifo.push_back(key);
     }
 }
 
@@ -85,39 +97,20 @@ pub(crate) enum SharedProbe {
     Miss { evicted: Option<(u128, u64)> },
 }
 
-/// Aggregate counters of a shared cache, for `/metrics`.
+/// The cache's own facts, which no cache event carries, for
+/// `/metrics` and the batch CLI.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SharedCacheStats {
-    /// Plan-phase probe hits across every attached engine.
-    pub hits: u64,
-    /// Plan-phase probe misses.
-    pub misses: u64,
-    /// FIFO evictions across all shards.
-    pub evictions: u64,
     /// Hits served by entries loaded from a cache file.
     pub warm_hits: u64,
     /// Entries loaded from a cache file at warm-start.
     pub loaded: u64,
     /// Records appended to the cache file by this process.
     pub persisted: u64,
-    /// Entries currently resident (sums every shard).
+    /// Entries currently resident.
     pub resident: u64,
-    /// Total capacity across shards.
+    /// Capacity in entries.
     pub capacity: u64,
-    /// Shard count.
-    pub shards: u64,
-}
-
-impl SharedCacheStats {
-    /// Hit rate over all probes so far (0.0 before any probe).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 /// Outcome of a [`SharedScheduleCache::warm_start`] load.
@@ -132,16 +125,11 @@ pub struct WarmStart {
     pub truncated: u64,
 }
 
-/// A sharded schedule cache, owned by one engine or shared by many.
-/// See the module docs.
+/// A FIFO schedule cache, owned by one engine or shared by many. See
+/// the module docs.
 pub struct SharedScheduleCache {
-    shards: Vec<Mutex<Shard>>,
-    /// `128 - log2(shards.len())`: shift that maps a fingerprint's
-    /// high bits to its shard index.
-    shard_shift: u32,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    entries: Mutex<Entries>,
+    capacity: usize,
     warm_hits: AtomicU64,
     loaded: AtomicU64,
     persisted: AtomicU64,
@@ -149,27 +137,14 @@ pub struct SharedScheduleCache {
 }
 
 impl SharedScheduleCache {
-    /// Build a cache with `capacity` total entries spread over
-    /// `shards` shards. The shard count is rounded up to a power of
-    /// two (minimum 1); per-shard capacity is `capacity / shards`,
-    /// floored at 1.
-    pub fn new(capacity: usize, shards: usize) -> Self {
-        let shards = shards.max(1).next_power_of_two();
-        let per_shard = (capacity.max(1) / shards).max(1);
+    /// Build a cache of `capacity` entries (floored at 1).
+    pub fn new(capacity: usize) -> Self {
         SharedScheduleCache {
-            shards: (0..shards)
-                .map(|_| {
-                    Mutex::new(Shard {
-                        map: HashMap::new(),
-                        fifo: VecDeque::new(),
-                        capacity: per_shard,
-                    })
-                })
-                .collect(),
-            shard_shift: 128 - shards.trailing_zeros(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            entries: Mutex::new(Entries {
+                map: HashMap::new(),
+                fifo: VecDeque::new(),
+            }),
+            capacity: capacity.max(1),
             warm_hits: AtomicU64::new(0),
             loaded: AtomicU64::new(0),
             persisted: AtomicU64::new(0),
@@ -177,53 +152,30 @@ impl SharedScheduleCache {
         }
     }
 
-    /// The shard a fingerprint maps to (also the `shard` attribution
-    /// on cache events).
-    pub fn shard_of(&self, fp: Fingerprint) -> u32 {
-        if self.shards.len() == 1 {
-            0
-        } else {
-            (fp.0 >> self.shard_shift) as u32
-        }
-    }
-
-    fn shard(&self, fp: Fingerprint) -> &Mutex<Shard> {
-        &self.shards[self.shard_of(fp) as usize]
+    fn entries(&self) -> MutexGuard<'_, Entries> {
+        self.entries.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Probe-and-reserve for one planned task. Called only from an
     /// engine's sequential plan phase.
     pub(crate) fn plan(&self, fp: Fingerprint) -> SharedProbe {
-        let mut shard = self.shard(fp).lock().unwrap_or_else(|e| e.into_inner());
-        match shard.map.get(&fp.0) {
+        let mut entries = self.entries();
+        match entries.map.get(&fp.0) {
             Some(Slot::Ready { value, warm }) => {
-                let (value, warm) = (Arc::clone(value), *warm);
-                drop(shard);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                if warm {
+                if *warm {
                     self.warm_hits.fetch_add(1, Ordering::Relaxed);
                 }
-                SharedProbe::Hit { value, warm }
+                SharedProbe::Hit {
+                    value: Arc::clone(value),
+                    warm: *warm,
+                }
             }
-            Some(Slot::Placeholder) => {
-                // A foreign batch is computing this. Recompute rather
-                // than wait or alias; see the module docs.
-                drop(shard);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                SharedProbe::Miss { evicted: None }
-            }
+            // A foreign batch is computing this. Recompute rather than
+            // wait or alias; see the module docs.
+            Some(Slot::Placeholder) => SharedProbe::Miss { evicted: None },
             None => {
-                let mut evicted = None;
-                if shard.map.len() >= shard.capacity {
-                    evicted = shard.evict_one();
-                }
-                shard.map.insert(fp.0, Slot::Placeholder);
-                shard.fifo.push_back(fp.0);
-                drop(shard);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                if evicted.is_some() {
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
+                let evicted = entries.make_room(self.capacity);
+                entries.push(fp.0, Slot::Placeholder);
                 SharedProbe::Miss { evicted }
             }
         }
@@ -238,15 +190,15 @@ impl SharedScheduleCache {
     pub(crate) fn publish(&self, fp: Fingerprint, value: &Arc<TaskValue>) {
         let storable = persist::storable(value);
         let upgraded = {
-            let mut shard = self.shard(fp).lock().unwrap_or_else(|e| e.into_inner());
+            let mut entries = self.entries();
             // Only a placeholder may be acted on: a `Ready` entry means
             // another batch already published (same value — schedules
             // are pure functions of the key), and absence means the
             // entry was evicted while the batch ran.
-            if !matches!(shard.map.get(&fp.0), Some(Slot::Placeholder)) {
+            if !matches!(entries.map.get(&fp.0), Some(Slot::Placeholder)) {
                 false
             } else if storable {
-                shard.map.insert(
+                entries.map.insert(
                     fp.0,
                     Slot::Ready {
                         value: Arc::clone(value),
@@ -255,9 +207,9 @@ impl SharedScheduleCache {
                 );
                 true
             } else {
-                shard.map.remove(&fp.0);
+                entries.map.remove(&fp.0);
                 // Rare path, so a linear scan keeps the FIFO exact.
-                shard.fifo.retain(|&key| key != fp.0);
+                entries.fifo.retain(|&key| key != fp.0);
                 false
             }
         };
@@ -270,21 +222,18 @@ impl SharedScheduleCache {
     /// same fingerprint supersede earlier ones in place (no second
     /// FIFO slot).
     fn insert_warm(&self, fp: Fingerprint, value: Arc<TaskValue>) {
-        let mut shard = self.shard(fp).lock().unwrap_or_else(|e| e.into_inner());
+        let mut entries = self.entries();
         let slot = Slot::Ready { value, warm: true };
-        match shard.map.get_mut(&fp.0) {
+        match entries.map.get_mut(&fp.0) {
             Some(existing) => *existing = slot,
             None => {
-                if shard.map.len() >= shard.capacity && shard.evict_one().is_some() {
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                shard.map.insert(fp.0, slot);
-                shard.fifo.push_back(fp.0);
+                entries.make_room(self.capacity);
+                entries.push(fp.0, slot);
             }
         }
     }
 
-    /// Load a cache file into the shards and attach an appender to it.
+    /// Load a cache file into the cache and attach an appender to it.
     ///
     /// Missing file: created (header only). Damaged file: the valid
     /// prefix is loaded, the torn tail is truncated, and appending
@@ -343,34 +292,24 @@ impl SharedScheduleCache {
         self.persisted.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Entries currently resident, across all shards.
+    /// Entries currently resident.
     pub fn resident(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).map.len() as u64)
-            .sum()
+        self.entries().map.len() as u64
     }
 
-    /// Total capacity across shards.
+    /// Capacity in entries.
     pub fn capacity(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).capacity as u64)
-            .sum()
+        self.capacity as u64
     }
 
     /// Snapshot every counter.
     pub fn stats(&self) -> SharedCacheStats {
         SharedCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
             warm_hits: self.warm_hits.load(Ordering::Relaxed),
             loaded: self.loaded.load(Ordering::Relaxed),
             persisted: self.persisted.load(Ordering::Relaxed),
             resident: self.resident(),
             capacity: self.capacity(),
-            shards: self.shards.len() as u64,
         }
     }
 }
@@ -412,26 +351,34 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_rounds_up_to_a_power_of_two() {
-        assert_eq!(SharedScheduleCache::new(64, 3).stats().shards, 4);
-        assert_eq!(SharedScheduleCache::new(64, 0).stats().shards, 1);
-        // Per-shard capacity floors at 1, so total can round up too.
-        assert_eq!(SharedScheduleCache::new(2, 8).capacity(), 8);
-    }
-
-    #[test]
-    fn high_bits_pick_the_shard() {
-        let c = SharedScheduleCache::new(64, 4);
-        assert_eq!(c.shard_of(Fingerprint(0)), 0);
-        assert_eq!(c.shard_of(Fingerprint(1 << 126)), 1);
-        assert_eq!(c.shard_of(Fingerprint(u128::MAX)), 3);
-        let one = SharedScheduleCache::new(64, 1);
-        assert_eq!(one.shard_of(Fingerprint(u128::MAX)), 0);
+    fn capacity_is_exactly_the_argument() {
+        for capacity in [1, 2, 8, 100] {
+            let c = SharedScheduleCache::new(capacity);
+            assert_eq!(c.capacity(), capacity as u64);
+            // Keys that share their high bits fill the whole cache.
+            for fp in (0..capacity as u128).map(Fingerprint) {
+                assert!(matches!(c.plan(fp), SharedProbe::Miss { evicted: None }));
+                c.publish(fp, &value());
+            }
+            assert_eq!(c.resident(), capacity as u64);
+            for fp in (0..capacity as u128).map(Fingerprint) {
+                assert!(matches!(c.plan(fp), SharedProbe::Hit { .. }));
+            }
+            // One more key evicts the oldest.
+            let next = Fingerprint(capacity as u128);
+            match c.plan(next) {
+                SharedProbe::Miss { evicted } => {
+                    assert_eq!(evicted, Some((0, capacity as u64 - 1)));
+                }
+                SharedProbe::Hit { .. } => panic!("{next} was never inserted"),
+            }
+        }
+        assert_eq!(SharedScheduleCache::new(0).capacity(), 1);
     }
 
     #[test]
     fn miss_then_publish_then_hit() {
-        let c = SharedScheduleCache::new(16, 2);
+        let c = SharedScheduleCache::new(16);
         let fp = Fingerprint(42);
         assert!(matches!(c.plan(fp), SharedProbe::Miss { evicted: None }));
         // A second probe before publish sees the placeholder: miss,
@@ -442,14 +389,12 @@ mod tests {
             SharedProbe::Hit { warm, .. } => assert!(!warm),
             SharedProbe::Miss { .. } => panic!("expected a hit after publish"),
         }
-        let stats = c.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 2));
-        assert_eq!(stats.resident, 1);
+        assert_eq!(c.resident(), 1);
     }
 
     #[test]
     fn degraded_values_are_never_shared() {
-        let c = SharedScheduleCache::new(16, 1);
+        let c = SharedScheduleCache::new(16);
         let fp = Fingerprint(7);
         c.plan(fp);
         c.publish(fp, &degraded());
@@ -459,8 +404,8 @@ mod tests {
     }
 
     #[test]
-    fn eviction_is_fifo_within_a_shard() {
-        let c = SharedScheduleCache::new(2, 1);
+    fn eviction_is_fifo() {
+        let c = SharedScheduleCache::new(2);
         let (a, b, d) = (Fingerprint(1), Fingerprint(2), Fingerprint(3));
         for fp in [a, b] {
             c.plan(fp);
@@ -477,13 +422,13 @@ mod tests {
 
     #[test]
     fn dropped_placeholders_do_not_consume_evictions() {
-        let c = SharedScheduleCache::new(2, 1);
+        let c = SharedScheduleCache::new(2);
         let (a, b, d) = (Fingerprint(1), Fingerprint(2), Fingerprint(3));
         c.plan(a);
         c.publish(a, &degraded()); // placeholder dropped
         c.plan(b);
         c.publish(b, &value());
-        // Shard is at len 1 < capacity 2: no eviction for d.
+        // 1 resident < capacity 2: no eviction for d.
         match c.plan(d) {
             SharedProbe::Miss { evicted } => assert_eq!(evicted, None),
             SharedProbe::Hit { .. } => panic!("d was never inserted"),
@@ -493,7 +438,7 @@ mod tests {
 
     #[test]
     fn a_replanned_dropped_key_is_evicted_in_fifo_order() {
-        let c = SharedScheduleCache::new(2, 1);
+        let c = SharedScheduleCache::new(2);
         let (a, b, d) = (Fingerprint(1), Fingerprint(2), Fingerprint(3));
         c.plan(a);
         c.publish(a, &degraded()); // placeholder dropped
@@ -511,7 +456,7 @@ mod tests {
 
     #[test]
     fn publish_after_eviction_is_a_no_op() {
-        let c = SharedScheduleCache::new(1, 1);
+        let c = SharedScheduleCache::new(1);
         let (a, b) = (Fingerprint(1), Fingerprint(2));
         c.plan(a);
         c.plan(b); // evicts a's placeholder
@@ -530,7 +475,7 @@ mod tests {
         let path = dir.join("cache.bin");
         let _ = std::fs::remove_file(&path);
 
-        let c = SharedScheduleCache::new(16, 2);
+        let c = SharedScheduleCache::new(16);
         let ws = c.warm_start(&path).unwrap();
         assert_eq!(ws.loaded, 0);
         let fp = Fingerprint(99);
@@ -539,7 +484,7 @@ mod tests {
         assert_eq!(c.stats().persisted, 1);
 
         // Fresh cache, same file: the entry comes back warm.
-        let c2 = SharedScheduleCache::new(16, 2);
+        let c2 = SharedScheduleCache::new(16);
         let ws2 = c2.warm_start(&path).unwrap();
         assert_eq!(ws2.loaded, 1);
         match c2.plan(fp) {

@@ -3,13 +3,15 @@
 //! events (modulo `pass_end` timestamps) and deterministic BENCH
 //! metrics — both with room for every fingerprint and with a cache so
 //! small that planning evicts. The same contract holds when the engine
-//! is attached to a many-shard [`SharedScheduleCache`], and results
-//! (though not hit/miss labels) are identical whichever cache backs
-//! the engine.
+//! is attached to a [`SharedScheduleCache`], and results (though not
+//! hit/miss labels) are identical whichever cache backs the engine.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
-use asched_engine::{BatchReport, Engine, EngineConfig, SharedScheduleCache, TraceTask};
+use asched_engine::{
+    synth_corpus, BatchReport, Engine, EngineConfig, SharedScheduleCache, TraceTask,
+};
 use asched_graph::MachineModel;
 use asched_ir::{build_trace_graph, LatencyModel};
 use asched_obs::{JsonlRecorder, SpanAlloc, SpanScope};
@@ -122,18 +124,13 @@ fn jobs_1_and_jobs_8_are_byte_identical() {
     }
 }
 
-fn run_shared(
-    jobs: usize,
-    capacity: usize,
-    shards: usize,
-    tasks: &[TraceTask],
-) -> (BatchReport, String) {
+fn run_shared(jobs: usize, capacity: usize, tasks: &[TraceTask]) -> (BatchReport, String) {
     let engine = Engine::with_shared_cache(
         EngineConfig {
             jobs,
             ..EngineConfig::default()
         },
-        Arc::new(SharedScheduleCache::new(capacity, shards)),
+        Arc::new(SharedScheduleCache::new(capacity)),
     );
     let rec = JsonlRecorder::new(Vec::new());
     let report = engine.run_batch(tasks, &rec);
@@ -143,15 +140,14 @@ fn run_shared(
 
 /// The determinism contract survives the shared cache: with a fresh
 /// shared cache per run, results, deterministic metrics and the event
-/// stream (now carrying `shard` attribution) are byte-identical at any
-/// job count — every cache decision still happens in the sequential
-/// plan phase.
+/// stream are byte-identical at any job count — every cache decision
+/// still happens in the sequential plan phase.
 #[test]
 fn shared_cache_is_byte_identical_across_jobs() {
     let tasks = prog_corpus();
     for capacity in [ROOMY, TIGHT] {
-        let (seq, seq_log) = run_shared(1, capacity, 8, &tasks);
-        let (par, par_log) = run_shared(8, capacity, 8, &tasks);
+        let (seq, seq_log) = run_shared(1, capacity, &tasks);
+        let (par, par_log) = run_shared(8, capacity, &tasks);
 
         assert_eq!(seq.tasks.len(), par.tasks.len());
         for (a, b) in seq.tasks.iter().zip(&par.tasks) {
@@ -163,24 +159,20 @@ fn shared_cache_is_byte_identical_across_jobs() {
         assert_eq!(seq.metrics(), par.metrics(), "capacity {capacity}");
         assert_eq!(normalize_nanos(&seq_log), normalize_nanos(&par_log));
 
-        // Sharded cache events (with their shard field) still validate.
-        assert!(seq_log.contains("\"shard\":"), "shard attribution missing");
         asched_obs::schema::validate_document(&seq_log)
             .unwrap_or_else(|(line, err)| panic!("line {line}: {err}"));
     }
 }
 
 /// Task results are a pure function of the corpus whatever cache backs
-/// the engine — its own, an attached one (any shard count), or none —
-/// and the engine's own cache is a one-shard cache of
-/// `cache_capacity` entries, so an attached one like it gives the same
-/// counters.
+/// the engine — its own, an attached one, or none — and the engine's
+/// own cache is a cache of `cache_capacity` entries, so an attached
+/// one like it gives the same counters.
 #[test]
 fn results_agree_across_cache_backends() {
     let tasks = prog_corpus();
     let (owned, _) = run(1, ROOMY, &tasks);
-    let (shared, _) = run_shared(1, ROOMY, 1, &tasks);
-    let (sharded, _) = run_shared(1, ROOMY, 8, &tasks);
+    let (shared, _) = run_shared(1, ROOMY, &tasks);
     let uncached = Engine::new(EngineConfig {
         jobs: 1,
         cache: false,
@@ -188,17 +180,10 @@ fn results_agree_across_cache_backends() {
     })
     .run_batch(&tasks, &asched_obs::NULL);
 
-    for ((a, b), (c, d)) in owned
-        .tasks
-        .iter()
-        .zip(&shared.tasks)
-        .zip(sharded.tasks.iter().zip(&uncached.tasks))
-    {
+    for ((a, b), d) in owned.tasks.iter().zip(&shared.tasks).zip(&uncached.tasks) {
         assert_eq!(a.makespan, b.makespan, "{}", a.label);
-        assert_eq!(a.makespan, c.makespan, "{}", a.label);
         assert_eq!(a.makespan, d.makespan, "{}", a.label);
         assert_eq!(a.fingerprint, b.fingerprint);
-        assert_eq!(a.fingerprint, c.fingerprint);
         // Outcome labels differ by design (cached engines report
         // Cached for duplicates; the uncached engine recomputes), and
         // the uncached engine never fingerprints — but the schedule
@@ -211,8 +196,31 @@ fn results_agree_across_cache_backends() {
         assert_eq!(ra.block_orders, rd.block_orders);
     }
 
-    // One shard, same capacity → the engine's own cache's counters.
+    // Same capacity → the engine's own cache's counters.
     assert_eq!(owned.metrics(), shared.metrics());
+}
+
+/// An attached cache holds exactly its capacity: on the batch CLI's
+/// `--synth 500 --seed 42` corpus, 300 entries hold every distinct
+/// fingerprint, so an attached cache of 300 reports what the engine's
+/// own does — each distinct task misses once, nothing is evicted.
+#[test]
+fn an_attached_cache_holds_its_whole_capacity() {
+    let tasks = synth_corpus(500, 42);
+    let (owned, _) = run(1, 300, &tasks);
+    let (shared, _) = run_shared(1, 300, &tasks);
+    assert_eq!(owned.metrics(), shared.metrics());
+    for (a, b) in owned.tasks.iter().zip(&shared.tasks) {
+        assert_eq!(a.outcome, b.outcome, "{}", a.label);
+        assert_eq!(a.makespan, b.makespan, "{}", a.label);
+        assert_eq!(a.fingerprint, b.fingerprint);
+    }
+    let distinct: HashSet<_> = shared.tasks.iter().map(|t| t.fingerprint).collect();
+    assert!(distinct.len() <= 300);
+    assert_eq!(shared.cache_misses, distinct.len() as u64);
+    assert_eq!(shared.cache_hits, (tasks.len() - distinct.len()) as u64);
+    assert_eq!(shared.cache_evictions, 0);
+    assert_eq!(shared.cache_capacity, 300);
 }
 
 fn run_traced(jobs: usize, tasks: &[TraceTask]) -> (BatchReport, String) {

@@ -70,7 +70,7 @@
 mod bnb;
 
 use asched_graph::{CycleError, DepGraph, MachineModel, NodeSet, SchedCtx, SchedOpts};
-use asched_obs::{timed_span, Pass};
+use asched_obs::{timed, Pass};
 use std::fmt;
 
 /// Hard cap on instance size: the done-set is a `u64` bitmask.
@@ -243,7 +243,7 @@ pub fn certify(
             cap: MAX_NODES,
         });
     }
-    timed_span(opts.rec, Pass::Exact, opts.span, || {
+    timed(opts.rec, Pass::Exact, || {
         bnb::solve(ctx, g, mask, machine, cfg, opts)
     })
 }

@@ -67,11 +67,6 @@ pub struct SchedOpts<'a> {
     pub backward: BackwardMode,
     /// Event sink; use [`asched_obs::NULL`] to drop events at zero cost.
     pub rec: &'a dyn Recorder,
-    /// Span attribution for emitted pass events (`None` = untraced).
-    /// Span-aware callers (the serving tier, the batch engine) set this
-    /// so `pass_begin`/`pass_end` lines carry the request/task span
-    /// they ran under; with `None` the wire format is unchanged.
-    pub span: Option<asched_obs::SpanId>,
 }
 
 impl Default for SchedOpts<'_> {
@@ -80,7 +75,6 @@ impl Default for SchedOpts<'_> {
             release: None,
             backward: BackwardMode::Whole,
             rec: &asched_obs::NULL,
-            span: None,
         }
     }
 }
@@ -102,14 +96,6 @@ impl<'a> SchedOpts<'a> {
     /// This option set with an event recorder.
     pub fn with_recorder(self, rec: &'a dyn Recorder) -> Self {
         SchedOpts { rec, ..self }
-    }
-
-    /// This option set attributing pass events to `span`.
-    pub fn with_span(self, span: asched_obs::SpanId) -> Self {
-        SchedOpts {
-            span: Some(span),
-            ..self
-        }
     }
 }
 

@@ -201,11 +201,6 @@ macro_rules! write_field {
     ($o:ident, Choice, $name:expr, $v:expr) => {
         $o.str($name, $v.name())
     };
-    ($o:ident, OptUnsigned, $name:expr, $v:expr) => {
-        if let Some(v) = $v {
-            $o.u64($name, u64::from(v));
-        }
-    };
     ($o:ident, OptTrue, $name:expr, $v:expr) => {
         if $v {
             $o.bool($name, true);
@@ -456,9 +451,6 @@ events! {
         key: u128 = Key,
         /// Whether a cached `TraceResult` was found.
         hit: bool = Bool,
-        /// Shard the key maps to. The engine always sets it (`0` for
-        /// an engine's own one-shard cache); `None` omits the field.
-        shard: Option<u32> = OptUnsigned,
         /// Whether the hit was served by an entry loaded from an
         /// on-disk cache file (warm-start) rather than computed by
         /// this process. Always `false` on a miss.
@@ -470,12 +462,8 @@ events! {
     CacheEvict = "cache_evict" {
         /// Fingerprint of the evicted entry.
         key: u128 = Key,
-        /// Entries resident in the evicting shard after the eviction.
+        /// Entries resident in the cache after the eviction.
         resident: u64 = Unsigned,
-        /// Shard the eviction happened in (the engine always sets it;
-        /// `None` omits the field). Always the shard of the *inserted*
-        /// key: an insert only ever evicts within its own shard.
-        shard: Option<u32> = OptUnsigned,
         /// The task span whose admission caused the eviction.
         span: Option<u64> = OptSpan,
     }

@@ -72,10 +72,11 @@ pub fn timed<T>(rec: &dyn Recorder, pass: Pass, f: impl FnOnce() -> T) -> T {
 }
 
 /// [`timed`], attributing the emitted `PassBegin`/`PassEnd` events to
-/// `span` (if any). Pass instrumentation sites thread
-/// `SchedOpts::span` through here so span-aware callers get
-/// request-correlated pass timings; with `span: None` the wire format
-/// is byte-identical to the historical un-attributed form.
+/// `span` (if any); with `span: None` the wire format is byte-identical
+/// to the un-attributed form. The batch engine times its `engine` pass
+/// under its span this way; the scheduler's own passes emit untagged
+/// events, which the engine attributes to their task span when it
+/// replays them.
 pub fn timed_span<T>(
     rec: &dyn Recorder,
     pass: Pass,

@@ -86,8 +86,8 @@ impl<W: io::Write> JsonlRecorder<W> {
 
 /// Render one event as its wire-format JSON object (without the
 /// trailing newline and without a `seq` field): the `"ev"` tag, then
-/// the fields in declaration order. Optional fields (`shard`, `warm`,
-/// span attribution) are written only when set, so untraced runs keep
+/// the fields in declaration order. Optional fields (`warm`, span
+/// attribution) are written only when set, so untraced runs keep
 /// their historical byte-exact line format.
 pub fn event_to_json(event: &Event<'_>) -> String {
     let mut o = JsonObject::new();
@@ -329,7 +329,6 @@ mod tests {
             event_to_json(&Event::CacheQuery {
                 key: 0xab,
                 hit: true,
-                shard: None,
                 warm: false,
                 span: None,
             }),
@@ -339,7 +338,6 @@ mod tests {
             event_to_json(&Event::CacheEvict {
                 key: 1,
                 resident: 7,
-                shard: None,
                 span: None,
             }),
             r#"{"ev":"cache_evict","key":"00000000000000000000000000000001","resident":7}"#
@@ -356,25 +354,23 @@ mod tests {
     }
 
     #[test]
-    fn sharded_cache_events_serialize() {
+    fn warm_and_attributed_cache_events_serialize() {
         assert_eq!(
             event_to_json(&Event::CacheQuery {
                 key: 0xab,
                 hit: true,
-                shard: Some(3),
                 warm: true,
                 span: Some(2),
             }),
-            r#"{"ev":"cache_query","key":"000000000000000000000000000000ab","hit":true,"shard":3,"warm":true,"span":2}"#
+            r#"{"ev":"cache_query","key":"000000000000000000000000000000ab","hit":true,"warm":true,"span":2}"#
         );
         assert_eq!(
             event_to_json(&Event::CacheEvict {
                 key: 1,
                 resident: 7,
-                shard: Some(0),
-                span: None,
+                span: Some(3),
             }),
-            r#"{"ev":"cache_evict","key":"00000000000000000000000000000001","resident":7,"shard":0}"#
+            r#"{"ev":"cache_evict","key":"00000000000000000000000000000001","resident":7,"span":3}"#
         );
     }
 
@@ -408,7 +404,6 @@ mod tests {
             event_to_json(&Event::CacheQuery {
                 key: 0xab,
                 hit: false,
-                shard: None,
                 warm: false,
                 span: Some(9),
             }),
@@ -434,7 +429,6 @@ mod tests {
         buf.record(&Event::CacheQuery {
             key: 2,
             hit: true,
-            shard: None,
             warm: false,
             span: Some(7),
         });

@@ -36,8 +36,6 @@ pub enum Kind {
     SpanId,
     /// One of a wire enum's names (`Pass`, `MergeRung`, ...).
     Choice(&'static [&'static str]),
-    /// A non-negative integer (`Option<u32>`), omitted when `None`.
-    OptUnsigned,
     /// A boolean (`bool`), written only when `true`.
     OptTrue,
     /// Span attribution (`Option<u64>`): a positive integer, omitted
@@ -49,13 +47,13 @@ impl Kind {
     /// Whether the writer omits the field while it is unset. Such a
     /// field may only appear on the events that declare it.
     pub fn optional(self) -> bool {
-        matches!(self, Kind::OptUnsigned | Kind::OptTrue | Kind::OptSpan)
+        matches!(self, Kind::OptTrue | Kind::OptSpan)
     }
 
     fn accepts(self, value: &Json) -> bool {
         let int_from = |min: f64| matches!(value, Json::Num(n) if *n >= min && n.fract() == 0.0);
         match self {
-            Kind::Unsigned | Kind::OptUnsigned => int_from(0.0),
+            Kind::Unsigned => int_from(0.0),
             Kind::Signed => int_from(f64::MIN),
             Kind::Bool | Kind::OptTrue => matches!(value, Json::Bool(_)),
             Kind::Text | Kind::Key | Kind::Choice(_) => matches!(value, Json::Str(_)),
@@ -66,7 +64,7 @@ impl Kind {
 
     fn want(self) -> &'static str {
         match self {
-            Kind::Unsigned | Kind::OptUnsigned => "a non-negative integer",
+            Kind::Unsigned => "a non-negative integer",
             Kind::Signed => "an integer",
             Kind::Bool | Kind::OptTrue => "a boolean",
             Kind::Text | Kind::Key | Kind::Choice(_) => "a string",
@@ -159,8 +157,8 @@ pub fn parse_flat_object(line: &str) -> Result<BTreeMap<String, Json>, SchemaErr
 /// Validate one trace line against the schema. Returns the parsed
 /// object (with its `"ev"` tag) on success so callers can assert on
 /// payloads without re-parsing. Fields the schema does not know are
-/// ignored, except that an optional field (`shard`, `warm`, `span`)
-/// may only appear on an event that declares it.
+/// ignored, except that an optional field (`warm`, `span`) may only
+/// appear on an event that declares it.
 pub fn validate_line(line: &str) -> Result<BTreeMap<String, Json>, SchemaError> {
     let map = parse_flat_object(line)?;
     let ev = match map.get("ev") {
@@ -307,28 +305,24 @@ mod tests {
             Event::CacheQuery {
                 key: u128::MAX,
                 hit: false,
-                shard: None,
                 warm: false,
                 span: None,
             },
             Event::CacheQuery {
                 key: 7,
                 hit: true,
-                shard: Some(5),
                 warm: true,
                 span: Some(2),
             },
             Event::CacheEvict {
                 key: 0xdead_beef,
                 resident: 255,
-                shard: None,
                 span: None,
             },
             Event::CacheEvict {
                 key: 0xdead_beef,
                 resident: 3,
-                shard: Some(0),
-                span: None,
+                span: Some(5),
             },
             Event::TaskDone {
                 task: 17,
@@ -424,24 +418,16 @@ mod tests {
             validate_line(r#"{"ev":"span_start","span":3,"name":"x"}"#),
             Err(SchemaError::MissingField { .. })
         ));
-        // Shared-cache attribution is optional but typed and scoped.
-        assert!(matches!(
-            validate_line(r#"{"ev":"cache_query","key":"00","hit":true,"shard":-1}"#),
-            Err(SchemaError::WrongType { field: "shard", .. })
-        ));
+        // Warm-hit attribution is optional but typed and scoped.
         assert!(matches!(
             validate_line(r#"{"ev":"cache_query","key":"00","hit":true,"warm":1}"#),
             Err(SchemaError::WrongType { field: "warm", .. })
         ));
         assert!(matches!(
-            validate_line(r#"{"ev":"counter","name":"x","delta":1,"shard":0}"#),
-            Err(SchemaError::WrongType { field: "shard", .. })
-        ));
-        assert!(matches!(
             validate_line(r#"{"ev":"cache_evict","key":"00","resident":1,"warm":true}"#),
             Err(SchemaError::WrongType { field: "warm", .. })
         ));
-        assert!(validate_line(r#"{"ev":"cache_evict","key":"00","resident":1,"shard":2}"#).is_ok());
+        assert!(validate_line(r#"{"ev":"cache_evict","key":"00","resident":1,"span":2}"#).is_ok());
     }
 
     #[test]

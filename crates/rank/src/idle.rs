@@ -313,7 +313,7 @@ pub fn delay_idle_slots(
     d: &mut Deadlines,
     opts: &SchedOpts,
 ) -> Schedule {
-    asched_obs::timed_span(opts.rec, Pass::DelayIdleSlots, opts.span, || {
+    asched_obs::timed(opts.rec, Pass::DelayIdleSlots, || {
         delay_idle_slots_inner(ctx, g, mask, machine, sched, d, opts)
     })
 }

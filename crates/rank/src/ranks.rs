@@ -301,7 +301,7 @@ pub fn rank_schedule(
     opts: &SchedOpts,
 ) -> Result<RankOutput, RankError> {
     let rec = opts.rec;
-    let result = asched_obs::timed_span(rec, asched_obs::Pass::Rank, opts.span, || {
+    let result = asched_obs::timed(rec, asched_obs::Pass::Rank, || {
         rank_schedule_inner(ctx, g, mask, machine, d, opts)
     });
     asched_obs::record!(

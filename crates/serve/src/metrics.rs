@@ -186,11 +186,10 @@ impl ServeMetrics {
 /// hits, misses and evictions are left to the profile's `cache_*`
 /// counters, which count every task's query, within-batch duplicates
 /// included.
-fn cache_facts(s: &SharedCacheStats) -> [(&'static str, u64, bool); 6] {
+fn cache_facts(s: &SharedCacheStats) -> [(&'static str, u64, bool); 5] {
     [
         ("resident", s.resident, false),
         ("capacity", s.capacity, false),
-        ("shards", s.shards, false),
         ("warm_hits", s.warm_hits, true),
         ("loaded", s.loaded, true),
         ("persisted", s.persisted, true),
@@ -281,7 +280,6 @@ mod tests {
             p.absorb(&Event::CacheQuery {
                 key: 0,
                 hit,
-                shard: None,
                 warm: false,
                 span: None,
             });
@@ -289,7 +287,6 @@ mod tests {
         p.absorb(&Event::CacheEvict {
             key: 0,
             resident: 0,
-            shard: None,
             span: None,
         });
         for outcome in [

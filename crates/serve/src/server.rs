@@ -42,12 +42,6 @@ use crate::metrics::ServeMetrics;
 use crate::policy::{Admission, AdmissionPolicy, DeadlinePolicy};
 use crate::wire;
 
-/// Shard count for the process-wide cache. Fixed rather than
-/// configurable: 16 comfortably exceeds the worker-count range the
-/// admission tier is sized for, so shard-lock contention stays
-/// negligible without another knob to validate.
-const SHARED_CACHE_SHARDS: usize = 16;
-
 /// Tuning knobs for one server instance.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
@@ -263,7 +257,7 @@ impl Server {
         let cache = if cfg.cache_capacity > 0 {
             // The per-worker budget, pooled into one cache.
             let capacity = cfg.cache_capacity.saturating_mul(cfg.workers.max(1));
-            let cache = Arc::new(SharedScheduleCache::new(capacity, SHARED_CACHE_SHARDS));
+            let cache = Arc::new(SharedScheduleCache::new(capacity));
             if let Some(path) = &cfg.cache_file {
                 cache.warm_start(path)?;
             }

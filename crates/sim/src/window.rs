@@ -107,9 +107,30 @@ pub fn simulate(
     policy: IssuePolicy,
     opts: &SchedOpts,
 ) -> SimResult {
-    asched_obs::timed_span(opts.rec, Pass::Simulate, opts.span, || {
+    asched_obs::timed(opts.rec, Pass::Simulate, || {
         simulate_inner(ctx, g, machine, stream, policy, opts.release, opts.rec)
     })
+}
+
+/// The cycle from which stream position `j` may issue: the latest of
+/// its release time and each producer's finish plus latency, or `None`
+/// while a producer has yet to issue.
+#[inline]
+fn ready_time(
+    j: usize,
+    release: Option<&[u64]>,
+    producers: &[(usize, u32)],
+    issued: &[bool],
+    finish: &[u64],
+) -> Option<u64> {
+    let mut ready = release.map_or(0, |r| r[j]);
+    for &(p, lat) in producers {
+        if !issued[p] {
+            return None;
+        }
+        ready = ready.max(finish[p] + lat as u64);
+    }
+    Some(ready)
 }
 
 fn simulate_inner(
@@ -211,17 +232,7 @@ fn simulate_inner(
             if issued[j] {
                 continue;
             }
-            // Ready time: all producers must have issued.
-            let mut ready = release.map_or(0, |r| r[j]);
-            let mut producers_done = true;
-            for &(p, lat) in &producers[j] {
-                if !issued[p] {
-                    producers_done = false;
-                    break;
-                }
-                ready = ready.max(finish[p] + lat as u64);
-            }
-            if !producers_done || ready > t {
+            if ready_time(j, release, &producers[j], issued, &finish).is_none_or(|r| r > t) {
                 continue; // not ready: the window looks past it
             }
             // Ready: find a free compatible unit.
@@ -277,17 +288,9 @@ fn simulate_inner(
             if issued[j] {
                 continue;
             }
-            let mut ready = release.map_or(0, |r| r[j]);
-            let mut producers_done = true;
-            for &(p, lat) in &producers[j] {
-                if !issued[p] {
-                    producers_done = false;
-                    break;
-                }
-                ready = ready.max(finish[p] + lat as u64);
-            }
-            if producers_done && ready > t {
-                next = next.min(ready);
+            match ready_time(j, release, &producers[j], issued, &finish) {
+                Some(ready) if ready > t => next = next.min(ready),
+                _ => {}
             }
         }
         assert!(
@@ -297,16 +300,8 @@ fn simulate_inner(
         if rec.enabled() {
             // Classify: was the head ready this cycle (only its unit
             // was busy) or still waiting on operand latency?
-            let mut ready = release.map_or(0, |r| r[head]);
-            let mut producers_done = true;
-            for &(p, lat) in &producers[head] {
-                if !issued[p] {
-                    producers_done = false;
-                    break;
-                }
-                ready = ready.max(finish[p] + lat as u64);
-            }
-            let kind = if producers_done && ready <= t {
+            let ready = ready_time(head, release, &producers[head], issued, &finish);
+            let kind = if ready.is_some_and(|r| r <= t) {
                 StallKind::HeadBlocked
             } else {
                 StallKind::DataWait

@@ -251,7 +251,7 @@ mod tests {
             r#"{"ev":"span_start","span":1,"parent":null,"name":"engine"}
 {"ev":"cache_query","key":1,"hit":true,"warm":true,"span":1}
 {"ev":"cache_query","key":2,"hit":true,"span":1}
-{"ev":"cache_query","key":3,"hit":false,"shard":2,"span":1}
+{"ev":"cache_query","key":3,"hit":false,"span":1}
 {"ev":"span_end","span":1,"nanos":5000}
 "#,
         );
