@@ -41,6 +41,6 @@ mod warren;
 pub use bernstein::bernstein_gertner;
 pub use coffman::{coffman_graham, coffman_graham_labels};
 pub use gibbons::gibbons_muchnick;
-pub use registry::{all_baselines, schedule_program_blocks, Baseline, BlockScheduler};
+pub use registry::{all_baselines, Baseline, BlockScheduler};
 pub use simple::{critical_path, global_oracle, source_order};
 pub use warren::warren;

@@ -49,16 +49,6 @@ pub fn all_baselines() -> Vec<Baseline> {
     ]
 }
 
-/// Run baseline `b` over a graph and return the emitted per-block
-/// orders (convenience wrapper with a uniform signature).
-pub fn schedule_program_blocks(
-    b: &Baseline,
-    g: &DepGraph,
-    machine: &MachineModel,
-) -> Result<Vec<Vec<NodeId>>, CycleError> {
-    (b.run)(g, machine)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,7 +64,7 @@ mod tests {
         g.add_dep(b, c, 2);
         let m = MachineModel::single_unit(2);
         for base in all_baselines() {
-            let orders = schedule_program_blocks(&base, &g, &m).unwrap();
+            let orders = (base.run)(&g, &m).unwrap();
             let total: usize = orders.iter().map(|o| o.len()).sum();
             assert_eq!(total, g.len(), "{} must cover all nodes", base.name);
             // Each order only contains its own block's nodes.
@@ -99,7 +89,7 @@ mod tests {
         g.add_dep(n[3], n[4], 1);
         let m = MachineModel::single_unit(2);
         for base in all_baselines() {
-            let orders = schedule_program_blocks(&base, &g, &m).unwrap();
+            let orders = (base.run)(&g, &m).unwrap();
             let pos: std::collections::HashMap<_, _> =
                 orders[0].iter().enumerate().map(|(i, &x)| (x, i)).collect();
             for e in g.edges() {

@@ -12,7 +12,6 @@
 //! under the `ctx.*` metric namespace, so the context-reuse trajectory
 //! is tracked across PRs exactly like the experiment cycle counts.
 
-use asched_bench::report;
 use asched_core::{merge, schedule_trace, LookaheadConfig};
 use asched_graph::{BlockId, DepGraph, MachineModel, SchedCtx, SchedOpts};
 use asched_rank::{compute_ranks, Deadlines};
@@ -117,7 +116,6 @@ fn bench_merge_cold_vs_warm(c: &mut Criterion) {
                 merge(&mut sc, &g, &machine, &old, &new, &mut d, None, &cfg, &opts)
                     .unwrap()
                     .0
-                    .schedule
                     .makespan()
             })
         });
@@ -130,7 +128,6 @@ fn bench_merge_cold_vs_warm(c: &mut Criterion) {
                 merge(&mut sc, &g, &machine, &old, &new, &mut d, None, &cfg, &opts)
                     .unwrap()
                     .0
-                    .schedule
                     .makespan()
             })
         });
@@ -204,7 +201,7 @@ fn write_snapshot() {
         metrics.push((format!("ctx.ranks.warm_ns.{n}"), warm));
         metrics.push((format!("ctx.ranks.speedup.{n}"), cold / warm.max(1.0)));
     }
-    let doc = report::snapshot_json("ctx", &metrics, None);
+    let doc = asched_obs::snapshot_json("ctx", &metrics, None);
     // Write at the workspace root (like the other BENCH snapshots),
     // independent of the bench harness's working directory.
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ctx.json");

@@ -22,18 +22,19 @@
 //! persisted to FILE: entries from a previous run are loaded (warm
 //! hits) and newly computed schedules are appended, so repeated
 //! invocations over overlapping corpora start hot. Implies caching
-//! even without `--cache`. The `--compare-jobs` run warm-starts from a
+//! even without `--cache`. `--cache 0` turns caching off, as
+//! `asched-serve --cache 0` does, so it cannot be combined with
+//! `--cache-file`. The `--compare-jobs` run warm-starts from a
 //! snapshot of FILE taken *before* the main run, so both runs see the
 //! same warm set and the determinism check still demands identical
 //! counters.
 
-use asched_bench::report;
 use asched_engine::{
     parse_manifest, synth_corpus, BatchReport, Engine, EngineConfig, SharedScheduleCache, TraceTask,
 };
 use asched_obs::json::JsonObject;
 use asched_obs::{
-    Event, JsonlRecorder, ProfileRecorder, Recorder, Severity, SpanAlloc, SpanScope,
+    snapshot_json, Event, JsonlRecorder, ProfileRecorder, Recorder, Severity, SpanAlloc, SpanScope,
     StderrDiagnostics, TeeRecorder, NULL,
 };
 use std::io::{self, Write};
@@ -62,6 +63,14 @@ struct Options {
     trace: Option<String>,
     snapshot: Option<String>,
     compare_jobs: Option<usize>,
+}
+
+impl Options {
+    /// Whether the run caches: `--cache N` with N > 0, or a
+    /// `--cache-file` (the point of the file is reuse).
+    fn caching(&self) -> bool {
+        self.cache.map_or(self.cache_file.is_some(), |cap| cap > 0)
+    }
 }
 
 fn parse_args() -> Options {
@@ -104,14 +113,16 @@ fn parse_args() -> Options {
     if o.corpus.is_some() == o.synth.is_some() {
         usage(); // exactly one corpus source
     }
+    if o.cache == Some(0) && o.cache_file.is_some() {
+        usage(); // a cache file needs a cache
+    }
     o
 }
 
 fn engine_config(o: &Options, jobs: usize) -> EngineConfig {
     EngineConfig {
         jobs,
-        // --cache-file implies caching: the point of the file is reuse.
-        cache: o.cache.is_some() || o.cache_file.is_some(),
+        cache: o.caching(),
         cache_capacity: o.cache.unwrap_or(1024),
         step_budget: o.budget,
         // Buffering every scheduler event only pays off when a trace
@@ -255,7 +266,7 @@ fn main() -> ExitCode {
         "  outcomes : {} scheduled, {} cached, {} degraded, {} failed",
         report.scheduled, report.cached, report.degraded, report.failed
     );
-    if o.cache.is_some() || o.cache_file.is_some() {
+    if o.caching() {
         let _ = writeln!(
             out,
             "  cache    : {} hits, {} misses, {} evictions (hit rate {:.1}%)",
@@ -352,7 +363,7 @@ fn main() -> ExitCode {
     }
     if let Some(label) = o.snapshot.as_deref() {
         let profile = profiler.as_ref().map(|p| p.snapshot());
-        let doc = report::snapshot_json(label, &metrics, profile.as_ref());
+        let doc = snapshot_json(label, &metrics, profile.as_ref());
         let path = format!("BENCH_{label}.json");
         match std::fs::write(&path, doc + "\n") {
             Ok(()) => diag.record(&Event::Diagnostic {

@@ -23,7 +23,8 @@ use asched_bench::experiments::{self, RunCtx};
 use asched_bench::report;
 use asched_engine::{Engine, EngineConfig};
 use asched_obs::{
-    Event, JsonlRecorder, ProfileRecorder, Recorder, Severity, StderrDiagnostics, TeeRecorder, NULL,
+    snapshot_json, Event, JsonlRecorder, ProfileRecorder, Recorder, Severity, StderrDiagnostics,
+    TeeRecorder, NULL,
 };
 use std::io::{self, Write};
 use std::process::ExitCode;
@@ -171,7 +172,7 @@ fn main() -> ExitCode {
     }
     if let Some(label) = o.snapshot.as_deref() {
         let profile = profiler.as_ref().map(|p| p.snapshot());
-        let doc = report::snapshot_json(label, &metrics, profile.as_ref());
+        let doc = snapshot_json(label, &metrics, profile.as_ref());
         let path = format!("BENCH_{label}.json");
         match std::fs::write(&path, doc + "\n") {
             Ok(()) => diag.record(&Event::Diagnostic {

@@ -115,9 +115,9 @@ pub(crate) fn run(w: &mut RunCtx<'_>) -> io::Result<()> {
                     let mask = g.block_nodes(blk);
                     let free = Deadlines::unbounded(&g, &mask);
                     let opts = SchedOpts::default().with_backward(mode);
-                    let out = rank_schedule(&mut sc, &g, &mask, machine, &free, &opts)
+                    let s = rank_schedule(&mut sc, &g, &mask, machine, &free, &opts)
                         .expect("schedules");
-                    orders.push(out.schedule.order());
+                    orders.push(s.order());
                 }
                 sums[i] += sim_blocks(&mut sc, &g, machine, &orders) as f64;
             }

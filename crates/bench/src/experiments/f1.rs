@@ -38,8 +38,7 @@ pub(crate) fn run(w: &mut RunCtx<'_>) -> io::Result<()> {
     }
     writeln!(w, "{}", t.render())?;
 
-    let out = rank_schedule(&mut sc, &g, &mask, &machine, &d100, &opts).expect("fig1 schedules");
-    let s0 = out.schedule;
+    let s0 = rank_schedule(&mut sc, &g, &mask, &machine, &d100, &opts).expect("fig1 schedules");
     writeln!(
         w,
         "rank schedule        : {}   (makespan {}, paper {})",

@@ -1,9 +1,7 @@
-//! Plain-text table rendering for experiment reports, plus the
-//! machine-readable `BENCH_<label>.json` snapshot format that tracks
-//! the cycle-count trajectory (and, optionally, a [`RunProfile`])
-//! across PRs.
+//! Plain-text table rendering for experiment reports. The
+//! machine-readable `BENCH_<label>.json` snapshot format lives in
+//! `asched-obs` ([`asched_obs::snapshot_json`]).
 
-use asched_obs::json::JsonObject;
 use asched_obs::RunProfile;
 use std::fmt::Write as _;
 
@@ -98,43 +96,6 @@ pub fn profile_section(profile: &RunProfile) -> String {
     out
 }
 
-/// The `BENCH_<label>.json` snapshot document: experiment metrics
-/// (insertion-ordered name/value pairs, typically cycle counts), and
-/// the aggregated [`RunProfile`] when one was collected.
-///
-/// The format is a single flat-ish JSON object:
-///
-/// ```json
-/// {"schema":"asched-bench-snapshot-v2","label":"...",
-///  "metrics":{"f2.anticipatory_cycles":10.0, ...},
-///  "profile":{...}}
-/// ```
-///
-/// v2 (engine PR): snapshots may now carry the batch engine's
-/// `engine.*` counters (task outcomes, cache hits/misses/evictions,
-/// hit rate) and the batch CLI's `wall.*` timings alongside the
-/// experiment cycle counts. v1 consumers that treated `metrics` as an
-/// opaque name→number map keep working; the version records that the
-/// metric namespace widened.
-pub fn snapshot_json(
-    label: &str,
-    metrics: &[(String, f64)],
-    profile: Option<&RunProfile>,
-) -> String {
-    let mut m = JsonObject::new();
-    for (name, value) in metrics {
-        m.f64(name, *value);
-    }
-    let mut o = JsonObject::new();
-    o.str("schema", "asched-bench-snapshot-v2")
-        .str("label", label);
-    o.raw("metrics", &m.finish());
-    if let Some(p) = profile {
-        o.raw("profile", &p.to_json());
-    }
-    o.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,21 +130,6 @@ mod tests {
     #[test]
     fn section_contains_id() {
         assert!(section("F1", "Figure 1").contains("[F1] Figure 1"));
-    }
-
-    #[test]
-    fn snapshot_json_shape() {
-        let metrics = vec![("f2.anticipatory_cycles".to_string(), 10.0)];
-        let doc = snapshot_json("pr1", &metrics, None);
-        assert!(doc.starts_with(r#"{"schema":"asched-bench-snapshot-v2","label":"pr1""#));
-        assert!(doc.contains(r#""f2.anticipatory_cycles":10"#));
-        assert!(!doc.contains("profile"));
-
-        let mut p = RunProfile::new();
-        p.bump("merges", 3);
-        let doc = snapshot_json("pr1", &metrics, Some(&p));
-        assert!(doc.contains(r#""profile":{"#));
-        assert!(doc.contains(r#""merges":3"#));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! Window Constraint. The suffix is carried into the next merge with its
 //! deadlines re-based to time zero.
 
-use asched_graph::{DepGraph, MachineModel, NodeId, NodeSet, Schedule};
+use asched_graph::{MachineModel, NodeId, NodeSet, Schedule};
 use asched_rank::Deadlines;
 
 /// Result of chopping a merged schedule.
@@ -26,7 +26,7 @@ pub struct ChopResult {
 
 /// Chop `sched` (over `mask`) at the last idle slot `t_j` that still has
 /// at least `W` nodes after it (i.e. the last idle slot *prior to the
-/// last `W` nodes*).
+/// last `W` nodes*), where `W` is `machine.window`.
 ///
 /// `d` is updated in place: suffix deadlines are decremented by
 /// `t_j + 1` (the paper's re-basing). If the schedule has no idle slot,
@@ -38,13 +38,12 @@ pub struct ChopResult {
 /// during which *every* unit is idle (a conservative, correct cut
 /// point).
 pub fn chop(
-    _g: &DepGraph,
     machine: &MachineModel,
     sched: &Schedule,
     mask: &NodeSet,
     d: &mut Deadlines,
-    window: usize,
 ) -> ChopResult {
+    let window = machine.window;
     let retain_all = |mask: &NodeSet| ChopResult {
         emitted: Vec::new(),
         suffix: mask.clone(),
@@ -109,7 +108,7 @@ pub fn chop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asched_graph::{BlockId, SchedCtx, SchedOpts};
+    use asched_graph::{BlockId, DepGraph, SchedCtx, SchedOpts};
     use asched_rank::rank_schedule_default;
 
     fn m(w: usize) -> MachineModel {
@@ -141,7 +140,7 @@ mod tests {
             &SchedOpts::default(),
         );
         assert_eq!(s.idle_slots(&m(2)), vec![5]);
-        let chop_res = chop(&g, &m(2), &s, &mask, &mut d, 2);
+        let chop_res = chop(&m(2), &s, &mask, &mut d);
         assert!(chop_res.emitted.is_empty());
         assert_eq!(chop_res.suffix.len(), 6);
         assert_eq!(chop_res.offset, 0);
@@ -166,7 +165,7 @@ mod tests {
             &mut d,
             &SchedOpts::default(),
         );
-        let chop_res = chop(&g, &m(2), &s, &mask, &mut d, 1);
+        let chop_res = chop(&m(1), &s, &mask, &mut d);
         assert_eq!(chop_res.offset, 6);
         assert_eq!(chop_res.emitted.len(), 5);
         assert_eq!(chop_res.emitted[0], (x, 0));
@@ -197,7 +196,7 @@ mod tests {
         let mask = g.all_nodes();
         let s = rank(&g, &mask, &m(2));
         let mut d = Deadlines::uniform(&g, &mask, 2);
-        let r = chop(&g, &m(2), &s, &mask, &mut d, 2);
+        let r = chop(&m(2), &s, &mask, &mut d);
         assert!(r.emitted.is_empty());
         assert_eq!(r.suffix.len(), 2);
         assert_eq!(r.offset, 0);
@@ -213,7 +212,7 @@ mod tests {
         let mask = g.all_nodes();
         let s = rank(&g, &mask, &m(8));
         let mut d = Deadlines::uniform(&g, &mask, s.makespan() as i64);
-        let r = chop(&g, &m(8), &s, &mask, &mut d, 8);
+        let r = chop(&m(8), &s, &mask, &mut d);
         assert!(r.emitted.is_empty());
         assert_eq!(r.offset, 0);
     }
@@ -232,7 +231,7 @@ mod tests {
         let s = rank(&g, &mask, &m(3));
         assert_eq!(s.idle_slots(&m(3)), vec![2]);
         let mut d = Deadlines::uniform(&g, &mask, 4);
-        let r = chop(&g, &m(3), &s, &mask, &mut d, 3);
+        let r = chop(&m(3), &s, &mask, &mut d);
         assert!(r.emitted.is_empty());
         assert_eq!(r.suffix.len(), 3);
     }
@@ -253,7 +252,7 @@ mod tests {
         let s = rank(&g, &mask, &m(2));
         assert_eq!(s.idle_slots(&m(2)), vec![1, 3]);
         let mut d = Deadlines::uniform(&g, &mask, s.makespan() as i64);
-        let r = chop(&g, &m(2), &s, &mask, &mut d, 2);
+        let r = chop(&m(2), &s, &mask, &mut d);
         assert_eq!(r.offset, 4);
         assert_eq!(r.emitted.len(), 2); // a and b
         assert_eq!(r.suffix.len(), 2); // c and d

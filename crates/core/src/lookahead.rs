@@ -230,7 +230,7 @@ pub(crate) fn lookahead(
                 .with_release(&release)
                 .with_recorder(rec);
             let carried = suffix_is_rank_run.then_some(&suffix_sched);
-            let (out, rung) = merge(
+            let (mut s, rung) = merge(
                 ctx,
                 g,
                 machine,
@@ -241,7 +241,6 @@ pub(crate) fn lookahead(
                 cfg,
                 &block_opts,
             )?;
-            let mut s = out.schedule;
             let mut is_rank_run = rung != MergeRung::Concatenation;
             if cfg.delay_idle_slots {
                 // A move replaces the schedule with the Rank run under the
@@ -251,9 +250,7 @@ pub(crate) fn lookahead(
                 s = delay_idle_slots(ctx, g, &cur, machine, s, &mut d, &block_opts);
                 is_rank_run |= splice.is_some_and(|splice| splice != s);
             }
-            let chopped = asched_obs::timed(rec, Pass::Chop, || {
-                chop(g, machine, &s, &cur, &mut d, machine.window)
-            });
+            let chopped = asched_obs::timed(rec, Pass::Chop, || chop(machine, &s, &cur, &mut d));
             record!(
                 rec,
                 Event::Chop {
@@ -588,7 +585,7 @@ mod tests {
     /// `Delay_Idle_Slots`, chop), where every merge schedules `old` alone
     /// itself. Wherever the loop's rule lets the block's schedule stand
     /// for that run, the block is also merged with it, which must give
-    /// the same schedule, ranks, priority list, rung and deadlines.
+    /// the same schedule, rung and deadlines.
     /// Returns the predicted schedule; `rec` sees the loop's events.
     fn reference_lookahead(
         g: &DepGraph,
@@ -620,23 +617,20 @@ mod tests {
                 };
                 let (fresh, fresh_rung) = run(&mut d_fresh, None);
                 let (carried, carried_rung) = run(&mut d_carried, Some(&suffix));
-                assert_eq!(carried.schedule, fresh.schedule);
-                assert_eq!(carried.ranks, fresh.ranks);
-                assert_eq!(carried.priority, fresh.priority);
+                assert_eq!(carried, fresh);
                 assert_eq!(carried_rung, fresh_rung);
                 assert_eq!(d_carried, d_fresh);
             }
             let opts = opts.with_recorder(rec);
-            let (out, rung) =
+            let (mut s, rung) =
                 merge(&mut ctx, g, machine, &old, &new, &mut d, None, cfg, &opts).unwrap();
-            let mut s = out.schedule;
             let mut is_rank_run = rung != MergeRung::Concatenation;
             if cfg.delay_idle_slots {
                 let merged = s.clone();
                 s = delay_idle_slots(&mut ctx, g, &cur, machine, s, &mut d, &opts);
                 is_rank_run |= s != merged;
             }
-            let chopped = chop(g, machine, &s, &cur, &mut d, machine.window);
+            let chopped = chop(machine, &s, &cur, &mut d);
             for &(id, st) in &chopped.emitted {
                 predicted.assign(id, offset + st, s.unit(id).unwrap(), g.exec_time(id));
                 let completion = offset + st + g.exec_time(id) as u64;

@@ -144,10 +144,10 @@ fn candidate_order(
 ) -> Result<Vec<NodeId>, CoreError> {
     let mask = g2.all_nodes();
     let free = Deadlines::unbounded(g2, &mask);
-    let out = rank_schedule(ctx, g2, &mask, machine, &free, opts)?;
-    let t = out.schedule.makespan() as i64;
+    let s0 = rank_schedule(ctx, g2, &mask, machine, &free, opts)?;
+    let t = s0.makespan() as i64;
     let mut d = Deadlines::uniform(g2, &mask, t);
-    let s = delay_idle_slots(ctx, g2, &mask, machine, out.schedule, &mut d, opts);
+    let s = delay_idle_slots(ctx, g2, &mask, machine, s0, &mut d, opts);
     Ok(s.order().into_iter().filter(|&id| id != dummy).collect())
 }
 
@@ -214,7 +214,7 @@ pub fn schedule_single_block_loop(
     // The loop-blind local schedule is always computed for reporting.
     let local_order = {
         let mask = g.all_nodes();
-        let out = rank_schedule(
+        let s0 = rank_schedule(
             ctx,
             g,
             &mask,
@@ -222,9 +222,9 @@ pub fn schedule_single_block_loop(
             &Deadlines::unbounded(g, &mask),
             &inner,
         )?;
-        let t = out.schedule.makespan() as i64;
+        let t = s0.makespan() as i64;
         let mut d = Deadlines::uniform(g, &mask, t);
-        delay_idle_slots(ctx, g, &mask, machine, out.schedule, &mut d, &inner).order()
+        delay_idle_slots(ctx, g, &mask, machine, s0, &mut d, &inner).order()
     };
     let mut candidates = vec![CandidateReport {
         kind: CandidateKind::Local,

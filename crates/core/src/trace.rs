@@ -29,14 +29,12 @@ pub fn schedule_blocks_independent(
     for blk in g.blocks() {
         let mask = g.block_nodes(blk);
         let free = Deadlines::unbounded(g, &mask);
-        let out = rank_schedule(ctx, g, &mask, machine, &free, &opts)?;
-        let sched = if delay {
-            let t = out.schedule.makespan() as i64;
+        let mut sched = rank_schedule(ctx, g, &mask, machine, &free, &opts)?;
+        if delay {
+            let t = sched.makespan() as i64;
             let mut d = Deadlines::uniform(g, &mask, t);
-            delay_idle_slots(ctx, g, &mask, machine, out.schedule, &mut d, &opts)
-        } else {
-            out.schedule
-        };
+            sched = delay_idle_slots(ctx, g, &mask, machine, sched, &mut d, &opts);
+        }
         orders.push(sched.order());
     }
     Ok(orders)

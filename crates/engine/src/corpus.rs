@@ -277,61 +277,35 @@ pub fn parse_manifest(text: &str) -> Result<Vec<TraceTask>, CorpusError> {
     Ok(tasks)
 }
 
-/// Synthesize a seeded mixed corpus of `count` tasks.
+/// The manifest lines of a seeded mixed corpus of `count` tasks, one
+/// task per line.
 ///
 /// Tasks cycle through the three generator families, and the parameter
 /// space deliberately wraps (seed pool and window cycle repeat after
 /// `3 × pool` variants per family) so a large corpus contains exact
-/// duplicates — the workload a schedule cache exists for. The corpus
-/// is a pure function of `(count, seed)`.
-pub fn synth_corpus(count: usize, seed: u64) -> Vec<TraceTask> {
+/// duplicates — the workload a schedule cache exists for. The lines
+/// are a pure function of `(count, seed)`; `asched-load` sends each as
+/// one request body.
+pub fn synth_manifest(count: usize, seed: u64) -> Vec<String> {
     const WINDOWS: [usize; 3] = [2, 4, 8];
     let pool = (count / 16).max(1) as u64;
-    let mut tasks = Vec::with_capacity(count);
-    for i in 0..count {
-        let family = i % 3;
-        let variant = (i / 3) as u64 % (3 * pool);
-        let w = WINDOWS[(variant / pool) as usize];
-        let sd = seed.wrapping_add(variant % pool);
-        let (kind, graph) = match family {
-            0 => (
-                "dag",
-                random_trace_dag(&DagParams {
-                    nodes: 32,
-                    blocks: 4,
-                    edge_prob: 0.3,
-                    cross_prob: 0.15,
-                    seed: sd,
-                    ..DagParams::default()
-                }),
-            ),
-            1 => (
-                "seam",
-                seam_trace(&SeamParams {
-                    blocks: 5,
-                    fillers: 3,
-                    seed: sd,
-                    ..SeamParams::default()
-                }),
-            ),
-            _ => {
-                let prog = random_program(&ProgParams {
-                    blocks: 3,
-                    insts_per_block: 9,
-                    with_branches: false,
-                    seed: sd,
-                    ..ProgParams::default()
-                });
-                ("prog", build_trace_graph(&prog, &LatencyModel::fig3()))
+    (0..count)
+        .map(|i| {
+            let variant = (i / 3) as u64 % (3 * pool);
+            let w = WINDOWS[(variant / pool) as usize];
+            let sd = seed.wrapping_add(variant % pool);
+            match i % 3 {
+                0 => format!("dag nodes=32 blocks=4 edge_prob=0.3 cross_prob=0.15 seed={sd} w={w}"),
+                1 => format!("seam blocks=5 fillers=3 seed={sd} w={w}"),
+                _ => format!("prog blocks=3 insts=9 seed={sd} w={w}"),
             }
-        };
-        tasks.push(TraceTask::new(
-            format!("{kind}:{sd}:w{w}"),
-            graph,
-            MachineModel::single_unit(w),
-        ));
-    }
-    tasks
+        })
+        .collect()
+}
+
+/// The tasks of [`synth_manifest`]`(count, seed)`, parsed.
+pub fn synth_corpus(count: usize, seed: u64) -> Vec<TraceTask> {
+    parse_manifest(&synth_manifest(count, seed).join("\n")).expect("synthetic lines parse")
 }
 
 #[cfg(test)]
@@ -426,5 +400,30 @@ prog blocks=2 insts=6 seed=5 w=8 units=rs6000 label=hot-loop\n";
         labels.sort_unstable();
         labels.dedup();
         assert!(labels.len() < total, "expected duplicate tasks");
+    }
+
+    #[test]
+    fn synth_lines_are_one_task_each_and_cycle_windows() {
+        let lines = synth_manifest(24, 7);
+        assert_eq!(lines, synth_manifest(24, 7));
+        assert_ne!(lines, synth_manifest(24, 8));
+        let windows: std::collections::BTreeSet<usize> = lines
+            .iter()
+            .map(|line| {
+                let tasks = parse_manifest(line).expect(line);
+                assert_eq!(tasks.len(), 1, "{line}");
+                tasks[0].machine.window
+            })
+            .collect();
+        assert_eq!(windows.into_iter().collect::<Vec<_>>(), vec![2, 4, 8]);
+    }
+
+    #[test]
+    fn synth_lines_revisit_fingerprints() {
+        // The bounded variant pool wraps, so 500 lines repeat 221 of
+        // them (44%): a shared cache serves those from memory.
+        let lines = synth_manifest(500, 1);
+        let unique: std::collections::BTreeSet<&String> = lines.iter().collect();
+        assert_eq!(unique.len(), 279);
     }
 }

@@ -36,7 +36,7 @@ mod fingerprint;
 pub mod persist;
 mod shared_cache;
 
-pub use corpus::{machine_spec, parse_manifest, synth_corpus, CorpusError};
+pub use corpus::{machine_spec, parse_manifest, synth_corpus, synth_manifest, CorpusError};
 pub use engine::{BatchReport, Engine, EngineConfig, Solver, TaskReport, TaskValue, TraceTask};
 pub use fingerprint::{fingerprint_task, Fingerprint, FINGERPRINT_DOMAIN};
 pub use shared_cache::{SharedCacheStats, SharedScheduleCache, WarmStart};

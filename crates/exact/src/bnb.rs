@@ -139,8 +139,8 @@ pub(crate) fn solve(
     let prio = asched_graph::height_priority(g, mask).map_err(ExactError::Cyclic)?;
     let mut seed = asched_rank::list_schedule(ctx, g, mask, machine, &prio, opts).makespan();
     let deadlines = asched_rank::Deadlines::unbounded(g, mask);
-    if let Ok(out) = asched_rank::rank_schedule(ctx, g, mask, machine, &deadlines, opts) {
-        seed = seed.min(out.schedule.makespan());
+    if let Ok(s) = asched_rank::rank_schedule(ctx, g, mask, machine, &deadlines, opts) {
+        seed = seed.min(s.makespan());
     }
 
     let mut solver = Solver {

@@ -64,8 +64,6 @@ wire_enum! {
         Chop = "chop",
         /// The cycle-level window simulator.
         Simulate = "simulate",
-        /// Experiment or CLI top-level work that is none of the above.
-        Driver = "driver",
         /// A batch run of the parallel scheduling engine (`asched-engine`).
         Engine = "engine",
         /// One exact branch-and-bound certification (`asched-exact`).

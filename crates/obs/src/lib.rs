@@ -43,7 +43,7 @@ pub mod schema;
 pub mod span;
 
 pub use event::{Event, MergeRung, OwnedEvent, Pass, Severity, StallKind, TaskOutcome};
-pub use profile::{Histogram, ProfileRecorder, RunProfile};
+pub use profile::{snapshot_json, Histogram, ProfileRecorder, RunProfile};
 pub use recorder::{
     event_to_json, BufferRecorder, JsonlRecorder, NullRecorder, Recorder, StderrDiagnostics,
     TeeRecorder, NULL,

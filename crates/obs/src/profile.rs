@@ -3,7 +3,8 @@
 //! [`ProfileRecorder`] is a [`Recorder`] that folds the event stream
 //! into a [`RunProfile`] instead of (or in addition to) serializing it.
 //! The profile is what `--profile` prints and what the bench report
-//! embeds.
+//! embeds; [`snapshot_json`] wraps it, with a run's metrics, into a
+//! `BENCH_<label>.json` snapshot.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -383,6 +384,42 @@ impl RunProfile {
     }
 }
 
+/// The `BENCH_<label>.json` snapshot document: experiment metrics
+/// (insertion-ordered name/value pairs, typically cycle counts), and
+/// the aggregated [`RunProfile`] when one was collected.
+///
+/// The format is a single flat-ish JSON object:
+///
+/// ```json
+/// {"schema":"asched-bench-snapshot-v2","label":"...",
+///  "metrics":{"f2.anticipatory_cycles":10.0, ...},
+///  "profile":{...}}
+/// ```
+///
+/// v2: snapshots may also carry the batch engine's `engine.*` counters
+/// (task outcomes, cache hits/misses/evictions, hit rate) and the batch
+/// CLI's `wall.*` timings alongside the experiment cycle counts. v1
+/// consumers that treated `metrics` as an opaque name→number map keep
+/// working; the version records that the metric namespace widened.
+pub fn snapshot_json(
+    label: &str,
+    metrics: &[(String, f64)],
+    profile: Option<&RunProfile>,
+) -> String {
+    let mut m = JsonObject::new();
+    for (name, value) in metrics {
+        m.f64(name, *value);
+    }
+    let mut o = JsonObject::new();
+    o.str("schema", "asched-bench-snapshot-v2")
+        .str("label", label);
+    o.raw("metrics", &m.finish());
+    if let Some(p) = profile {
+        o.raw("profile", &p.to_json());
+    }
+    o.finish()
+}
+
 impl fmt::Display for RunProfile {
     /// The human-readable table `--profile` prints.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -684,5 +721,20 @@ mod tests {
         assert!(j.contains(r#""counters":{"issues":1}"#), "{j}");
         assert!(j.contains(r#""pass":"rank","nanos":42,"calls":1"#), "{j}");
         assert!(j.contains(r#""histograms":{"stall_len""#), "{j}");
+    }
+
+    #[test]
+    fn snapshot_json_shape() {
+        let metrics = vec![("f2.anticipatory_cycles".to_string(), 10.0)];
+        let doc = snapshot_json("nightly", &metrics, None);
+        assert!(doc.starts_with(r#"{"schema":"asched-bench-snapshot-v2","label":"nightly""#));
+        assert!(doc.contains(r#""f2.anticipatory_cycles":10"#));
+        assert!(!doc.contains("profile"));
+
+        let mut p = RunProfile::new();
+        p.bump("merges", 3);
+        let doc = snapshot_json("nightly", &metrics, Some(&p));
+        assert!(doc.contains(r#""profile":{"#));
+        assert!(doc.contains(r#""merges":3"#));
     }
 }

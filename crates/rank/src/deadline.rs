@@ -17,7 +17,6 @@ use asched_graph::{DepGraph, NodeId, NodeSet};
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Deadlines {
     d: Vec<i64>,
-    horizon: i64,
 }
 
 impl Deadlines {
@@ -40,7 +39,7 @@ impl Deadlines {
                 *v = i64::MAX;
             }
         }
-        Deadlines { d, horizon }
+        Deadlines { d }
     }
 
     /// Uniform deadline `val` for every node of `mask`.
@@ -49,13 +48,7 @@ impl Deadlines {
         for id in mask.iter() {
             d[id.index()] = val;
         }
-        Deadlines { d, horizon: val }
-    }
-
-    /// The horizon value used for unconstrained nodes.
-    #[inline]
-    pub fn horizon(&self) -> i64 {
-        self.horizon
+        Deadlines { d }
     }
 
     /// Deadline of `id`.
@@ -107,11 +100,11 @@ impl Deadlines {
     /// scratch buffer, one entry per member in id order) without
     /// allocating once `buf` has capacity.
     ///
-    /// The horizon and the other nodes are *not* snapshotted: the
-    /// idle-slot loops that use this only edit values of mask nodes via
-    /// [`set`](Self::set) / [`tighten`](Self::tighten) between a save and
-    /// its matching [`restore_from`](Self::restore_from), so the mask's
-    /// entries capture the whole mutable state.
+    /// The other nodes are *not* snapshotted: the idle-slot loops that
+    /// use this only edit values of mask nodes via [`set`](Self::set) /
+    /// [`tighten`](Self::tighten) between a save and its matching
+    /// [`restore_from`](Self::restore_from), so the mask's entries
+    /// capture the whole mutable state.
     #[inline]
     pub fn save_into(&self, mask: &NodeSet, buf: &mut Vec<i64>) {
         buf.clear();
@@ -147,7 +140,6 @@ mod tests {
         let g = graph();
         let d = Deadlines::unbounded(&g, &g.all_nodes());
         // total work 2 + total latency 2 + 1 = 5
-        assert_eq!(d.horizon(), 5);
         assert_eq!(d.get(NodeId(0)), 5);
     }
 
@@ -157,7 +149,7 @@ mod tests {
         let mut mask = NodeSet::new(g.len());
         mask.insert(NodeId(0));
         let d = Deadlines::unbounded(&g, &mask);
-        assert_eq!(d.horizon(), 2); // work 1 + latency 0 + 1
+        assert_eq!(d.get(NodeId(0)), 2); // work 1 + latency 0 + 1
         assert_eq!(d.get(NodeId(1)), i64::MAX);
     }
 
@@ -196,7 +188,6 @@ mod tests {
         d.restore_from(&g.all_nodes(), &buf);
         assert_eq!(d.get(NodeId(0)), 10);
         assert_eq!(d.get(NodeId(1)), 10);
-        assert_eq!(d.horizon(), 10);
         // A snapshot holds the mask's entries only.
         let mut mask = NodeSet::new(g.len());
         mask.insert(NodeId(1));

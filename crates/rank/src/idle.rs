@@ -232,30 +232,30 @@ fn move_slot(
     for _ in 0..max_iters {
         // d(a_i) = rank(a_i) = t_i - 1: force the tail node earlier.
         d.set(a_i, t_i as i64 - 1);
-        let Ok(out) = rank_schedule(ctx, g, mask, machine, d, opts) else {
+        let Ok(schedule) = rank_schedule(ctx, g, mask, machine, d, opts) else {
             // rank_alg cannot meet the tightened deadlines: undo.
             break;
         };
-        let new_idles = out.schedule.idle_slots_unit(machine, unit);
+        let new_idles = schedule.idle_slots_unit(machine, unit);
         match new_idles.get(slot_index) {
             None => {
                 // The slot vanished entirely (possible off the restricted
                 // machine): that counts as moving it past the end.
                 return MoveOutcome::Moved {
-                    schedule: out.schedule,
+                    schedule,
                     new_start: None,
                 };
             }
             Some(&t_new) if t_new > t_i => {
                 return MoveOutcome::Moved {
-                    schedule: out.schedule,
+                    schedule,
                     new_start: Some(t_new),
                 };
             }
             Some(&t_new) if t_new == t_i => {
                 // Same position: iterate with the new tail node, unless
                 // the new schedule refutes it as well.
-                match live_tail(asap, g, mask, &out.schedule, &new_idles, unit, slot_index) {
+                match live_tail(asap, g, mask, &schedule, &new_idles, unit, slot_index) {
                     Some(next) => a_i = next,
                     None => break,
                 }
@@ -583,7 +583,7 @@ mod tests {
         g.add_dep(w, a, 1);
         let mask = g.all_nodes();
         let mut ctx = SchedCtx::new();
-        let out = rank_schedule(
+        let s0 = rank_schedule(
             &mut ctx,
             &g,
             &mask,
@@ -592,14 +592,14 @@ mod tests {
             &SchedOpts::default(),
         )
         .unwrap();
-        let t = out.schedule.makespan() as i64;
+        let t = s0.makespan() as i64;
         let mut d = Deadlines::uniform(&g, &mask, t);
         let s1 = delay_idle_slots(
             &mut ctx,
             &g,
             &mask,
             &m1(),
-            out.schedule.clone(),
+            s0.clone(),
             &mut d,
             &SchedOpts::default(),
         );
@@ -607,7 +607,7 @@ mod tests {
         validate_schedule(&g, &mask, &m1(), &s1, Some(d.as_slice())).unwrap();
         // Whatever happened, the last idle slot should be as late as the
         // original schedule's (monotone improvement).
-        let before = out.schedule.idle_slots(&m1());
+        let before = s0.idle_slots(&m1());
         let after = s1.idle_slots(&m1());
         if let (Some(b0), Some(a0)) = (before.first(), after.first()) {
             assert!(a0 >= b0);

@@ -9,9 +9,13 @@
 //!   all of its descendants are to complete by their deadlines.
 //! * [`list_schedule`] — greedy list scheduling from an arbitrary priority
 //!   list (the paper's step 3, also reused by every baseline scheduler).
-//! * [`rank_schedule`] — ranks + nondecreasing-rank list + greedy; optimal
-//!   for 0/1 latencies, unit execution times and a single functional unit,
-//!   and a minimum-tardiness scheduler under deadlines.
+//! * [`rank_schedule`] — ranks + nondecreasing-rank list + greedy,
+//!   returning the schedule: the ranks only order the list, and every
+//!   later step (merge probes, idle-slot moves, chop) reads the schedule
+//!   and the deadlines alone, so the ranks and the list stay in the
+//!   context's scratch ([`compute_ranks`] hands out the ranks). Optimal
+//!   for 0/1 latencies, unit execution times and a single functional
+//!   unit, and a minimum-tardiness scheduler under deadlines.
 //! * [`move_idle_slot`] / [`delay_idle_slots`] — the paper's Section 3
 //!   extension that pushes idle slots as late as possible by tightening
 //!   deadlines (Figure 4 / Figure 6), the key enabler of anticipatory
@@ -59,5 +63,5 @@ pub use asched_graph::{BackwardMode, SchedCtx, SchedOpts};
 pub use deadline::Deadlines;
 pub use idle::{delay_idle_slots, move_idle_slot, MoveOutcome};
 pub use list::list_schedule;
-pub use ranks::{compute_ranks, rank_schedule, rank_schedule_default, RankError, RankOutput};
+pub use ranks::{compute_ranks, rank_schedule, rank_schedule_default, RankError};
 pub use tardiness::{max_tardiness, min_max_tardiness};

@@ -31,8 +31,10 @@
 //! times once into mask-sized scratch, sorts descendants and lists by
 //! packed integer keys, and writes `g.len()`-indexed output only for
 //! results a caller keeps: [`compute_ranks`]' slice and a feasible
-//! run's [`RankOutput`]. A warmed-up context computes ranks, and runs
-//! an infeasible Rank Algorithm, without allocating.
+//! run's [`Schedule`]. The rank list and the earliest-deadline-first
+//! list stay in the list scratch. A warmed-up context computes ranks,
+//! and runs an infeasible Rank Algorithm, without allocating; a
+//! feasible run allocates only its schedule.
 
 use crate::deadline::Deadlines;
 use crate::list::{built_schedule, greedy_pass, load_release};
@@ -72,23 +74,6 @@ impl From<CycleError> for RankError {
     fn from(c: CycleError) -> Self {
         RankError::Cyclic(c)
     }
-}
-
-/// Result of [`rank_schedule`]: the schedule plus the data that produced
-/// it, which callers (idle-slot moving, merge) reuse.
-#[derive(Clone, Debug)]
-pub struct RankOutput {
-    /// The greedy schedule built from the rank-ordered list.
-    pub schedule: Schedule,
-    /// Ranks indexed by `NodeId::index()` (meaningless outside the mask).
-    pub ranks: Vec<i64>,
-    /// The priority list the greedy scheduler consumed. On the normal
-    /// path this is nondecreasing rank with ties broken by source
-    /// order; if the rank order missed a deadline and the EDF retry
-    /// succeeded instead, it is the deadline-sorted list that retry
-    /// used. Either way, replaying it through the greedy scheduler
-    /// reproduces `schedule`.
-    pub priority: Vec<NodeId>,
 }
 
 /// Compute the rank of every node in `mask` under deadlines `d`,
@@ -299,7 +284,7 @@ pub fn rank_schedule(
     machine: &MachineModel,
     d: &Deadlines,
     opts: &SchedOpts,
-) -> Result<RankOutput, RankError> {
+) -> Result<Schedule, RankError> {
     let rec = opts.rec;
     let result = asched_obs::timed(rec, asched_obs::Pass::Rank, || {
         rank_schedule_inner(ctx, g, mask, machine, d, opts)
@@ -308,7 +293,7 @@ pub fn rank_schedule(
         rec,
         asched_obs::Event::RankRun {
             nodes: mask.len() as u32,
-            makespan: result.as_ref().map(|o| o.schedule.makespan()).unwrap_or(0),
+            makespan: result.as_ref().map(Schedule::makespan).unwrap_or(0),
             feasible: result.is_ok(),
         }
     );
@@ -322,7 +307,7 @@ fn rank_schedule_inner(
     machine: &MachineModel,
     d: &Deadlines,
     opts: &SchedOpts,
-) -> Result<RankOutput, RankError> {
+) -> Result<Schedule, RankError> {
     let SchedCtx { cache, scratch } = ctx;
     let a = cache.analysis(g, mask)?;
     let Scratch {
@@ -354,13 +339,7 @@ fn rank_schedule_inner(
             });
         }
     }
-    let mut ranks = Vec::new();
-    scatter_ranks(a, &rs.rank, g.len(), &mut ranks);
-    Ok(RankOutput {
-        schedule: built_schedule(a, list, g.len()),
-        ranks,
-        priority: list.order.iter().map(|&x| a.nodes()[x as usize]).collect(),
-    })
+    Ok(built_schedule(a, list, g.len()))
 }
 
 /// Load `list.order` with the rank list: local ids by nondecreasing
@@ -415,7 +394,7 @@ pub fn rank_schedule_default(
     machine: &MachineModel,
 ) -> Result<Schedule, RankError> {
     let d = Deadlines::unbounded(g, mask);
-    Ok(rank_schedule(ctx, g, mask, machine, &d, &SchedOpts::default())?.schedule)
+    rank_schedule(ctx, g, mask, machine, &d, &SchedOpts::default())
 }
 
 #[cfg(test)]
@@ -462,22 +441,19 @@ pub(crate) mod tests {
 
     #[test]
     fn fig1_schedule_matches_paper() {
-        // Paper list e,x,b,w,a,r gives schedule e x _ b w r a, makespan 7
-        // with the idle slot at t=2.
+        // Paper list e,x,b,w,a,r (nondecreasing rank, ties by source
+        // order) gives schedule e x _ b w r a, makespan 7 with the idle
+        // slot at t=2.
         let (g, [x, e, w, b, a, r]) = fig1();
         let m = MachineModel::single_unit(2);
         let mut ctx = SchedCtx::new();
-        let out = rank_schedule(
-            &mut ctx,
-            &g,
-            &g.all_nodes(),
-            &m,
-            &Deadlines::uniform(&g, &g.all_nodes(), 100),
-            &SchedOpts::default(),
-        )
-        .unwrap();
-        assert_eq!(out.priority, vec![e, x, b, w, a, r]);
-        let s = &out.schedule;
+        let d = Deadlines::uniform(&g, &g.all_nodes(), 100);
+        let opts = SchedOpts::default();
+        let ranks = compute_ranks(&mut ctx, &g, &g.all_nodes(), &m, &d, &opts).unwrap();
+        let mut list: Vec<NodeId> = g.node_ids().collect();
+        list.sort_by_key(|&id| (ranks[id.index()], id.index()));
+        assert_eq!(list, vec![e, x, b, w, a, r]);
+        let s = &rank_schedule(&mut ctx, &g, &g.all_nodes(), &m, &d, &opts).unwrap();
         assert_eq!(s.makespan(), 7);
         assert_eq!(s.start(e), Some(0));
         assert_eq!(s.start(x), Some(1));
@@ -498,9 +474,8 @@ pub(crate) mod tests {
         let mut d = Deadlines::uniform(&g, &g.all_nodes(), 7);
         d.set(x, 1);
         let mut ctx = SchedCtx::new();
-        let out =
-            rank_schedule(&mut ctx, &g, &g.all_nodes(), &m, &d, &SchedOpts::default()).unwrap();
-        let s = &out.schedule;
+        let s =
+            &rank_schedule(&mut ctx, &g, &g.all_nodes(), &m, &d, &SchedOpts::default()).unwrap();
         assert_eq!(s.makespan(), 7);
         assert_eq!(s.start(x), Some(0));
         assert_eq!(s.idle_slots(&m), vec![5]);
@@ -534,11 +509,12 @@ pub(crate) mod tests {
         let m = MachineModel::single_unit(2);
         let d = Deadlines::uniform(&g, &g.all_nodes(), 2);
         let mut ctx = SchedCtx::new();
-        let out =
-            rank_schedule(&mut ctx, &g, &g.all_nodes(), &m, &d, &SchedOpts::default()).unwrap();
-        assert_eq!(out.schedule.makespan(), 2);
-        assert_eq!(out.ranks[a.index()], 1);
-        assert_eq!(out.ranks[b.index()], 2);
+        let opts = SchedOpts::default();
+        let s = rank_schedule(&mut ctx, &g, &g.all_nodes(), &m, &d, &opts).unwrap();
+        assert_eq!(s.makespan(), 2);
+        let ranks = compute_ranks(&mut ctx, &g, &g.all_nodes(), &m, &d, &opts).unwrap();
+        assert_eq!(ranks[a.index()], 1);
+        assert_eq!(ranks[b.index()], 2);
     }
 
     #[test]
@@ -648,7 +624,7 @@ pub(crate) mod tests {
         let m = MachineModel::uniform(2, 2);
         let d = Deadlines::unbounded(&g, &g.all_nodes());
         let mut ctx = SchedCtx::new();
-        let out = rank_schedule(
+        let s = rank_schedule(
             &mut ctx,
             &g,
             &g.all_nodes(),
@@ -657,8 +633,7 @@ pub(crate) mod tests {
             &SchedOpts::default().with_backward(BackwardMode::Piecewise),
         )
         .unwrap();
-        asched_graph::validate::validate_schedule(&g, &g.all_nodes(), &m, &out.schedule, None)
-            .unwrap();
+        asched_graph::validate::validate_schedule(&g, &g.all_nodes(), &m, &s, None).unwrap();
     }
 
     #[test]
@@ -689,9 +664,7 @@ pub(crate) mod tests {
         for _ in 0..3 {
             let again = rank_schedule(&mut warm, &g, &g.all_nodes(), &m, &d, &SchedOpts::default())
                 .unwrap();
-            assert_eq!(again.schedule, baseline.schedule);
-            assert_eq!(again.ranks, baseline.ranks);
-            assert_eq!(again.priority, baseline.priority);
+            assert_eq!(again, baseline);
         }
         assert!(warm.cache.hits() >= 3, "repeat calls must hit the cache");
     }

@@ -44,26 +44,24 @@ pub fn min_max_tardiness(
 ) -> Result<(Schedule, i64), RankError> {
     // Fast path: already feasible.
     match rank_schedule(ctx, g, mask, machine, d, opts) {
-        Ok(out) => return Ok((out.schedule, 0)),
+        Ok(s) => return Ok((s, 0)),
         Err(RankError::Cyclic(c)) => return Err(RankError::Cyclic(c)),
         Err(RankError::Infeasible { .. }) => {}
     }
     // Upper bound: any valid schedule's tardiness; take the unconstrained
     // rank schedule.
     let free = rank_schedule(ctx, g, mask, machine, &Deadlines::unbounded(g, mask), opts)?;
-    let hi0 = max_tardiness(mask, &free.schedule, d);
+    let hi0 = max_tardiness(mask, &free, d);
     debug_assert!(hi0 > 0, "infeasible instance must have positive tardiness");
 
     let feasible_with = |ctx: &mut SchedCtx, delta: i64| -> Option<Schedule> {
         let mut shifted = d.clone();
         shifted.shift_all(mask, delta);
-        rank_schedule(ctx, g, mask, machine, &shifted, opts)
-            .ok()
-            .map(|o| o.schedule)
+        rank_schedule(ctx, g, mask, machine, &shifted, opts).ok()
     };
 
     let (mut lo, mut hi) = (0i64, hi0);
-    let mut best = free.schedule;
+    let mut best = free;
     debug_assert!(feasible_with(ctx, hi).is_some());
     while lo < hi {
         let mid = lo + (hi - lo) / 2;

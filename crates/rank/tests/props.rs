@@ -117,7 +117,7 @@ fn reference_rank_schedule(
     machine: &MachineModel,
     d: &Deadlines,
     opts: &SchedOpts,
-) -> Option<(Schedule, Vec<i64>, Vec<NodeId>)> {
+) -> Option<Schedule> {
     let mut ctx = SchedCtx::new();
     let ranks = compute_ranks(&mut ctx, g, mask, machine, d, opts)
         .unwrap()
@@ -129,11 +129,11 @@ fn reference_rank_schedule(
     let prio = rank_priority(g, mask, &ranks);
     let s = list_schedule(&mut ctx, g, mask, machine, &prio, opts);
     if meets(&s) {
-        return Some((s, ranks, prio));
+        return Some(s);
     }
     let edf = edf_priority(g, mask, d, &ranks);
     let s = list_schedule(&mut ctx, g, mask, machine, &edf, opts);
-    meets(&s).then_some((s, ranks, edf))
+    meets(&s).then_some(s)
 }
 
 /// The rank computation over global ids: every vector indexed by
@@ -327,12 +327,11 @@ fn kernel_machine(k: usize) -> MachineModel {
 /// (uniform, some with nodes pinned tighter, and random per node),
 /// `compute_ranks` gives [`reference_ranks`]' ranks, and `rank_schedule`
 /// gives what [`scan_list_pass`] gives on the reference's rank list and
-/// then on its earliest-deadline-first list: the same schedule, ranks
-/// and priority list when a pass meets every deadline, else the last
-/// pass's witness. When the two lists are equal the kernel skips the
-/// retry, and must name the rank list's witness. Returns the infeasible
-/// runs with equal lists (retry skipped) and with different lists
-/// (retry run).
+/// then on its earliest-deadline-first list: the same schedule when a
+/// pass meets every deadline, else the last pass's witness. When the two
+/// lists are equal the kernel skips the retry, and must name the rank
+/// list's witness. Returns the infeasible runs with equal lists (retry
+/// skipped) and with different lists (retry run).
 fn assert_kernel_matches_references(
     g: &DepGraph,
     machine: &MachineModel,
@@ -371,22 +370,18 @@ fn assert_kernel_matches_references(
         let rank_list = rank_priority(g, &mask, &ranks);
         let edf = edf_priority(g, &mask, &d, &ranks);
         let want = match scan_list_pass(g, &mask, machine, &rank_list, Some(release), Some(&d)) {
-            Ok(s) => Ok((s, rank_list)),
             Err(witness) if edf == rank_list => {
                 skipped += 1;
                 Err(witness)
             }
             Err(_) => {
                 retried += 1;
-                scan_list_pass(g, &mask, machine, &edf, Some(release), Some(&d)).map(|s| (s, edf))
+                scan_list_pass(g, &mask, machine, &edf, Some(release), Some(&d))
             }
+            feasible => feasible,
         };
         match (rank_schedule(&mut ctx, g, &mask, machine, &d, &opts), want) {
-            (Ok(out), Ok((schedule, priority))) => {
-                assert_eq!(out.schedule, schedule, "variant {variant}");
-                assert_eq!(out.ranks, ranks, "variant {variant}");
-                assert_eq!(out.priority, priority, "variant {variant}");
-            }
+            (Ok(got), Ok(schedule)) => assert_eq!(got, schedule, "variant {variant}"),
             (Err(RankError::Infeasible { node }), Err(witness)) => {
                 assert_eq!(node, witness, "variant {variant}: witness");
             }
@@ -469,13 +464,13 @@ fn naive_move_idle_slot(
                 t_i - 1
             );
         }
-        let Ok(out) = rerun else {
+        let Ok(rerun) = rerun else {
             break None;
         };
-        match out.schedule.idle_slots_unit(machine, unit).get(slot_index) {
-            None => break Some((out.schedule, None)),
-            Some(&t) if t > t_i => break Some((out.schedule, Some(t))),
-            Some(&t) if t == t_i => cur = out.schedule,
+        match rerun.idle_slots_unit(machine, unit).get(slot_index) {
+            None => break Some((rerun, None)),
+            Some(&t) if t > t_i => break Some((rerun, Some(t))),
+            Some(&t) if t == t_i => cur = rerun,
             Some(_) => break None,
         }
     };
@@ -543,9 +538,7 @@ fn assert_delay_matches_naive(g: &DepGraph, machine: &MachineModel, release: &[u
     let quiet = SchedOpts::default().with_release(release);
     let mut ctx = SchedCtx::new();
     let free = free_deadlines(g, &mask, release);
-    let s0 = rank_schedule(&mut ctx, g, &mask, machine, &free, &quiet)
-        .unwrap()
-        .schedule;
+    let s0 = rank_schedule(&mut ctx, g, &mask, machine, &free, &quiet).unwrap();
     let t = s0.makespan() as i64 + slack;
 
     let fast_events = IdleMoves::default();
@@ -575,9 +568,9 @@ proptest! {
     /// The greedy passes that stop at their first missed deadline are
     /// exact: `rank_schedule` agrees with full passes plus a miss check
     /// on feasibility, and on feasible deadlines returns the same
-    /// schedule, ranks and priority list. Each instance is probed with
-    /// uniform deadlines around its unconstrained makespan `T`, some
-    /// with a few nodes pinned tighter.
+    /// schedule. Each instance is probed with uniform deadlines around
+    /// its unconstrained makespan `T`, some with a few nodes pinned
+    /// tighter.
     #[test]
     fn early_exit_rank_matches_full_passes(
         (g, m, release) in arb_multi_unit(24),
@@ -589,7 +582,6 @@ proptest! {
         let free = free_deadlines(&g, &mask, &release);
         let t = rank_schedule(&mut ctx, &g, &mask, &m, &free, &opts)
             .unwrap()
-            .schedule
             .makespan() as i64;
         let mut next = xorshift(seed);
         for variant in 0..8 {
@@ -600,17 +592,13 @@ proptest! {
             }
             let got = rank_schedule(&mut ctx, &g, &mask, &m, &d, &opts);
             match (got, reference_rank_schedule(&g, &mask, &m, &d, &opts)) {
-                (Ok(out), Some((schedule, ranks, priority))) => {
-                    prop_assert_eq!(out.schedule, schedule);
-                    prop_assert_eq!(out.ranks, ranks);
-                    prop_assert_eq!(out.priority, priority);
-                }
+                (Ok(got), Some(schedule)) => prop_assert_eq!(got, schedule),
                 (Err(RankError::Infeasible { .. }), None) => {}
                 (got, want) => prop_assert!(
                     false,
                     "variant {}: rank_schedule {:?} vs reference feasible {}",
                     variant,
-                    got.map(|o| o.schedule.makespan()),
+                    got.map(|s| s.makespan()),
                     want.is_some()
                 ),
             }
@@ -707,10 +695,12 @@ proptest! {
         // Use an achievable uniform deadline: the optimal makespan.
         let t = rank_schedule_default(&mut ctx, &g, &mask, &m).unwrap().makespan();
         let d = Deadlines::uniform(&g, &mask, t as i64);
-        let out = rank_schedule(&mut ctx, &g, &mask, &m, &d, &SchedOpts::default()).unwrap();
+        let opts = SchedOpts::default();
+        let s = rank_schedule(&mut ctx, &g, &mask, &m, &d, &opts).unwrap();
+        let ranks = compute_ranks(&mut ctx, &g, &mask, &m, &d, &opts).unwrap();
         for id in mask.iter() {
-            prop_assert!(out.schedule.completion(id).unwrap() as i64 <= d.get(id));
-            prop_assert!(out.ranks[id.index()] <= d.get(id));
+            prop_assert!(s.completion(id).unwrap() as i64 <= d.get(id));
+            prop_assert!(ranks[id.index()] <= d.get(id));
         }
     }
 
@@ -793,11 +783,7 @@ proptest! {
         let warm_out = rank_schedule(&mut warm, &g, &mask, &m, &d, &opts);
         let fresh_out = rank_schedule(&mut SchedCtx::new(), &g, &mask, &m, &d, &opts);
         match (warm_out, fresh_out) {
-            (Ok(a), Ok(b)) => {
-                prop_assert_eq!(a.schedule, b.schedule);
-                prop_assert_eq!(a.ranks, b.ranks);
-                prop_assert_eq!(a.priority, b.priority);
-            }
+            (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
             (Err(_), Err(_)) => {}
             (a, b) => prop_assert!(false, "warm {:?} vs fresh {:?}", a.is_ok(), b.is_ok()),
         }

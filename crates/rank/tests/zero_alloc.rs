@@ -7,11 +7,12 @@
 //! buffers of the entry it evicts, and an infeasible `rank_schedule` run
 //! keeps its greedy passes in the list scratch, whether the
 //! earliest-deadline-first retry is skipped or run, so neither allocates
-//! either. Verified with a counting global allocator, the same
-//! technique as `asched-obs`'s null-recorder test.
+//! either. A feasible run allocates exactly the [`Schedule`] it returns.
+//! Verified with a counting global allocator, the same technique as
+//! `asched-obs`'s null-recorder test.
 
 use asched_graph::{
-    BackwardMode, BlockId, DepGraph, MachineModel, NodeId, NodeSet, SchedCtx, SchedOpts,
+    BackwardMode, BlockId, DepGraph, MachineModel, NodeId, NodeSet, SchedCtx, SchedOpts, Schedule,
     DEFAULT_CACHE_CAPACITY,
 };
 use asched_rank::{compute_ranks, rank_schedule, Deadlines, RankError};
@@ -237,6 +238,35 @@ fn warm_analysis_miss_does_not_allocate() {
     });
     assert_eq!(ctx.cache.misses() - misses, (blocks - warm) as u64);
     assert_eq!(n, 0, "warm analysis misses allocated {n} times");
+}
+
+#[test]
+fn warm_feasible_rank_run_allocates_only_its_schedule() {
+    // The ranks and the priority list stay in the context's scratch; the
+    // returned schedule, sized by the graph, is the run's one product.
+    let g = trace(256, 8);
+    let mask = NodeSet::from_iter_with_universe(g.len(), (40..64).map(NodeId));
+    let machine = MachineModel::rs6000_like(4);
+    let d = Deadlines::unbounded(&g, &mask);
+    let opts = SchedOpts::default();
+
+    let mut ctx = SchedCtx::new();
+    let cold = rank_schedule(&mut ctx, &g, &mask, &machine, &d, &opts).unwrap();
+    let (per_schedule, _) = allocations(|| Schedule::new(g.len()));
+    assert!(per_schedule > 0);
+    let (n, same) = allocations(|| {
+        let mut same = true;
+        for _ in 0..20 {
+            same &= rank_schedule(&mut ctx, &g, &mask, &machine, &d, &opts).unwrap() == cold;
+        }
+        same
+    });
+    assert!(same, "warm schedules must match the cold one");
+    assert_eq!(
+        n,
+        20 * per_schedule,
+        "20 feasible rank runs allocated {n} times, their schedules {per_schedule} each"
+    );
 }
 
 /// Whether `d`'s earliest-deadline-first list for `mask` differs from

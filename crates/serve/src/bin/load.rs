@@ -9,13 +9,14 @@
 //! ```
 //!
 //! The drive is a closed loop: `--clients` threads push `--requests`
-//! bodies, retrying 503s after the server's `Retry-After`. `--spawn N`
-//! starts an in-process server with `N` workers on an ephemeral port —
-//! handy for CI, which then needs no background process management;
-//! `--queue`/`--deadline-ms` tune that spawned server. `--trace FILE`
-//! (spawn mode only) streams the spawned server's full event trace —
-//! request spans, engine spans, cache attribution — to FILE as JSONL,
-//! ready for `asched-trace`.
+//! bodies, the manifest lines of [`synth_manifest`] (the batch
+//! engine's synthetic corpus), retrying 503s after the server's
+//! `Retry-After`. `--spawn N` starts an in-process server with `N`
+//! workers on an ephemeral port — handy for CI, which then needs no
+//! background process management; `--queue`/`--deadline-ms` tune that
+//! spawned server. `--trace FILE` (spawn mode only) streams the spawned
+//! server's full event trace — request spans, engine spans, cache
+//! attribution — to FILE as JSONL, ready for `asched-trace`.
 //!
 //! Exit status is nonzero when any connection dropped or any non-503
 //! 5xx came back — shed requests must be answered with 503, never
@@ -35,9 +36,9 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use asched_bench::report::snapshot_json;
-use asched_obs::{JsonlRecorder, NullRecorder, Recorder};
-use asched_serve::{run_closed_loop, synth_request_bodies, LoadReport, Server, ServerConfig};
+use asched_engine::synth_manifest;
+use asched_obs::{snapshot_json, JsonlRecorder, NullRecorder, Recorder};
+use asched_serve::{run_closed_loop, LoadReport, Server, ServerConfig};
 
 struct Args {
     addr: Option<String>,
@@ -197,7 +198,7 @@ fn compare_leg(
 /// `--cache-compare LABEL`: measure a cold vs a warm-started shared
 /// cache on the same workload, write `BENCH_<LABEL>.json`.
 fn cache_compare(args: &Args, label: &str) -> ExitCode {
-    let bodies = synth_request_bodies(args.requests, args.seed);
+    let bodies = synth_manifest(args.requests, args.seed);
     let cache_path =
         std::env::temp_dir().join(format!("asched-cache-compare-{}.bin", std::process::id()));
     let _ = std::fs::remove_file(&cache_path);
@@ -310,7 +311,7 @@ fn main() -> ExitCode {
         },
     };
 
-    let bodies = synth_request_bodies(args.requests, args.seed);
+    let bodies = synth_manifest(args.requests, args.seed);
     let timeout = Duration::from_millis(args.timeout_ms.max(1));
     let report = run_closed_loop(addr, &bodies, args.clients, args.deadline_ms, timeout);
     print_report(&report);

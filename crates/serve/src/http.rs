@@ -259,9 +259,15 @@ impl Response {
     }
 
     /// Serialize onto the wire. Every response closes the connection.
+    ///
+    /// The response is assembled first and handed to `w` in one
+    /// `write_all`: formatted straight onto an unbuffered socket, each
+    /// piece of the head would leave as its own segment and wake the
+    /// reading peer, a context switch each.
     pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
+        let mut wire = Vec::with_capacity(256 + self.body.len());
         write!(
-            w,
+            wire,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
             self.status,
             status_text(self.status),
@@ -269,10 +275,11 @@ impl Response {
             self.body.len()
         )?;
         for (name, value) in &self.extra_headers {
-            write!(w, "{name}: {value}\r\n")?;
+            write!(wire, "{name}: {value}\r\n")?;
         }
-        write!(w, "\r\n")?;
-        w.write_all(self.body.as_bytes())?;
+        wire.extend_from_slice(b"\r\n");
+        wire.extend_from_slice(self.body.as_bytes());
+        w.write_all(&wire)?;
         w.flush()
     }
 }
@@ -350,6 +357,34 @@ mod tests {
         assert!(text.contains("Retry-After: 1\r\n"));
         assert!(text.contains("Content-Type: application/json\r\n"));
         assert!(text.ends_with("\r\n\r\n{}"));
+    }
+
+    #[test]
+    fn response_is_one_write() {
+        /// Counts `write` calls, accepting every byte offered.
+        struct Writes(usize, Vec<u8>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0 += 1;
+                self.1.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Writes(0, Vec::new());
+        Response::json(503, r#"{"error":"overloaded"}"#)
+            .with_header("Retry-After", "1")
+            .write_to(&mut w)
+            .unwrap();
+        assert_eq!(w.0, 1);
+        assert_eq!(
+            String::from_utf8(w.1).unwrap(),
+            "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+             Content-Length: 22\r\nConnection: close\r\nRetry-After: 1\r\n\r\n\
+             {\"error\":\"overloaded\"}"
+        );
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod wire;
 
 pub use client::{http_request, ClientResponse};
 pub use flight::{FlightRecorder, RequestSummary};
-pub use loadgen::{run_closed_loop, synth_request_bodies, LoadReport};
+pub use loadgen::{run_closed_loop, LoadReport};
 pub use metrics::ServeMetrics;
 pub use policy::{Admission, AdmissionPolicy, DeadlinePolicy};
 pub use prom::validate_exposition;

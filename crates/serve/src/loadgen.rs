@@ -31,29 +31,6 @@ const MAX_RETRIES_PER_REQUEST: u32 = 200;
 /// cannot park a client for minutes.
 const MAX_RETRY_AFTER_SECS: u64 = 30;
 
-/// Deterministic single-line manifest bodies mirroring
-/// [`asched_engine::synth_corpus`] exactly: same families, same
-/// windows-cycling, and the same bounded variant pool — so, like the
-/// batch corpus, a load run revisits fingerprints and the cache hit
-/// rate is a property of the workload, not of `count`.
-pub fn synth_request_bodies(count: usize, seed: u64) -> Vec<String> {
-    const WINDOWS: [usize; 3] = [2, 4, 8];
-    let pool = (count / 16).max(1) as u64;
-    let mut bodies = Vec::with_capacity(count);
-    for i in 0..count {
-        let variant = (i / 3) as u64 % (3 * pool);
-        let w = WINDOWS[(variant / pool) as usize];
-        let sd = seed.wrapping_add(variant % pool);
-        let body = match i % 3 {
-            0 => format!("dag nodes=32 blocks=4 edge_prob=0.3 cross_prob=0.15 seed={sd} w={w}"),
-            1 => format!("seam blocks=5 fillers=3 seed={sd} w={w}"),
-            _ => format!("prog blocks=3 insts=9 seed={sd} w={w}"),
-        };
-        bodies.push(body);
-    }
-    bodies
-}
-
 /// Aggregate outcome of one load run.
 #[derive(Debug, Default)]
 pub struct LoadReport {
@@ -277,36 +254,6 @@ pub fn run_closed_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asched_engine::parse_manifest;
-
-    #[test]
-    fn bodies_are_deterministic_and_parseable() {
-        let a = synth_request_bodies(24, 7);
-        let b = synth_request_bodies(24, 7);
-        assert_eq!(a, b);
-        assert_ne!(a, synth_request_bodies(24, 8));
-        for body in &a {
-            let tasks = parse_manifest(body).expect(body);
-            assert_eq!(tasks.len(), 1, "{body}");
-        }
-        // Windows cycle over the corpus.
-        let windows: std::collections::BTreeSet<usize> = a
-            .iter()
-            .map(|b| parse_manifest(b).unwrap()[0].machine.window)
-            .collect();
-        assert_eq!(windows.into_iter().collect::<Vec<_>>(), vec![2, 4, 8]);
-    }
-
-    #[test]
-    fn bodies_revisit_fingerprints_like_the_batch_corpus() {
-        // The bounded variant pool wraps, so a 500-request run repeats
-        // 221 bodies (44%): a shared cache can serve those from memory,
-        // where the old all-distinct generator made every request a
-        // guaranteed miss.
-        let bodies = synth_request_bodies(500, 1);
-        let unique: std::collections::BTreeSet<&String> = bodies.iter().collect();
-        assert_eq!(unique.len(), 279);
-    }
 
     #[test]
     fn report_tallies() {

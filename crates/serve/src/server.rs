@@ -66,11 +66,10 @@ pub struct ServerConfig {
     pub max_body_bytes: usize,
     /// Cap on tasks per request.
     pub max_tasks_per_request: usize,
-    /// Schedule-cache capacity per worker; 0 disables caching (useful
-    /// when outcome labels must not depend on request interleaving).
-    /// The workers pool this budget into one [`SharedScheduleCache`]
-    /// of `cache_capacity × workers` entries: a fingerprint computed by
-    /// any worker is a hit for all of them.
+    /// Entries in the one [`SharedScheduleCache`] every worker shares,
+    /// so a fingerprint computed by any worker is a hit for all of
+    /// them; 0 disables caching (useful when outcome labels must not
+    /// depend on request interleaving).
     pub cache_capacity: usize,
     /// Warm-start/persistence file for the shared cache: loaded (and
     /// tail-repaired) at startup, appended to as new schedules are
@@ -114,7 +113,7 @@ impl Default for ServerConfig {
             io_timeout_ms: 5_000,
             max_body_bytes: 1 << 20,
             max_tasks_per_request: 512,
-            cache_capacity: 256,
+            cache_capacity: 512,
             cache_file: None,
             flight_capacity: 64,
             debug_delay_ms: 0,
@@ -255,9 +254,7 @@ impl Server {
         let addr = listener.local_addr()?;
         let flight = FlightRecorder::new(cfg.flight_capacity);
         let cache = if cfg.cache_capacity > 0 {
-            // The per-worker budget, pooled into one cache.
-            let capacity = cfg.cache_capacity.saturating_mul(cfg.workers.max(1));
-            let cache = Arc::new(SharedScheduleCache::new(capacity));
+            let cache = Arc::new(SharedScheduleCache::new(cfg.cache_capacity));
             if let Some(path) = &cfg.cache_file {
                 cache.warm_start(path)?;
             }

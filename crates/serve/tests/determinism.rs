@@ -16,9 +16,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use asched_engine::{parse_manifest, Engine, EngineConfig};
+use asched_engine::{parse_manifest, synth_manifest, Engine, EngineConfig};
 use asched_obs::{NullRecorder, NULL};
-use asched_serve::{http_request, synth_request_bodies, task_json, Server, ServerConfig};
+use asched_serve::{http_request, task_json, Server, ServerConfig};
 
 const TIMEOUT: Duration = Duration::from_secs(30);
 
@@ -32,7 +32,7 @@ fn tasks_payload(body: &str) -> &str {
 
 #[test]
 fn eight_clients_match_single_threaded_reference() {
-    let bodies = synth_request_bodies(200, 1234);
+    let bodies = synth_manifest(200, 1234);
 
     // Local ground truth: one engine, one thread, no cache.
     let engine = Engine::new(EngineConfig {
@@ -144,8 +144,8 @@ fn blast(addr: std::net::SocketAddr, bodies: &[String]) -> BTreeMap<usize, Strin
 /// matter which worker computed it.
 #[test]
 fn shared_cache_is_deterministic_across_interleavings() {
-    // Duplicate-free corpus, small enough to fit the pooled cache
-    // (2 workers × 256 = 512 slots ≥ 120 entries → no evictions).
+    // Duplicate-free corpus, small enough to fit the shared cache
+    // (512 slots ≥ 120 entries → no evictions).
     let bodies: Vec<String> = (0..120)
         .map(|i| format!("prog blocks=3 insts=9 seed={i} w=4\n"))
         .collect();
@@ -181,7 +181,7 @@ fn shared_cache_is_deterministic_across_interleavings() {
     let server = Server::start(
         ServerConfig {
             workers: 2,
-            cache_capacity: 256,
+            cache_capacity: 512,
             deadline_ms: 60_000,
             ..ServerConfig::default()
         },

@@ -220,7 +220,7 @@ fn closed_loop_honors_retry_after_against_shed_heavy_server() {
         debug_delay_ms: 150,
         ..ServerConfig::default()
     });
-    let bodies = asched_serve::synth_request_bodies(8, 11);
+    let bodies = asched_engine::synth_manifest(8, 11);
     let report = asched_serve::run_closed_loop(h.addr(), &bodies, 4, None, TIMEOUT);
 
     assert_eq!(report.sent, 8);

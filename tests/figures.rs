@@ -34,11 +34,11 @@ fn figure_1_complete() {
         ],
         [95, 95, 98, 98, 100, 100]
     );
-    let out = rank_schedule(&mut sc, &g, &mask, &machine, &d100, &opts).unwrap();
-    assert_eq!(out.schedule.makespan(), FIG1_MAKESPAN);
-    assert_eq!(out.schedule.idle_slots(&machine), vec![FIG1_IDLE_BEFORE]);
+    let s0 = rank_schedule(&mut sc, &g, &mask, &machine, &d100, &opts).unwrap();
+    assert_eq!(s0.makespan(), FIG1_MAKESPAN);
+    assert_eq!(s0.idle_slots(&machine), vec![FIG1_IDLE_BEFORE]);
     let mut d = Deadlines::uniform(&g, &mask, FIG1_MAKESPAN as i64);
-    let s1 = delay_idle_slots(&mut sc, &g, &mask, &machine, out.schedule, &mut d, &opts);
+    let s1 = delay_idle_slots(&mut sc, &g, &mask, &machine, s0, &mut d, &opts);
     assert_eq!(s1.makespan(), FIG1_MAKESPAN);
     assert_eq!(s1.idle_slots(&machine), vec![FIG1_IDLE_AFTER]);
     assert_eq!(d.get(x), 1);
