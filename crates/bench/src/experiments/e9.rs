@@ -10,7 +10,7 @@ use asched_core::{
 use asched_graph::{MachineModel, SchedCtx, SchedOpts};
 use asched_ir::{build_loop_graph, transform::unroll, LatencyModel, Program};
 use asched_pipeline::{anticipatory_postpass, mii};
-use asched_sim::trace_steady_period_with;
+use asched_sim::steady_period;
 use asched_workloads::kernels::all_kernels;
 use asched_workloads::{random_loop_dag, DagParams};
 use std::io::{self, Write};
@@ -87,7 +87,7 @@ pub(crate) fn run(w: &mut RunCtx<'_>) -> io::Result<()> {
         t2.row([
             name.to_string(),
             g.blocks().len().to_string(),
-            period(trace_steady_period_with(&mut sc, &g, &machine, &local, 16)),
+            period(steady_period(&mut sc, &g, &machine, &local, 16)),
             period(res.period),
         ]);
     }

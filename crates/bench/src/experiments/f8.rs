@@ -27,8 +27,8 @@ pub(crate) fn run(w: &mut RunCtx<'_>) -> io::Result<()> {
     for n in 1..=5u32 {
         t.row([
             n.to_string(),
-            loop_completion(&mut sc, &g, &w1, &[n1, n2, n3], n).to_string(),
-            loop_completion(&mut sc, &g, &w1, &[n2, n1, n3], n).to_string(),
+            loop_completion(&mut sc, &g, &w1, &[[n1, n2, n3]], n).to_string(),
+            loop_completion(&mut sc, &g, &w1, &[[n2, n1, n3]], n).to_string(),
         ]);
     }
     writeln!(w, "{}", t.render())?;

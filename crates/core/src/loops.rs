@@ -16,7 +16,7 @@ use crate::error::CoreError;
 use crate::lookahead::schedule_trace;
 use crate::single_block::{schedule_single_block_loop, LOOP_EVAL_ITERS};
 use asched_graph::{BlockId, DepGraph, MachineModel, NodeId, SchedCtx, SchedOpts};
-use asched_sim::{steady_period_with, trace_loop_completion, trace_steady_period_with};
+use asched_sim::{loop_completion, steady_period};
 
 /// Result of scheduling a loop that encloses a trace of basic blocks.
 #[derive(Clone, Debug)]
@@ -43,53 +43,43 @@ pub fn schedule_loop_trace(
     opts: &SchedOpts,
 ) -> Result<LoopTraceResult, CoreError> {
     let blocks = g.blocks();
-    if blocks.len() <= 1 {
-        let r = schedule_single_block_loop(ctx, g, machine, cfg, opts)?;
-        // 5.2.3 *selects* candidates at LOOP_EVAL_WINDOW (the
-        // paper's literal-schedule semantics), but this result's period
-        // is documented as measured at the machine's own window — keep
-        // the two paths consistent.
-        return Ok(LoopTraceResult {
-            first_iter: asched_sim::loop_completion(ctx, g, machine, &r.order, 1),
-            period: steady_period_with(ctx, g, machine, &r.order, LOOP_EVAL_ITERS),
-            block_orders: vec![r.order],
-        });
-    }
+    let block_orders = if blocks.len() <= 1 {
+        // 5.2.3 *selects* candidates at LOOP_EVAL_WINDOW (the paper's
+        // literal-schedule semantics); this result's period is measured
+        // at the machine's own window, as for a multi-block loop.
+        vec![schedule_single_block_loop(ctx, g, machine, cfg, opts)?.order]
+    } else {
+        // Step 1: anticipatory scheduling of the trace, loop-carried
+        // edges ignored (they have distance > 0, so the trace scheduler
+        // already ignores them).
+        let mut block_orders = schedule_trace(ctx, g, machine, cfg, opts)?.block_orders;
 
-    // Step 1: anticipatory scheduling of the trace, loop-carried edges
-    // ignored (they have distance > 0, so the trace scheduler already
-    // ignores them).
-    let base = schedule_trace(ctx, g, machine, cfg, opts)?;
-    let mut block_orders = base.block_orders;
-
-    // Step 2: re-schedule BBm against next-iteration BB1.
-    let bb1 = blocks[0];
-    let bbm = *blocks.last().expect("blocks nonempty");
-    let wrap_edges: Vec<_> = g
-        .loop_carried_edges()
-        .filter(|e| e.distance == 1 && g.node(e.src).block == bbm && g.node(e.dst).block == bb1)
-        .collect();
-    if !wrap_edges.is_empty() {
-        let m_index = blocks.len() - 1;
-        let new_last = reschedule_last_block(
-            ctx,
-            g,
-            machine,
-            cfg,
-            opts,
-            &block_orders[m_index],
-            &block_orders[0],
-            &wrap_edges,
-        )?;
-        block_orders[m_index] = new_last;
-    }
-
-    let first_iter = trace_loop_completion(ctx, g, machine, &block_orders, 1);
-    let period = trace_steady_period_with(ctx, g, machine, &block_orders, LOOP_EVAL_ITERS);
+        // Step 2: re-schedule BBm against next-iteration BB1.
+        let bb1 = blocks[0];
+        let bbm = *blocks.last().expect("blocks nonempty");
+        let wrap_edges: Vec<_> = g
+            .loop_carried_edges()
+            .filter(|e| e.distance == 1 && g.node(e.src).block == bbm && g.node(e.dst).block == bb1)
+            .collect();
+        if !wrap_edges.is_empty() {
+            let m_index = blocks.len() - 1;
+            block_orders[m_index] = reschedule_last_block(
+                ctx,
+                g,
+                machine,
+                cfg,
+                opts,
+                &block_orders[m_index],
+                &block_orders[0],
+                &wrap_edges,
+            )?;
+        }
+        block_orders
+    };
     Ok(LoopTraceResult {
+        first_iter: loop_completion(ctx, g, machine, &block_orders, 1),
+        period: steady_period(ctx, g, machine, &block_orders, LOOP_EVAL_ITERS),
         block_orders,
-        period,
-        first_iter,
     })
 }
 
@@ -122,18 +112,9 @@ fn reschedule_last_block(
         data.source_pos = pos as u32;
         to_aux[id.index()] = Some(aux.add_node(data));
     }
-    // BBm-internal loop-independent edges.
-    for &id in bbm_order {
-        for e in g.out_edges_li(id) {
-            if let (Some(s), Some(d)) = (to_aux[e.src.index()], to_aux[e.dst.index()]) {
-                if g.node(e.dst).block == g.node(e.src).block {
-                    aux.add_edge(s, d, e.latency, 0, e.kind);
-                }
-            }
-        }
-    }
-    // BB1-internal loop-independent edges (for timing fidelity).
-    for &id in bb1_order {
+    // BBm- then BB1-internal loop-independent edges (the latter for
+    // timing fidelity).
+    for &id in bbm_order.iter().chain(bb1_order) {
         for e in g.out_edges_li(id) {
             if let (Some(s), Some(d)) = (to_aux[e.src.index()], to_aux[e.dst.index()]) {
                 if g.node(e.dst).block == g.node(e.src).block {
@@ -215,15 +196,12 @@ mod tests {
             crate::trace::schedule_blocks_independent(&mut SchedCtx::new(), &g, &machine, true)
                 .unwrap();
         assert_eq!(*blind[1].last().unwrap(), p); // p last without loop info
-        let warm = 16;
-        let mut sctx = SchedCtx::new();
-        let c1 = trace_loop_completion(&mut sctx, &g, &machine, &blind, warm);
-        let c2 = trace_loop_completion(&mut sctx, &g, &machine, &blind, 2 * warm);
-        let blind_period = c2 - c1;
+        let blind_period = steady_period(&mut SchedCtx::new(), &g, &machine, &blind, 16);
+        assert_eq!(res.period.1, blind_period.1);
         assert!(
-            res.period.0 < blind_period,
-            "wrap-aware {} should beat blind {}",
-            res.period.0,
+            res.period.0 < blind_period.0,
+            "wrap-aware {:?} should beat blind {:?}",
+            res.period,
             blind_period
         );
         let _ = (u, f, q1, q2);

@@ -20,9 +20,9 @@
 
 use crate::config::LookaheadConfig;
 use crate::error::CoreError;
+use crate::trace::block_schedule;
 use asched_graph::{BlockId, DepGraph, MachineModel, NodeData, NodeId, SchedCtx, SchedOpts};
-use asched_rank::{delay_idle_slots, rank_schedule, Deadlines};
-use asched_sim::loop_completion;
+use asched_sim::{loop_completion, steady_period};
 
 /// Window size at which Section 5.2.3 *evaluates* loop-schedule
 /// candidates ("select the best"): the paper compares candidates by
@@ -133,8 +133,9 @@ fn copy_li(g: &DepGraph) -> DepGraph {
     g2
 }
 
-/// Rank-schedule an acyclic candidate graph, delay its idle slots, and
-/// return the order of the *original* nodes (the dummy dropped).
+/// Schedule an acyclic candidate graph ([`block_schedule`], idle slots
+/// delayed) and return the order of the *original* nodes (the dummy
+/// dropped).
 fn candidate_order(
     ctx: &mut SchedCtx,
     g2: &DepGraph,
@@ -142,12 +143,7 @@ fn candidate_order(
     dummy: NodeId,
     opts: &SchedOpts,
 ) -> Result<Vec<NodeId>, CoreError> {
-    let mask = g2.all_nodes();
-    let free = Deadlines::unbounded(g2, &mask);
-    let s0 = rank_schedule(ctx, g2, &mask, machine, &free, opts)?;
-    let t = s0.makespan() as i64;
-    let mut d = Deadlines::uniform(g2, &mask, t);
-    let s = delay_idle_slots(ctx, g2, &mask, machine, s0, &mut d, opts);
+    let s = block_schedule(ctx, g2, &g2.all_nodes(), machine, true, opts)?;
     Ok(s.order().into_iter().filter(|&id| id != dummy).collect())
 }
 
@@ -205,27 +201,14 @@ pub fn schedule_single_block_loop(
         ..*opts
     };
     let eval_machine = machine.with_window(LOOP_EVAL_WINDOW);
-    let evaluate = |ctx: &mut SchedCtx, order: &[NodeId]| -> (u64, u64) {
-        asched_sim::steady_period_with(ctx, g, &eval_machine, order, LOOP_EVAL_ITERS)
+    let evaluate = |ctx: &mut SchedCtx, order: &[NodeId]| {
+        steady_period(ctx, g, &eval_machine, &[order], LOOP_EVAL_ITERS)
     };
     let single =
-        |ctx: &mut SchedCtx, order: &[NodeId]| loop_completion(ctx, g, &eval_machine, order, 1);
+        |ctx: &mut SchedCtx, order: &[NodeId]| loop_completion(ctx, g, &eval_machine, &[order], 1);
 
     // The loop-blind local schedule is always computed for reporting.
-    let local_order = {
-        let mask = g.all_nodes();
-        let s0 = rank_schedule(
-            ctx,
-            g,
-            &mask,
-            machine,
-            &Deadlines::unbounded(g, &mask),
-            &inner,
-        )?;
-        let t = s0.makespan() as i64;
-        let mut d = Deadlines::uniform(g, &mask, t);
-        delay_idle_slots(ctx, g, &mask, machine, s0, &mut d, &inner).order()
-    };
+    let local_order = block_schedule(ctx, g, &g.all_nodes(), machine, true, &inner)?.order();
     let mut candidates = vec![CandidateReport {
         kind: CandidateKind::Local,
         period: evaluate(ctx, &local_order),

@@ -8,7 +8,7 @@
 
 use crate::error::CoreError;
 use crate::lookahead::TraceResult;
-use asched_graph::{DepGraph, MachineModel, NodeId, SchedCtx, SchedOpts};
+use asched_graph::{DepGraph, MachineModel, NodeId, NodeSet, SchedCtx, SchedOpts, Schedule};
 use asched_rank::{delay_idle_slots, rank_schedule, Deadlines};
 use asched_sim::{schedule_of, simulate, InstStream, IssuePolicy};
 
@@ -25,19 +25,35 @@ pub fn schedule_blocks_independent(
     delay: bool,
 ) -> Result<Vec<Vec<NodeId>>, CoreError> {
     let opts = SchedOpts::default();
-    let mut orders = Vec::new();
-    for blk in g.blocks() {
-        let mask = g.block_nodes(blk);
-        let free = Deadlines::unbounded(g, &mask);
-        let mut sched = rank_schedule(ctx, g, &mask, machine, &free, &opts)?;
-        if delay {
-            let t = sched.makespan() as i64;
-            let mut d = Deadlines::uniform(g, &mask, t);
-            sched = delay_idle_slots(ctx, g, &mask, machine, sched, &mut d, &opts);
-        }
-        orders.push(sched.order());
+    g.blocks()
+        .into_iter()
+        .map(|blk| {
+            let mask = g.block_nodes(blk);
+            Ok(block_schedule(ctx, g, &mask, machine, delay, &opts)?.order())
+        })
+        .collect()
+}
+
+/// The Rank Algorithm's schedule of `mask` on its own (no deadlines);
+/// with `delay`, `Delay_Idle_Slots` then moves its idle slots as late as
+/// its makespan allows. The one block schedule behind
+/// [`schedule_blocks_independent`] and the single-block loop
+/// scheduler's candidates.
+pub(crate) fn block_schedule(
+    ctx: &mut SchedCtx,
+    g: &DepGraph,
+    mask: &NodeSet,
+    machine: &MachineModel,
+    delay: bool,
+    opts: &SchedOpts,
+) -> Result<Schedule, CoreError> {
+    let free = Deadlines::unbounded(g, mask);
+    let sched = rank_schedule(ctx, g, mask, machine, &free, opts)?;
+    if !delay {
+        return Ok(sched);
     }
-    Ok(orders)
+    let mut d = Deadlines::uniform(g, mask, sched.makespan() as i64);
+    Ok(delay_idle_slots(ctx, g, mask, machine, sched, &mut d, opts))
 }
 
 /// The per-block fallback as a whole [`TraceResult`]: the orders of

@@ -2,7 +2,6 @@
 
 use crate::modulo::ModuloSchedule;
 use asched_graph::{BlockId, DepGraph, NodeData, NodeId};
-use asched_sim::InstStream;
 
 /// The kernel of a software-pipelined loop, expressed as a new
 /// single-block loop over the *same node ids*.
@@ -55,33 +54,11 @@ pub fn kernel_loop(g: &DepGraph, ms: &ModuloSchedule) -> KernelLoop {
     }
 }
 
-/// The dynamic stream of the full pipelined execution of `n` source
-/// iterations: kernel passes `p = 0 .. n + S - 1`, where pass `p` runs
-/// node `v` for source iteration `p - stage(v)` when that is in range
-/// (this covers prolog, kernel and epilog uniformly).
-pub fn pipelined_stream(kl: &KernelLoop, n: u32) -> InstStream {
-    let stages = kl.stage.iter().copied().max().unwrap_or(0) + 1;
-    let mut items: Vec<(NodeId, u32)> = Vec::new();
-    for p in 0..(n as u64 + stages - 1) {
-        for &v in &kl.order {
-            let s = kl.stage[v.index()];
-            if p >= s && p - s < n as u64 {
-                items.push((v, (p - s) as u32));
-            }
-        }
-    }
-    let mut stream = InstStream::default();
-    for (node, iter) in items {
-        stream.push(node, iter);
-    }
-    stream
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::modulo::modulo_schedule;
-    use asched_graph::{DepKind, MachineModel};
+    use asched_graph::MachineModel;
 
     fn m1() -> MachineModel {
         MachineModel::single_unit(1)
@@ -101,48 +78,5 @@ mod tests {
         let e = kl.graph.out_edges(a).iter().find(|e| e.dst == b).unwrap();
         assert!(e.distance >= 1, "cross-stage edge must gain distance");
         assert_eq!(kl.ii, 2);
-    }
-
-    #[test]
-    fn pipelined_stream_runs_every_instance_once() {
-        let mut g = DepGraph::new();
-        let a = g.add_simple("a", BlockId(0));
-        let b = g.add_simple("b", BlockId(0));
-        g.add_dep(a, b, 4);
-        let ms = modulo_schedule(&g, &m1()).unwrap();
-        let kl = kernel_loop(&g, &ms);
-        let n = 5;
-        let stream = pipelined_stream(&kl, n);
-        assert_eq!(stream.len(), 2 * n as usize);
-        // Every (node, iter) appears exactly once.
-        let mut seen = std::collections::HashSet::new();
-        for it in stream.items() {
-            assert!(seen.insert((it.node, it.iter)));
-        }
-    }
-
-    #[test]
-    fn pipelined_stream_is_simulable() {
-        let mut g = DepGraph::new();
-        let a = g.add_simple("a", BlockId(0));
-        let b = g.add_simple("b", BlockId(0));
-        g.add_dep(a, b, 4);
-        g.add_edge(a, a, 0, 1, DepKind::Data);
-        let ms = modulo_schedule(&g, &m1()).unwrap();
-        let kl = kernel_loop(&g, &ms);
-        let stream = pipelined_stream(&kl, 8);
-        // Simulate against the ORIGINAL graph: the pipelined order must
-        // be dependence-correct for the original loop semantics.
-        let r = asched_sim::simulate(
-            &mut asched_graph::SchedCtx::new(),
-            &g,
-            &MachineModel::single_unit(4),
-            &stream,
-            asched_sim::IssuePolicy::Strict,
-            &asched_graph::SchedOpts::default(),
-        );
-        // 8 iterations, II 2 -> roughly 2*8 cycles once warmed up.
-        assert!(r.completion >= 16);
-        assert!(r.completion <= 16 + 6);
     }
 }

@@ -31,7 +31,7 @@ mod modulo;
 mod optii;
 mod postpass;
 
-pub use kernel::{kernel_loop, pipelined_stream, KernelLoop};
+pub use kernel::{kernel_loop, KernelLoop};
 pub use mii::{mii, rec_mii, res_mii};
 pub use modulo::{modulo_schedule, ModuloSchedule, PipelineError};
 pub use optii::{optimal_ii, IiCertificate};

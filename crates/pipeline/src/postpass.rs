@@ -11,7 +11,11 @@ use crate::kernel::{kernel_loop, KernelLoop};
 use crate::modulo::{modulo_schedule, PipelineError};
 use asched_core::{schedule_single_block_loop, CoreError, LookaheadConfig, LOOP_EVAL_WINDOW};
 use asched_graph::{DepGraph, MachineModel, NodeId, SchedCtx, SchedOpts};
-use asched_sim::steady_period_rational;
+use asched_sim::steady_period;
+
+/// Iterations of warm-up, and then of measurement, behind each period
+/// the post-pass reports (its denominator).
+const POSTPASS_WARM: u32 = 64;
 
 /// Outcome of the modulo + anticipatory pipeline.
 #[derive(Clone, Debug)]
@@ -50,10 +54,10 @@ impl From<CoreError> for PostpassError {
 
 /// Software-pipeline `g`, then anticipatorily reschedule the kernel.
 ///
-/// Steady-state periods are measured with the window simulator at the
-/// given machine's window size on the *kernel* graph (whose distance
-/// labels encode the pipelining), in the paper's literal-schedule
-/// semantics ([`LOOP_EVAL_WINDOW`]). The caller's [`SchedCtx`] is
+/// Steady-state periods are measured by the window simulator on the
+/// *kernel* graph (whose distance labels encode the pipelining), in the
+/// paper's literal-schedule semantics ([`LOOP_EVAL_WINDOW`]), over 64
+/// warm-up and 64 measured iterations. The caller's [`SchedCtx`] is
 /// threaded through both the loop scheduler and every simulator run.
 pub fn anticipatory_postpass(
     ctx: &mut SchedCtx,
@@ -65,9 +69,9 @@ pub fn anticipatory_postpass(
     let ms = modulo_schedule(g, machine)?;
     let kernel = kernel_loop(g, &ms);
     let eval = machine.with_window(LOOP_EVAL_WINDOW);
-    let before = steady_period_rational(ctx, &kernel.graph, &eval, &kernel.order);
+    let before = steady_period(ctx, &kernel.graph, &eval, &[&kernel.order], POSTPASS_WARM);
     let res = schedule_single_block_loop(ctx, &kernel.graph, machine, cfg, opts)?;
-    let after = steady_period_rational(ctx, &kernel.graph, &eval, &res.order);
+    let after = steady_period(ctx, &kernel.graph, &eval, &[&res.order], POSTPASS_WARM);
     // Keep whichever order is better (the post-pass must never hurt).
     let (order, after) = if after.0 * before.1 <= before.0 * after.1 {
         (res.order, after)

@@ -32,9 +32,6 @@ mod window;
 pub use asched_graph::{SchedCtx, SchedOpts, SimScratch};
 pub use branch::{expected_cycles, simulate_with_prediction};
 pub use stats::{schedule_of, timeline, utilization, SimStats};
-pub use steady::{
-    loop_completion, steady_period, steady_period_rational, steady_period_with,
-    trace_loop_completion, trace_steady_period_with,
-};
+pub use steady::{loop_completion, steady_period};
 pub use stream::{InstStream, StreamInst};
 pub use window::{simulate, IssuePolicy, SimResult};

@@ -199,7 +199,7 @@ mod tests {
         let a = g.add_simple("a", BlockId(0));
         g.add_edge(a, a, 1, 1, asched_graph::DepKind::Data);
         let m = MachineModel::single_unit(2);
-        let s = InstStream::loop_iterations(&[a], 2);
+        let s = InstStream::loop_iterations(&[[a]], 2);
         let r = sim(&g, &m, &s);
         let line = timeline(&g, &m, &s, &r);
         // a at 0, idle at 1, a' at 2.

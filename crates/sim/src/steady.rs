@@ -1,4 +1,4 @@
-//! Steady-state loop throughput measurement.
+//! Loop completion and steady-state period.
 //!
 //! Paper Section 2.4: *"a schedule which is optimal for a single basic
 //! block can be suboptimal in steady-state, and a schedule which is
@@ -8,32 +8,26 @@
 //! measures it by running the window simulator over enough iterations for
 //! the per-iteration increment to stabilize.
 //!
-//! Every measurement here runs the simulator at least twice on streams of
-//! the same shape, so all helpers thread the caller's [`SchedCtx`]
-//! through to [`simulate`] and reuse its simulator scratch.
+//! A loop body is given as its per-block emitted orders in trace order;
+//! a single-block loop passes one order (`&[order]`). Both measurements
+//! simulate [`InstStream::loop_iterations`] of that body and thread the
+//! caller's [`SchedCtx`] through to [`simulate`], so repeated
+//! measurements reuse its simulator scratch.
 
 use crate::stream::InstStream;
 use crate::window::{simulate, IssuePolicy};
 use asched_graph::{DepGraph, MachineModel, NodeId, SchedCtx, SchedOpts};
 
-/// Warm-up iterations discarded before measuring the period.
-const WARMUP: u32 = 8;
-/// Iterations measured after warm-up.
-const MEASURE: u32 = 64;
-
-/// Completion time of `n` iterations of a single-block loop whose body is
-/// emitted in `order`.
-pub fn loop_completion(
+/// Completion time of `n` iterations of a loop whose body is emitted as
+/// `block_orders` (0 for no iterations or an empty body).
+pub fn loop_completion<B: AsRef<[NodeId]>>(
     ctx: &mut SchedCtx,
     g: &DepGraph,
     machine: &MachineModel,
-    order: &[NodeId],
+    block_orders: &[B],
     n: u32,
 ) -> u64 {
-    if n == 0 || order.is_empty() {
-        return 0;
-    }
-    let stream = InstStream::loop_iterations(order, n);
+    let stream = InstStream::loop_iterations(block_orders, n);
     simulate(
         ctx,
         g,
@@ -45,86 +39,25 @@ pub fn loop_completion(
     .completion
 }
 
-/// Completion time of `n` iterations of a loop enclosing a trace of
-/// blocks (Section 5.1), each block emitted in its given order.
-pub fn trace_loop_completion(
-    ctx: &mut SchedCtx,
-    g: &DepGraph,
-    machine: &MachineModel,
-    block_orders: &[Vec<NodeId>],
-    n: u32,
-) -> u64 {
-    if n == 0 {
-        return 0;
-    }
-    let stream = InstStream::trace_loop_iterations(block_orders, n);
-    simulate(
-        ctx,
-        g,
-        machine,
-        &stream,
-        IssuePolicy::Strict,
-        &SchedOpts::default(),
-    )
-    .completion
-}
-
-/// Steady-state initiation interval of the loop as an exact rational:
-/// `(completion(WARMUP + MEASURE) - completion(WARMUP), MEASURE)`.
+/// Steady-state cycles per iteration as an exact rational:
+/// `(completion(2·warm) − completion(warm), warm)`, with `warm` raised
+/// to at least 2. The first `warm` iterations are the warm-up; the next
+/// `warm` are measured.
 ///
 /// For the periodic schedules the paper's loops settle into, this is the
 /// exact cycles-per-iteration (e.g. Figure 3's schedules measure 7/1 and
 /// 6/1; Figure 8's measure 5/1 and 4/1).
-pub fn steady_period_rational(
+pub fn steady_period<B: AsRef<[NodeId]>>(
     ctx: &mut SchedCtx,
     g: &DepGraph,
     machine: &MachineModel,
-    order: &[NodeId],
-) -> (u64, u64) {
-    steady_period_with(ctx, g, machine, order, WARMUP.max(MEASURE))
-}
-
-/// [`steady_period_rational`] with a caller-chosen warm-up/measurement
-/// span: `(completion(2·warm) − completion(warm), warm)`. The single
-/// home for the "two completions, one difference" idiom every loop
-/// scheduler and experiment uses.
-pub fn steady_period_with(
-    ctx: &mut SchedCtx,
-    g: &DepGraph,
-    machine: &MachineModel,
-    order: &[NodeId],
+    block_orders: &[B],
     warm: u32,
 ) -> (u64, u64) {
     let warm = warm.max(2);
-    let c1 = loop_completion(ctx, g, machine, order, warm);
-    let c2 = loop_completion(ctx, g, machine, order, 2 * warm);
+    let c1 = loop_completion(ctx, g, machine, block_orders, warm);
+    let c2 = loop_completion(ctx, g, machine, block_orders, 2 * warm);
     (c2 - c1, warm as u64)
-}
-
-/// Steady-state period of a multi-block loop's trace stream (the
-/// Section 5.1 counterpart of [`steady_period_with`]).
-pub fn trace_steady_period_with(
-    ctx: &mut SchedCtx,
-    g: &DepGraph,
-    machine: &MachineModel,
-    block_orders: &[Vec<NodeId>],
-    warm: u32,
-) -> (u64, u64) {
-    let warm = warm.max(2);
-    let c1 = trace_loop_completion(ctx, g, machine, block_orders, warm);
-    let c2 = trace_loop_completion(ctx, g, machine, block_orders, 2 * warm);
-    (c2 - c1, warm as u64)
-}
-
-/// Steady-state initiation interval as a float (cycles per iteration).
-pub fn steady_period(
-    ctx: &mut SchedCtx,
-    g: &DepGraph,
-    machine: &MachineModel,
-    order: &[NodeId],
-) -> f64 {
-    let (num, den) = steady_period_rational(ctx, g, machine, order);
-    num as f64 / den as f64
 }
 
 #[cfg(test)]
@@ -155,22 +88,11 @@ mod tests {
         let m = MachineModel::single_unit(1);
         let mut ctx = SchedCtx::new();
         for n in 1..=6u32 {
-            let s1 = loop_completion(&mut ctx, &g, &m, &[n1, n2, n3], n);
+            let s1 = loop_completion(&mut ctx, &g, &m, &[[n1, n2, n3]], n);
             assert_eq!(s1, 5 * n as u64 - 1, "S1 at n={n}");
-            let s2 = loop_completion(&mut ctx, &g, &m, &[n2, n1, n3], n);
+            let s2 = loop_completion(&mut ctx, &g, &m, &[[n2, n1, n3]], n);
             assert_eq!(s2, 4 * n as u64, "S2 at n={n}");
         }
-    }
-
-    #[test]
-    fn steady_period_with_matches_rational() {
-        let (g, [n1, n2, n3]) = fig8();
-        let m = MachineModel::single_unit(1);
-        let mut ctx = SchedCtx::new();
-        let (a, b) = steady_period_with(&mut ctx, &g, &m, &[n2, n1, n3], 16);
-        assert_eq!(a, 4 * b);
-        let (c, d) = trace_steady_period_with(&mut ctx, &g, &m, &[vec![n2, n1, n3]], 16);
-        assert_eq!(c, 4 * d);
     }
 
     #[test]
@@ -178,15 +100,16 @@ mod tests {
         let (g, [n1, n2, n3]) = fig8();
         let m = MachineModel::single_unit(1);
         let mut ctx = SchedCtx::new();
-        assert_eq!(
-            steady_period_rational(&mut ctx, &g, &m, &[n1, n2, n3]),
-            (5 * 64, 64)
-        );
-        assert_eq!(
-            steady_period_rational(&mut ctx, &g, &m, &[n2, n1, n3]),
-            (4 * 64, 64)
-        );
-        assert!((steady_period(&mut ctx, &g, &m, &[n2, n1, n3]) - 4.0).abs() < 1e-9);
+        for warm in [16, 64] {
+            assert_eq!(
+                steady_period(&mut ctx, &g, &m, &[[n1, n2, n3]], warm),
+                (5 * warm as u64, warm as u64)
+            );
+            assert_eq!(
+                steady_period(&mut ctx, &g, &m, &[[n2, n1, n3]], warm),
+                (4 * warm as u64, warm as u64)
+            );
+        }
     }
 
     /// With an actual lookahead window (W >= 2) the hardware itself
@@ -198,11 +121,11 @@ mod tests {
         let w1 = MachineModel::single_unit(1);
         let w4 = MachineModel::single_unit(4);
         let mut ctx = SchedCtx::new();
-        let bad_w1 = steady_period(&mut ctx, &g, &w1, &[n1, n2, n3]);
-        let bad_w4 = steady_period(&mut ctx, &g, &w4, &[n1, n2, n3]);
-        let good_w4 = steady_period(&mut ctx, &g, &w4, &[n2, n1, n3]);
+        let bad_w1 = steady_period(&mut ctx, &g, &w1, &[[n1, n2, n3]], 64).0;
+        let bad_w4 = steady_period(&mut ctx, &g, &w4, &[[n1, n2, n3]], 64).0;
+        let good_w4 = steady_period(&mut ctx, &g, &w4, &[[n2, n1, n3]], 64).0;
         assert!(bad_w4 < bad_w1, "window should improve the bad order");
-        assert!(good_w4 <= bad_w4 + 1e-9);
+        assert!(good_w4 <= bad_w4);
     }
 
     #[test]
@@ -210,19 +133,21 @@ mod tests {
         let (g, [n1, n2, n3]) = fig8();
         let m = MachineModel::single_unit(4);
         assert_eq!(
-            loop_completion(&mut SchedCtx::new(), &g, &m, &[n1, n2, n3], 0),
+            loop_completion(&mut SchedCtx::new(), &g, &m, &[[n1, n2, n3]], 0),
             0
         );
     }
 
+    /// Blocks follow one another within an iteration, so splitting a
+    /// body into blocks leaves its stream, and its completion, as is.
     #[test]
-    fn trace_loop_matches_single_block_when_one_block() {
+    fn split_body_completes_like_one_block() {
         let (g, [n1, n2, n3]) = fig8();
         let m = MachineModel::single_unit(4);
         let mut ctx = SchedCtx::new();
-        let a = loop_completion(&mut ctx, &g, &m, &[n2, n1, n3], 5);
-        let b = trace_loop_completion(&mut ctx, &g, &m, &[vec![n2, n1, n3]], 5);
-        assert_eq!(a, b);
+        let whole = loop_completion(&mut ctx, &g, &m, &[vec![n2, n1, n3]], 5);
+        let split = loop_completion(&mut ctx, &g, &m, &[vec![n2], vec![n1, n3]], 5);
+        assert_eq!(whole, split);
     }
 
     /// A self-recurrence bounds the period regardless of order.
@@ -234,7 +159,10 @@ mod tests {
         g.add_dep(a, b, 0);
         g.add_edge(a, a, 5, 1, DepKind::Data); // II >= 6
         let m = MachineModel::single_unit(8);
-        let p = steady_period(&mut SchedCtx::new(), &g, &m, &[a, b]);
-        assert!(p >= 6.0 - 1e-9, "period {p} below recurrence bound");
+        let (cycles, iters) = steady_period(&mut SchedCtx::new(), &g, &m, &[[a, b]], 64);
+        assert!(
+            cycles >= 6 * iters,
+            "period {cycles}/{iters} below recurrence bound"
+        );
     }
 }

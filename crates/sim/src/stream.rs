@@ -1,4 +1,8 @@
-//! Dynamic instruction streams.
+//! Dynamic instruction streams: the order in which emitted code enters
+//! the lookahead window. A trace passes its blocks once
+//! ([`InstStream::from_blocks`]); a loop passes its body's blocks once
+//! per iteration ([`InstStream::loop_iterations`]), each instance tagged
+//! with its iteration so loop-carried edges find their producers.
 
 use asched_graph::NodeId;
 
@@ -45,23 +49,15 @@ impl InstStream {
         InstStream { items }
     }
 
-    /// Stream for `n` iterations of a single-block loop with body order
-    /// `order`: `order[1], order[2], …, order[n]` in paper notation.
-    pub fn loop_iterations(order: &[NodeId], n: u32) -> Self {
-        let mut items = Vec::with_capacity(order.len() * n as usize);
-        for k in 0..n {
-            items.extend(order.iter().map(|&node| StreamInst { node, iter: k }));
-        }
-        InstStream { items }
-    }
-
-    /// Stream for `n` iterations of a loop enclosing a trace of blocks
-    /// (paper Section 5: `BB1[1..], …, BBm[1], BB1[2], …`).
-    pub fn trace_loop_iterations(block_orders: &[Vec<NodeId>], n: u32) -> Self {
-        let mut items = Vec::new();
-        for k in 0..n {
+    /// Stream for `n` iterations of a loop whose body is emitted as
+    /// `block_orders` (paper Section 5: `BB1[1], …, BBm[1], BB1[2], …`);
+    /// a single-block loop passes one order.
+    pub fn loop_iterations<B: AsRef<[NodeId]>>(block_orders: &[B], n: u32) -> Self {
+        let body: usize = block_orders.iter().map(|o| o.as_ref().len()).sum();
+        let mut items = Vec::with_capacity(body * n as usize);
+        for iter in 0..n {
             for order in block_orders {
-                items.extend(order.iter().map(|&node| StreamInst { node, iter: k }));
+                items.extend(order.as_ref().iter().map(|&node| StreamInst { node, iter }));
             }
         }
         InstStream { items }
@@ -89,12 +85,6 @@ impl InstStream {
     /// splice off-trace continuations).
     pub fn extend(&mut self, other: &InstStream) {
         self.items.extend_from_slice(&other.items);
-    }
-
-    /// Append a single dynamic instance (used by software pipelining to
-    /// build prolog/kernel/epilog streams instance by instance).
-    pub fn push(&mut self, node: NodeId, iter: u32) {
-        self.items.push(StreamInst { node, iter });
     }
 }
 
@@ -129,7 +119,7 @@ mod tests {
 
     #[test]
     fn loop_iterations_tag_iters() {
-        let s = InstStream::loop_iterations(&ids(&[0, 1]), 3);
+        let s = InstStream::loop_iterations(&[ids(&[0, 1])], 3);
         assert_eq!(s.len(), 6);
         assert_eq!(
             s.items()[2],
@@ -149,7 +139,7 @@ mod tests {
 
     #[test]
     fn trace_loop_interleaves_blocks_within_iterations() {
-        let s = InstStream::trace_loop_iterations(&[ids(&[0]), ids(&[1])], 2);
+        let s = InstStream::loop_iterations(&[ids(&[0]), ids(&[1])], 2);
         let got: Vec<(u32, u32)> = s.items().iter().map(|i| (i.node.0, i.iter)).collect();
         assert_eq!(got, vec![(0, 0), (1, 0), (0, 1), (1, 1)]);
     }

@@ -33,20 +33,6 @@ pub struct SimResult {
     pub stall_cycles: u64,
 }
 
-impl SimResult {
-    /// Completion time of everything up to and including iteration `k`.
-    pub fn completion_of_iter(&self, stream: &InstStream, k: u32) -> u64 {
-        stream
-            .items()
-            .iter()
-            .zip(&self.finish)
-            .filter(|(inst, _)| inst.iter <= k)
-            .map(|(_, &f)| f)
-            .max()
-            .unwrap_or(0)
-    }
-}
-
 /// Simulate `stream` on `machine` with the paper's lookahead-window
 /// model.
 ///
@@ -409,7 +395,7 @@ mod tests {
         let a = g.add_simple("a", BlockId(0));
         // a[k] depends on a[k-1] with latency 2.
         g.add_edge(a, a, 2, 1, DepKind::Data);
-        let s = InstStream::loop_iterations(&[a], 3);
+        let s = InstStream::loop_iterations(&[[a]], 3);
         let r = sim(&g, &m(4), &s, IssuePolicy::Strict);
         assert_eq!(r.issue, vec![0, 3, 6]);
         assert_eq!(r.completion, 7);
@@ -513,16 +499,5 @@ mod tests {
         g.add_dep(a, b, 1);
         let s = InstStream::from_order(&[b, a]);
         sim(&g, &m(2), &s, IssuePolicy::Strict);
-    }
-
-    #[test]
-    fn completion_of_iter_tracks_prefix() {
-        let mut g = DepGraph::new();
-        let a = g.add_simple("a", BlockId(0));
-        let s = InstStream::loop_iterations(&[a], 3);
-        let r = sim(&g, &m(2), &s, IssuePolicy::Strict);
-        assert_eq!(r.completion_of_iter(&s, 0), 1);
-        assert_eq!(r.completion_of_iter(&s, 1), 2);
-        assert_eq!(r.completion_of_iter(&s, 2), 3);
     }
 }

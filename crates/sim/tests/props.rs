@@ -112,7 +112,7 @@ proptest! {
         let m = MachineModel::single_unit(w);
         let mut prev = 0;
         for n in 1..=4u32 {
-            let c = loop_completion(&mut SchedCtx::new(), &g, &m, &order, n);
+            let c = loop_completion(&mut SchedCtx::new(), &g, &m, &[&order], n);
             prop_assert!(c >= prev, "completion must be monotone in n");
             prop_assert!(c >= n as u64 * g.len() as u64, "work bound");
             prev = c;

@@ -60,8 +60,21 @@ fn render_into(t: &Trace, id: u64, depth: usize, out: &mut String) {
 /// `pass_end` in the trace, sorted by descending total — where
 /// scheduling time actually went.
 pub fn pass_breakdown(t: &Trace) -> Vec<(String, u64, u64)> {
+    pass_table(t, t.spans.keys().copied())
+}
+
+/// Per-pass `(calls, total nanos)` along the critical path of one tree
+/// only: the passes that bounded this request's latency, not the ones
+/// that ran beside it.
+pub fn critical_path_passes(t: &Trace, root: u64) -> Vec<(String, u64, u64)> {
+    pass_table(t, t.critical_path(root))
+}
+
+/// The `pass_end`s of the spans `ids`, folded per pass into `(pass,
+/// calls, total nanos)` rows sorted by descending total, then by name.
+fn pass_table(t: &Trace, ids: impl IntoIterator<Item = u64>) -> Vec<(String, u64, u64)> {
     let mut totals: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
-    for s in t.spans.values() {
+    for s in ids.into_iter().filter_map(|id| t.spans.get(&id)) {
         for (pass, nanos) in &s.passes {
             let e = totals.entry(pass.as_str()).or_default();
             e.0 += 1;
@@ -71,28 +84,6 @@ pub fn pass_breakdown(t: &Trace) -> Vec<(String, u64, u64)> {
     let mut rows: Vec<(String, u64, u64)> = totals
         .into_iter()
         .map(|(pass, (calls, nanos))| (pass.to_string(), calls, nanos))
-        .collect();
-    rows.sort_by(|a, b| b.2.cmp(&a.2).then_with(|| a.0.cmp(&b.0)));
-    rows
-}
-
-/// Per-pass `(calls, total nanos)` along the critical path of one tree
-/// only: the passes that bounded this request's latency, not the ones
-/// that ran beside it.
-pub fn critical_path_passes(t: &Trace, root: u64) -> Vec<(String, u64, u64)> {
-    let mut totals: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-    for id in t.critical_path(root) {
-        if let Some(s) = t.spans.get(&id) {
-            for (pass, nanos) in &s.passes {
-                let e = totals.entry(pass.clone()).or_default();
-                e.0 += 1;
-                e.1 += nanos;
-            }
-        }
-    }
-    let mut rows: Vec<(String, u64, u64)> = totals
-        .into_iter()
-        .map(|(pass, (calls, nanos))| (pass, calls, nanos))
         .collect();
     rows.sort_by(|a, b| b.2.cmp(&a.2).then_with(|| a.0.cmp(&b.0)));
     rows

@@ -35,7 +35,7 @@ use asched::ir::{
     Program, ProgramKind,
 };
 use asched::obs::{JsonlRecorder, ProfileRecorder, Recorder, TeeRecorder, NULL};
-use asched::sim::{loop_completion, simulate, utilization, InstStream, IssuePolicy};
+use asched::sim::{loop_completion, simulate, steady_period, utilization, InstStream, IssuePolicy};
 use std::io::Read;
 use std::process::ExitCode;
 
@@ -199,21 +199,12 @@ fn report_stats(
 ) {
     if prog.kind == ProgramKind::Loop {
         let n = o.iterations.max(2);
-        if orders.len() == 1 {
-            let c1 = loop_completion(sc, g, machine, &orders[0], n);
-            let c2 = loop_completion(sc, g, machine, &orders[0], 2 * n);
-            println!(
-                "# {n} iterations: {c1} cycles; steady state {:.2} cycles/iteration",
-                (c2 - c1) as f64 / n as f64
-            );
-        } else {
-            let c1 = asched::sim::trace_loop_completion(sc, g, machine, orders, n);
-            let c2 = asched::sim::trace_loop_completion(sc, g, machine, orders, 2 * n);
-            println!(
-                "# {n} iterations: {c1} cycles; steady state {:.2} cycles/iteration",
-                (c2 - c1) as f64 / n as f64
-            );
-        }
+        let completion = loop_completion(sc, g, machine, orders, n);
+        let (cycles, iters) = steady_period(sc, g, machine, orders, n);
+        println!(
+            "# {n} iterations: {completion} cycles; steady state {:.2} cycles/iteration",
+            cycles as f64 / iters as f64
+        );
     } else {
         let stream = InstStream::from_blocks(orders);
         let r = simulate(
@@ -334,7 +325,7 @@ fn main() -> ExitCode {
     }
     if o.timeline {
         let stream = if is_loop && orders.len() == 1 {
-            InstStream::loop_iterations(&orders[0], o.iterations.clamp(2, 8))
+            InstStream::loop_iterations(&orders, o.iterations.clamp(2, 8))
         } else {
             InstStream::from_blocks(&orders)
         };

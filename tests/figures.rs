@@ -109,11 +109,11 @@ fn figure_8_complete() {
     let mut sc = SchedCtx::new();
     for n in 1..=4u32 {
         assert_eq!(
-            loop_completion(&mut sc, &g, &w1, &[n1, n2, n3], n),
+            loop_completion(&mut sc, &g, &w1, &[[n1, n2, n3]], n),
             5 * n as u64 - 1
         );
         assert_eq!(
-            loop_completion(&mut sc, &g, &w1, &[n2, n1, n3], n),
+            loop_completion(&mut sc, &g, &w1, &[[n2, n1, n3]], n),
             4 * n as u64
         );
     }

@@ -9,7 +9,7 @@ use asched::core::{
 use asched::graph::MachineModel;
 use asched::ir::{build_loop_graph, LatencyModel};
 use asched::pipeline::{anticipatory_postpass, mii, modulo_schedule, rec_mii};
-use asched::sim::steady_period_rational;
+use asched::sim::steady_period;
 use asched::workloads::kernels::all_kernels;
 
 #[test]
@@ -81,7 +81,7 @@ fn postpass_never_degrades_any_kernel() {
         // Consistency: the reported period really is what the simulator
         // measures for the chosen order on the kernel graph.
         let eval = machine.with_window(LOOP_EVAL_WINDOW);
-        let measured = steady_period_rational(&mut sc, &r.kernel.graph, &eval, &r.order);
+        let measured = steady_period(&mut sc, &r.kernel.graph, &eval, &[&r.order], 64);
         assert_eq!(
             measured.0 * r.after.1,
             r.after.0 * measured.1,
